@@ -1,7 +1,7 @@
 """Block-level state shared by the encoder and the macro engine.
 
 A block is one scaled-up grid cell of the macro simulation.  It moves through
-a fixed lifecycle: empty, collecting input pads, probing the pad layout,
+a fixed lifecycle: collecting input pads, input type detected by the probe,
 committed to a tile type after the table lookup, and finally complete, at
 which point its output pads become visible to the neighbouring blocks.
 """
@@ -16,12 +16,10 @@ from .atam import Coord, Direction, Pad, TileSystem
 
 
 class BlockPhase(IntEnum):
-    EMPTY = 0
     INPUTS_PARTIAL = 1
-    PROBING = 2
-    TYPE_DETECTED = 3
-    COMMITTED = 4
-    COMPLETE = 5
+    TYPE_DETECTED = 2
+    COMMITTED = 3
+    COMPLETE = 4
 
 
 class InputKind(Enum):

@@ -14,7 +14,7 @@ from pathlib import Path
 from . import consistency, corpus, lookup, macro, svg, tasio, verifier
 from .atam import TileSystem, WorkbenchError, explore, is_terminal, sample_sequence
 from .encoding import ClassError, CompiledSystem, compile_system, serialize_compiled
-from .kernels import KernelError, active_kernel_name
+from .kernels import active_kernel_name
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -291,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.status
-    except (WorkbenchError, KernelError) as exc:
+    except WorkbenchError as exc:
         # domain failures surfacing from forced compiles and the like
         print(str(exc), file=sys.stderr)
         return CHECK_FAILED

@@ -228,10 +228,8 @@ def build_entries(
     """The entries string: one '#'-marked entry for every address value 0..max."""
     if amap is None:
         amap = address_map(tas, ordering)
-    if not amap:
-        raise EncodingError("the system realizes no addresses; nothing can attach")
     parts = []
-    top = max(amap)
+    top = max(amap, default=-1)
     for value in range(top + 1):
         entry = amap.get(value)
         if entry is None:
@@ -319,7 +317,7 @@ class CompiledSystem:
 
 
 def default_random_width(amap: dict[int, AddressEntry]) -> int:
-    widest = max(len(entry.tiles) for entry in amap.values())
+    widest = max((len(entry.tiles) for entry in amap.values()), default=1)
     return max(4, 2 * (widest - 1).bit_length())  # 2 * ceil(log2(widest))
 
 
@@ -346,8 +344,6 @@ def compile_system(
         lc_note = "consistency check skipped (forced)"
     ordering = GlueOrdering.from_system(tas)
     amap = address_map(tas, ordering)
-    if not amap:
-        raise EncodingError("the system realizes no addresses; nothing can attach")
     entries = build_entries(tas, ordering, amap)
     table = build_table(entries)
     if spacer is None:
@@ -357,7 +353,7 @@ def compile_system(
     if random_width < 1:
         raise EncodingError("random_width must be at least 1")
     resolution = 2 * len(table.symbols) + 2 * ordering.pad_bits + spacer
-    entry_count = 1 + max(amap)
+    entry_count = 1 + max(amap, default=-1)
     assert entries.count("#") == entry_count
     return CompiledSystem(
         source=tas,

@@ -1,25 +1,18 @@
-"""Column-sweep kernels over a spliced lookup-table string.
+"""The column sweep over a spliced lookup-table string.
 
-The sweep walks the table once, left to right, exactly as a width-1 automaton
-would: count entry markers until the requested address matches, count that
-entry's sub-entries, count the entries remaining before the table's middle,
-then count back down through the mirrored half and pick out the selected
-mirrored sub-entry span.
+The sweep answers what a width-1 automaton walking the table once, left to
+right, would find: count entry markers until the requested address matches,
+count that entry's sub-entries, count the entries remaining before the table's
+middle, then count back down through the mirrored half and pick out the
+selected mirrored sub-entry span.
 
-Two interchangeable implementations are provided:
-
-* a sequential loop compiled with numba's @njit, and
-* a pure-numpy path that vectorizes the same answer from precomputed marker
-  positions.
-
-Set TILEWORKS_KERNEL=numba or =numpy to force one; the default ("auto") uses
-numba when it imports and falls back to numpy otherwise.  Both return the same
-scalar record for every well-formed table.
+`sweep` computes that answer with numpy from precomputed marker positions.
+`_sweep_loop` is the column-by-column walk itself, kept as the reference the
+tests compare `sweep` against; the package never calls it.
 """
 
 from __future__ import annotations
 
-import os
 from functools import cached_property
 
 import numpy as np
@@ -28,10 +21,6 @@ BLANK, ZERO, ONE, HASH, SEMI, COMMA, LT, GT, PCT = range(9)
 
 SYMBOLS = " 01#;,<>%"
 _TRANSLATE = bytes.maketrans(SYMBOLS.encode("ascii"), bytes(range(9)))
-
-
-class KernelError(ValueError):
-    """Unrecognized implementation name, explicit or via TILEWORKS_KERNEL."""
 
 # status values
 OK = 0
@@ -64,12 +53,23 @@ def encode_symbols(table: str) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).copy()
 
 
-def _sweep_loop(codes, addr, b):  # pragma: no cover - exercised via wrappers
+def _malformed() -> np.ndarray:
+    """The record of a table that fails a structural check: only the status is set."""
+    out = np.full(RECORD_SIZE, -1, dtype=np.int64)
+    out[S_STATUS] = E_MALFORMED
+    return out
+
+
+def _sweep_loop(codes, addr, b):
+    """Reference sweep, one column at a time; tests check `sweep` against it.
+
+    The package never calls this: on counter4's table it is about a thousand
+    times slower than `sweep`.
+    """
     out = np.full(RECORD_SIZE, -1, dtype=np.int64)
     ncols = codes.shape[0]
     if ncols == 0 or codes[0] != GT:
-        out[S_STATUS] = E_MALFORMED
-        return out
+        return _malformed()
 
     # phase 1: walk to the marker of entry `addr`
     entry = -1
@@ -86,6 +86,8 @@ def _sweep_loop(codes, addr, b):  # pragma: no cover - exercised via wrappers
             break
         col += 1
     if match < 0:
+        if col >= ncols:  # the walk found no middle marker
+            return _malformed()
         out[S_STATUS] = E_ADDR_RANGE
         return out
     out[S_MATCH] = match
@@ -106,8 +108,7 @@ def _sweep_loop(codes, addr, b):  # pragma: no cover - exercised via wrappers
                 n += 1
         col += 1
     if match_end < 0:
-        out[S_STATUS] = E_MALFORMED
-        return out
+        return _malformed()
     if payload:
         n += 1
     out[S_MATCH_END] = match_end
@@ -126,16 +127,14 @@ def _sweep_loop(codes, addr, b):  # pragma: no cover - exercised via wrappers
             break
         col += 1
     if middle_lt < 0:
-        out[S_STATUS] = E_MALFORMED
-        return out
+        return _malformed()
     out[S_M] = m
     out[S_MIDDLE_LT] = middle_lt
     middle_gt = middle_lt
     while middle_gt < ncols and codes[middle_gt] != GT:
         middle_gt += 1
     if middle_gt >= ncols:
-        out[S_STATUS] = E_MALFORMED
-        return out
+        return _malformed()
     out[S_MIDDLE_GT] = middle_gt
 
     if n == 0:
@@ -166,15 +165,13 @@ def _sweep_loop(codes, addr, b):  # pragma: no cover - exercised via wrappers
                     break
             col += 1
     if mirror_lo < 0 or mirror_lo >= ncols:
-        out[S_STATUS] = E_MALFORMED
-        return out
+        return _malformed()
     out[S_MIRROR_LO] = mirror_lo
     col = mirror_lo
     while col < ncols and codes[col] != HASH:
         col += 1
     if col >= ncols:
-        out[S_STATUS] = E_MALFORMED
-        return out
+        return _malformed()
     out[S_MIRROR_HI] = col
     mirror_hi = col
 
@@ -200,24 +197,6 @@ def _sweep_loop(codes, addr, b):  # pragma: no cover - exercised via wrappers
     out[S_SEL_HI] = col
     out[S_STATUS] = OK
     return out
-
-
-_NUMBA_SWEEP = None
-_NUMBA_ERROR: Exception | None = None
-
-
-def _numba_sweep():
-    global _NUMBA_SWEEP, _NUMBA_ERROR
-    if _NUMBA_SWEEP is None:
-        if _NUMBA_ERROR is not None:
-            raise _NUMBA_ERROR
-        try:
-            from numba import njit
-        except ImportError as exc:  # pragma: no cover - mirror-less environments
-            _NUMBA_ERROR = exc
-            raise
-        _NUMBA_SWEEP = njit(cache=True)(_sweep_loop)
-    return _NUMBA_SWEEP
 
 
 class TableIndex:
@@ -248,12 +227,12 @@ class TableIndex:
         return hashes, semis, middle_lt, middle_gt, left, right
 
 
-def _sweep_numpy(index: TableIndex, addr: int, b: int) -> np.ndarray:
-    out = np.full(RECORD_SIZE, -1, dtype=np.int64)
+def sweep(index: TableIndex, addr: int, b: int) -> np.ndarray:
+    """Sweep `index` for entry `addr` with random bits `b`; returns the 12-slot record."""
     markers = index._markers
     if markers is None:
-        out[S_STATUS] = E_MALFORMED
-        return out
+        return _malformed()
+    out = np.full(RECORD_SIZE, -1, dtype=np.int64)
     _, semis, middle_lt, middle_gt, left, right = markers
     if addr < 0 or addr >= left.shape[0]:
         out[S_STATUS] = E_ADDR_RANGE
@@ -279,6 +258,8 @@ def _sweep_numpy(index: TableIndex, addr: int, b: int) -> np.ndarray:
     p = b % n
     out[S_P] = p
 
+    if m >= right.shape[0]:  # the mirrored half lacks this entry's copy
+        return _malformed()
     mirror_lo = (int(right[m - 1]) if m > 0 else middle_gt) + 2
     mirror_hi = int(right[m])
     out[S_MIRROR_LO] = mirror_lo
@@ -294,35 +275,6 @@ def _sweep_numpy(index: TableIndex, addr: int, b: int) -> np.ndarray:
     return out
 
 
-def _sweep_numba(index: TableIndex, addr: int, b: int) -> np.ndarray:
-    return _numba_sweep()(index.codes, addr, b)
-
-
-_IMPLS = {"numba": _sweep_numba, "numpy": _sweep_numpy}
-
-
-def resolve_kernel(name: str | None = None):
-    """Pick a sweep implementation by name or by the TILEWORKS_KERNEL env flag."""
-    chosen = (name or os.environ.get("TILEWORKS_KERNEL", "auto")).strip().lower()
-    if chosen in ("", "auto"):
-        try:
-            _numba_sweep()
-            return "numba", _sweep_numba
-        except Exception:
-            return "numpy", _sweep_numpy
-    if chosen not in _IMPLS:
-        raise KernelError(f"unknown kernel {chosen!r}; expected numba, numpy or auto")
-    if chosen == "numba":
-        _numba_sweep()  # fail fast when forced but unavailable
-    return chosen, _IMPLS[chosen]
-
-
-def sweep(index: TableIndex, addr: int, b: int, impl: str | None = None) -> np.ndarray:
-    """Run the selected sweep kernel; returns the 12-slot scalar record."""
-    _, fn = resolve_kernel(impl)
-    return fn(index, addr, b)
-
-
 def active_kernel_name() -> str:
-    name, _ = resolve_kernel()
-    return name
+    """Name of the sweep implementation, as printed and recorded in reports."""
+    return "numpy"

@@ -171,7 +171,7 @@ def _mirror_field_pads(cs: CompiledSystem, sel_lo: int, sel_hi: int) -> tuple[Pa
 
 
 def trace_lookup(
-    cs: CompiledSystem, addr: int, bits: str, impl: str | None = None
+    cs: CompiledSystem, addr: int, bits: str
 ) -> tuple[LookupOutcome, PhaseTrace]:
     """Kernel route: sweep the spliced table and decode the selected mirror span."""
     if bits == "" or any(c not in "01" for c in bits):
@@ -181,7 +181,7 @@ def trace_lookup(
     key = (addr, b)
     rec = cache.get(key)
     if rec is None:
-        rec = kernels.sweep(cs.table.index, addr, b, impl)
+        rec = kernels.sweep(cs.table.index, addr, b)
         cache[key] = rec
     status = int(rec[kernels.S_STATUS])
     if status == kernels.E_ADDR_RANGE:

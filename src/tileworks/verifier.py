@@ -184,7 +184,7 @@ def _dynamics(cs, source_result, macro_result, decoded) -> ConditionReport:
 
     mimicked = 0
     for akey in source_result.assemblies:
-        src_reach = _closure(akey, src_adj)
+        src_reach = _multi_closure((akey,), src_adj)
         macro_reach_decoded = {
             decoded[m] for m in _multi_closure(preimages.get(akey, ()), mac_adj)
         }
@@ -209,18 +209,6 @@ def _dynamics(cs, source_result, macro_result, decoded) -> ConditionReport:
     )
 
 
-def _closure(start: frozenset, adj: dict) -> set[frozenset]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        for nxt in adj.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
-
-
 def _multi_closure(starts, adj: dict) -> set[frozenset]:
     seen = set(starts)
     queue = deque(seen)
@@ -231,18 +219,6 @@ def _multi_closure(starts, adj: dict) -> set[frozenset]:
                 seen.add(nxt)
                 queue.append(nxt)
     return seen
-
-
-def check_coverage(cs: CompiledSystem, bound: int) -> ConditionReport:
-    source_result = explore(cs.source, bound)
-    macro_result = macro_explore(cs, bound)
-    return _coverage(cs, source_result, macro_result, _decode_all(cs, macro_result))
-
-
-def check_dynamics(cs: CompiledSystem, bound: int) -> ConditionReport:
-    source_result = explore(cs.source, bound)
-    macro_result = macro_explore(cs, bound)
-    return _dynamics(cs, source_result, macro_result, _decode_all(cs, macro_result))
 
 
 def simulation_report(cs: CompiledSystem, bound: int) -> SimulationReport:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from tileworks import corpus
+from tileworks.atam import TileSystem, TileType
 from tileworks.encoding import compile_system
 
 COMPILABLE = ("elbow", "nondet_elbow", "counter3", "counter4", "sierpinski")
@@ -31,9 +32,7 @@ def compiled(systems):
     return {name: compile_system(systems[name]) for name in COMPILABLE}
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernel():
-    # pay the jit compile cost before anything is timed
-    from tileworks.kernels import resolve_kernel
-
-    resolve_kernel()
+@pytest.fixture(scope="session")
+def lone_seed():
+    """A locally consistent system where nothing attaches: its table has no entries."""
+    return TileSystem((TileType.make("seed", e=("a", 1)),), seed=0, name="lone_seed")

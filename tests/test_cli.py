@@ -4,6 +4,7 @@ import pytest
 
 from tileworks.cli import main
 from tileworks.corpus import fixture_path
+from tileworks.tasio import format_tas
 
 
 def test_help_exits_zero(capsys):
@@ -110,12 +111,6 @@ def test_lookup_out_of_range_is_usage_error(capsys):
     assert "lookup failed" in capsys.readouterr().err
 
 
-def test_unknown_kernel_env_fails_cleanly(monkeypatch, capsys):
-    monkeypatch.setenv("TILEWORKS_KERNEL", "bogus")
-    assert main(["lookup", "elbow", "--addr", "15", "--bits", "0"]) == 1
-    assert "unknown kernel 'bogus'" in capsys.readouterr().err
-
-
 def test_simulate_decodes_growth(capsys):
     assert main(["simulate", "elbow", "--seed", "1"]) == 0
     out = capsys.readouterr().out
@@ -131,13 +126,16 @@ def test_simulate_writes_svg(tmp_path, capsys):
     assert target.read_text().startswith("<svg ")
 
 
-def test_verify_pass_writes_report(tmp_path, capsys):
-    report = tmp_path / "report.txt"
-    code = main(["verify", "elbow", "--bound", "6", "--report", str(report)])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert out.endswith("overall: PASS\n")
-    assert report.read_text() == out
+def test_verify_pass_writes_report(tmp_path, lone_seed, capsys):
+    lone = tmp_path / "lone.tas"
+    lone.write_text(format_tas(lone_seed))
+    for system in ("elbow", str(lone)):
+        report = tmp_path / "report.txt"
+        code = main(["verify", system, "--bound", "6", "--report", str(report)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.endswith("overall: PASS\n")
+        assert report.read_text() == out
 
 
 def test_verify_nondet_passes(capsys):

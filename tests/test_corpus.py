@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from tileworks.atam import attach, seed_assembly, sorted_frontier
@@ -15,8 +13,6 @@ from tileworks.corpus import (
 from tileworks.tasio import format_tas
 
 from oracles import pascal_parity
-
-REPO_CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def _grow_counter(tas, steps):
@@ -92,8 +88,6 @@ def test_fixture_files_match_generators(systems):
         expected = format_tas(tas)
         shipped = fixture_path(name).read_text()
         assert shipped == expected, f"packaged fixture {name} drifted"
-        repo_copy = (REPO_CORPUS / f"{name}.tas").read_text()
-        assert repo_copy == expected, f"repo corpus fixture {name} drifted"
 
 
 def test_fixture_path_rejects_unknown_name():

@@ -221,6 +221,7 @@ def test_default_random_width(systems):
         systems["nondet_elbow"], GlueOrdering.from_system(systems["nondet_elbow"])
     )
     assert default_random_width(nd) == 4  # widest entry is 2 -> 2 bits, floored to 4
+    assert default_random_width({}) == 4  # no entries counts as one candidate
 
 
 def test_compile_rejects_inconsistent_systems(systems):
@@ -239,7 +240,7 @@ def test_compile_parameter_overrides(systems):
         compile_system(systems["elbow"], random_width=0)
 
 
-def test_serialize_is_deterministic_and_complete(compiled, systems):
+def test_serialize_is_deterministic_and_complete(compiled, systems, lone_seed):
     a = serialize_compiled(compiled["elbow"])
     b = serialize_compiled(compile_system(systems["elbow"]))
     assert a == b
@@ -249,6 +250,8 @@ def test_serialize_is_deterministic_and_complete(compiled, systems):
     assert "\n1948 WS tD\n" in a
     assert "\nresolution 15944\n" in a
     assert " " not in a.split("\nTABLE\n")[1].split("\n")[0]  # blanks written as '_'
+    # a consistent system where nothing attaches compiles to an empty table
+    assert "\nentry_count 0\n" in serialize_compiled(compile_system(lone_seed))
 
 
 def test_build_table_shape():

@@ -1,9 +1,8 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from tileworks.encoding import build_table
+from tileworks.encoding import build_table, compile_system
 from tileworks.kernels import (
     E_ADDR_RANGE,
     E_EMPTY_ENTRY,
@@ -14,19 +13,17 @@ from tileworks.kernels import (
     S_P,
     S_STATUS,
     TableIndex,
-    active_kernel_name,
+    _sweep_loop,
     encode_symbols,
-    resolve_kernel,
     sweep,
 )
 
 
-def _has_numba() -> bool:
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
+def _assert_matches_loop(idx, addr, b, label):
+    got = sweep(idx, addr, b)
+    want = _sweep_loop(idx.codes, addr, b)
+    assert got.shape == (RECORD_SIZE,)
+    assert np.array_equal(got, want), (label, addr, b, got, want)
 
 
 def test_symbol_codes_cover_alphabet():
@@ -35,70 +32,46 @@ def test_symbol_codes_cover_alphabet():
     assert codes.dtype == np.uint8
 
 
-def test_resolve_kernel_names(monkeypatch):
-    name, fn = resolve_kernel("numpy")
-    assert name == "numpy" and callable(fn)
-    with pytest.raises(ValueError):
-        resolve_kernel("fortran")
-    monkeypatch.setenv("TILEWORKS_KERNEL", "numpy")
-    assert active_kernel_name() == "numpy"
-    monkeypatch.setenv("TILEWORKS_KERNEL", "auto")
-    assert active_kernel_name() in ("numba", "numpy")
-
-
-@pytest.mark.skipif(not _has_numba(), reason="numba unavailable")
-def test_kernels_agree_across_corpus(compiled):
-    for cs in compiled.values():
+def test_sweep_matches_reference_loop_across_corpus(compiled, lone_seed):
+    for cs in (*compiled.values(), compile_system(lone_seed)):
         idx = cs.table.index
         probe_addrs = sorted(cs.addresses)[:8] + [0, cs.entry_count - 1, cs.entry_count, -1]
         for addr in probe_addrs:
-            for b in range(6):
-                a = sweep(idx, addr, b, "numba")
-                c = sweep(idx, addr, b, "numpy")
-                assert np.array_equal(a, c), (cs.source.name, addr, b, a, c)
-                assert a.shape == (RECORD_SIZE,)
+            for b in range(5):
+                _assert_matches_loop(idx, addr, b, cs.source.name)
+
+
+def test_sweep_matches_reference_loop_on_malformed_tables():
+    # the last table's mirrored half lost the copy of entry 0
+    for bad in ("", "< wrong start", "> # no middle", "> # 1 # < % % > # <"):
+        idx = TableIndex(bad)
+        for addr in (0, 1, -1):
+            for b in (0, 1):
+                _assert_matches_loop(idx, addr, b, bad)
 
 
 def test_sweep_statuses(compiled):
     cs = compiled["elbow"]
     idx = cs.table.index
-    assert sweep(idx, 15, 0, "numpy")[S_STATUS] == OK
-    assert sweep(idx, 0, 0, "numpy")[S_STATUS] == E_EMPTY_ENTRY
-    assert sweep(idx, 5000, 0, "numpy")[S_STATUS] == E_ADDR_RANGE
-    assert sweep(idx, -1, 0, "numpy")[S_STATUS] == E_ADDR_RANGE
+    assert sweep(idx, 15, 0)[S_STATUS] == OK
+    assert sweep(idx, 0, 0)[S_STATUS] == E_EMPTY_ENTRY
+    assert sweep(idx, 5000, 0)[S_STATUS] == E_ADDR_RANGE
+    assert sweep(idx, -1, 0)[S_STATUS] == E_ADDR_RANGE
 
 
 def test_selection_arithmetic(compiled):
     cs = compiled["nondet_elbow"]
     idx = cs.table.index
     for b in range(16):
-        rec = sweep(idx, 1948, b, "numpy")
+        rec = sweep(idx, 1948, b)
         assert rec[S_N] == 2
         assert rec[S_P] == b % 2
 
 
 def test_malformed_tables_flagged():
-    for bad in ("", "< no leading marker", "> # no middle"):
+    for bad in ("", "< no leading marker", "> # no middle", "> # 1 # < % % > # <"):
         idx = TableIndex(bad)
-        assert sweep(idx, 0, 0, "numpy")[S_STATUS] == E_MALFORMED
+        assert sweep(idx, 0, 0)[S_STATUS] == E_MALFORMED
     # a well-formed tiny table for contrast
     good = build_table("#a,b,c,d#")
-    assert sweep(good.index, 0, 0, "numpy")[S_STATUS] == OK
-
-
-@pytest.mark.skipif(not _has_numba(), reason="numba unavailable")
-def test_loop_kernel_flags_malformed_too():
-    for bad in ("", "< wrong start"):
-        idx = TableIndex(bad)
-        assert sweep(idx, 0, 0, "numba")[S_STATUS] == E_MALFORMED
-
-
-def test_forced_numba_fails_fast_when_absent(monkeypatch):
-    import tileworks.kernels as K
-
-    monkeypatch.setattr(K, "_NUMBA_SWEEP", None)
-    monkeypatch.setattr(K, "_NUMBA_ERROR", ImportError("forced for test"))
-    with pytest.raises(ImportError):
-        K.resolve_kernel("numba")
-    name, _ = K.resolve_kernel("auto")
-    assert name == "numpy"
+    assert sweep(good.index, 0, 0)[S_STATUS] == OK

@@ -9,17 +9,13 @@ from tileworks import verifier
 from tileworks.atam import Pad
 from tileworks.blocks import BlockPhase, BlockState, sort_pads
 from tileworks.encoding import AddressEntry, build_entries, build_table, compile_system
-from tileworks.verifier import (
-    check_coverage,
-    check_dynamics,
-    check_seed_representation,
-    simulation_report,
-)
+from tileworks.verifier import check_seed_representation, simulation_report
 
 
-@pytest.mark.parametrize("name", ["elbow", "nondet_elbow"])
-def test_report_passes_at_bound_six(compiled, name):
-    report = simulation_report(compiled[name], 6)
+@pytest.mark.parametrize("name", ["elbow", "nondet_elbow", "lone_seed"])
+def test_report_passes_at_bound_six(compiled, lone_seed, name):
+    cs = compile_system(lone_seed) if name == "lone_seed" else compiled[name]
+    report = simulation_report(cs, 6)
     assert report.passed
     assert not report.source_truncated and not report.macro_truncated
     text = report.to_text()
@@ -112,26 +108,14 @@ def _suppress_tdp(systems):
     return cs
 
 
-def test_coverage_detects_missing_branch(systems):
-    cs = _suppress_tdp(systems)
-    report = check_coverage(cs, 6)
-    assert not report.passed
-    assert "never decoded" in report.witness
-    assert "(1, 1)" in report.witness
-
-
-def test_dynamics_detects_missing_branch(systems):
-    cs = _suppress_tdp(systems)
-    report = check_dynamics(cs, 6)
-    assert not report.passed
-    assert "never reaches" in report.witness
-
-
 def test_suppressed_branch_fails_overall_report(systems):
     report = simulation_report(_suppress_tdp(systems), 6)
     assert report.seed.passed
     assert not report.coverage.passed
+    assert "never decoded" in report.coverage.witness
+    assert "(1, 1)" in report.coverage.witness
     assert not report.dynamics.passed
+    assert "never reaches" in report.dynamics.witness
     assert not report.passed
     assert report.to_text().rstrip().endswith("overall: FAIL")
 
