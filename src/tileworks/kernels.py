@@ -66,28 +66,34 @@ def _sweep_loop(codes, addr, b):
     The package never calls this: on counter4's table it is about a thousand
     times slower than `sweep`.
     """
-    out = np.full(RECORD_SIZE, -1, dtype=np.int64)
     ncols = codes.shape[0]
+    # structure first: a leading '>' and the spliced '< % % >' middle,
+    # seven columns from the first '<'
     if ncols == 0 or codes[0] != GT:
+        return _malformed()
+    middle_lt = 0
+    while middle_lt < ncols and codes[middle_lt] != LT:
+        middle_lt += 1
+    middle_gt = middle_lt + 6
+    if (
+        middle_gt >= ncols
+        or codes[middle_lt + 2] != PCT
+        or codes[middle_lt + 4] != PCT
+        or codes[middle_gt] != GT
+    ):
         return _malformed()
 
     # phase 1: walk to the marker of entry `addr`
+    out = np.full(RECORD_SIZE, -1, dtype=np.int64)
     entry = -1
     match = -1
-    col = 0
-    while col < ncols:
-        c = codes[col]
-        if c == HASH:
+    for col in range(middle_lt):
+        if codes[col] == HASH:
             entry += 1
             if entry == addr:
                 match = col
                 break
-        elif c == LT:
-            break
-        col += 1
     if match < 0:
-        if col >= ncols:  # the walk found no middle marker
-            return _malformed()
         out[S_STATUS] = E_ADDR_RANGE
         return out
     out[S_MATCH] = match
@@ -96,45 +102,26 @@ def _sweep_loop(codes, addr, b):
     n = 0
     payload = False
     col = match + 1
-    match_end = -1
-    while col < ncols:
+    while codes[col] != HASH and codes[col] != LT:
         c = codes[col]
-        if c == HASH or c == LT:
-            match_end = col
-            break
         if c != BLANK:
             payload = True
             if c == SEMI:
                 n += 1
         col += 1
-    if match_end < 0:
-        return _malformed()
+    match_end = col
     if payload:
         n += 1
     out[S_MATCH_END] = match_end
     out[S_N] = n
 
-    # count entries left before the middle marker
+    # count entries left before the middle
     m = 0
-    middle_lt = -1
-    col = match_end
-    while col < ncols:
-        c = codes[col]
-        if c == HASH:
+    for col in range(match_end, middle_lt):
+        if codes[col] == HASH:
             m += 1
-        elif c == LT:
-            middle_lt = col
-            break
-        col += 1
-    if middle_lt < 0:
-        return _malformed()
     out[S_M] = m
     out[S_MIDDLE_LT] = middle_lt
-    middle_gt = middle_lt
-    while middle_gt < ncols and codes[middle_gt] != GT:
-        middle_gt += 1
-    if middle_gt >= ncols:
-        return _malformed()
     out[S_MIDDLE_GT] = middle_gt
 
     if n == 0:

@@ -11,12 +11,22 @@ defined from the committed phase onward.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import Mapping
 from weakref import WeakKeyDictionary
 
-from .atam import Assembly, Coord, Direction, Pad, WorkbenchError, direction_order
+from .atam import (
+    DIRECTIONS,
+    Assembly,
+    Coord,
+    Direction,
+    Pad,
+    WorkbenchError,
+    direction_order,
+)
 from .blocks import (
     BlockPhase,
     BlockState,
@@ -73,72 +83,93 @@ def _addressable(cs: CompiledSystem, state: BlockState) -> bool:
     return value in cs.addresses
 
 
+# each receiving side, the neighbour's side that faces it, and the neighbour's offset
+_SIDES = tuple((d, d.opposite, d.vector) for d in DIRECTIONS)
+
+
+def _events_at(
+    cs: CompiledSystem, blocks: Mapping[Coord, BlockState], coord: Coord
+) -> list[MacroEvent]:
+    """The enabled events at `coord`, in no particular order.
+
+    They read only the block at `coord` and the complete neighbours whose
+    output pads point at it, so applying an event can change only the events
+    at its own coordinate and at its four neighbours.
+    """
+    state = blocks.get(coord)
+    events: list[MacroEvent] = []
+    if state is None or state.phase is BlockPhase.INPUTS_PARTIAL:
+        taken = state.input_directions if state is not None else ()
+        x, y = coord
+        for side, facing, (dx, dy) in _SIDES:
+            source = (x + dx, y + dy)
+            neighbour = blocks.get(source)
+            if (
+                side in taken
+                or neighbour is None
+                or neighbour.phase is not BlockPhase.COMPLETE
+            ):
+                continue
+            for pad in neighbour.output_pads:
+                if pad.direction is facing:
+                    received = Pad(pad.glue, side, pad.strength)
+                    events.append(
+                        MacroEvent(EventKind.PAD_ARRIVAL, coord, received, source)
+                    )
+        if state is not None and state.received_strength == 2:
+            events.append(MacroEvent(EventKind.PROBE, coord))
+    elif state.phase is BlockPhase.TYPE_DETECTED:
+        if _addressable(cs, state):
+            events.append(MacroEvent(EventKind.COMMIT, coord))
+    elif state.phase is BlockPhase.COMMITTED:
+        events.append(MacroEvent(EventKind.COMPLETION, coord))
+    return events
+
+
 def macro_frontier(cs: CompiledSystem, macro: MacroAssembly) -> tuple[MacroEvent, ...]:
     """Every event currently enabled, in deterministic order."""
-    events: list[MacroEvent] = []
-    for coord, state in macro.blocks.items():
+    blocks = macro.blocks
+    coords = set(blocks)
+    for coord, state in blocks.items():
         if state.phase is BlockPhase.COMPLETE:
-            for pad in state.output_pads:
-                target = pad.direction.step(coord)
-                received = Pad(pad.glue, pad.direction.opposite, pad.strength)
-                neighbour = macro.get(target)
-                if neighbour is None:
-                    events.append(
-                        MacroEvent(EventKind.PAD_ARRIVAL, target, received, coord)
-                    )
-                elif (
-                    neighbour.phase is BlockPhase.INPUTS_PARTIAL
-                    and received.direction not in neighbour.input_directions
-                ):
-                    events.append(
-                        MacroEvent(EventKind.PAD_ARRIVAL, target, received, coord)
-                    )
-        elif state.phase is BlockPhase.INPUTS_PARTIAL:
-            if state.received_strength == 2:
-                events.append(MacroEvent(EventKind.PROBE, coord))
-        elif state.phase is BlockPhase.TYPE_DETECTED:
-            if _addressable(cs, state):
-                events.append(MacroEvent(EventKind.COMMIT, coord))
-        elif state.phase is BlockPhase.COMMITTED:
-            events.append(MacroEvent(EventKind.COMPLETION, coord))
+            coords.update(pad.direction.step(coord) for pad in state.output_pads)
+    events = [event for coord in coords for event in _events_at(cs, blocks, coord)]
     events.sort(key=MacroEvent.sort_key)
     return tuple(events)
 
 
-def _apply_event(
+def _next_state(
     cs: CompiledSystem,
-    macro: MacroAssembly,
+    state: BlockState | None,
     event: MacroEvent,
     *,
     probe_bits: str | None = None,
     commit_bits: str | None = None,
     keep_bits: bool = True,
-) -> MacroAssembly:
+) -> BlockState:
+    """The state of the block at `event.coord` after `event`; `state` is the one before."""
     coord = event.coord
-    state = macro.get(coord)
 
     if event.kind is EventKind.PAD_ARRIVAL:
         assert event.pad is not None
         if state is None:
-            new = BlockState(BlockPhase.INPUTS_PARTIAL, (event.pad,))
-        elif state.phase is not BlockPhase.INPUTS_PARTIAL:
+            return BlockState(BlockPhase.INPUTS_PARTIAL, (event.pad,))
+        if state.phase is not BlockPhase.INPUTS_PARTIAL:
             raise MacroEventError(
                 f"block {coord} in phase {state.phase.name} cannot receive pads"
             )
-        elif event.pad.direction in state.input_directions:
+        if event.pad.direction in state.input_directions:
             raise MacroEventError(
                 f"block {coord} already received a pad on side {event.pad.direction.name}"
             )
-        elif len(state.input_pads) >= 2:
+        if len(state.input_pads) >= 2:
             raise ThreeProbeError(
                 f"block {coord} would receive a third input pad; "
                 f"three-sided inputs are outside the supported class"
             )
-        else:
-            new = BlockState(
-                BlockPhase.INPUTS_PARTIAL, sort_pads(state.input_pads + (event.pad,))
-            )
-        return macro.with_block(coord, new)
+        return BlockState(
+            BlockPhase.INPUTS_PARTIAL, sort_pads(state.input_pads + (event.pad,))
+        )
 
     if state is None:
         raise MacroEventError(f"no block at {coord}")
@@ -150,10 +181,7 @@ def _apply_event(
                 f"got phase {state.phase.name} strength {state.received_strength} at {coord}"
             )
         kind = detect_kind(state.input_pads)
-        new = BlockState(
-            BlockPhase.TYPE_DETECTED, state.input_pads, kind, probe_bits
-        )
-        return macro.with_block(coord, new)
+        return BlockState(BlockPhase.TYPE_DETECTED, state.input_pads, kind, probe_bits)
 
     if event.kind is EventKind.COMMIT:
         if state.phase is not BlockPhase.TYPE_DETECTED:
@@ -178,7 +206,7 @@ def _apply_event(
                 raise RepresentationError(
                     f"looked-up tile {tile.name} does not match input pad {pad} at {coord}"
                 )
-        new = BlockState(
+        return BlockState(
             BlockPhase.COMMITTED,
             state.input_pads,
             state.input_kind,
@@ -186,14 +214,13 @@ def _apply_event(
             tile_index,
             outcome.sub_entry.pads,
         )
-        return macro.with_block(coord, new)
 
     if event.kind is EventKind.COMPLETION:
         if state.phase is not BlockPhase.COMMITTED:
             raise MacroEventError(
                 f"completion needs a committed block, got {state.phase.name} at {coord}"
             )
-        new = BlockState(
+        return BlockState(
             BlockPhase.COMPLETE,
             state.input_pads,
             state.input_kind,
@@ -201,9 +228,20 @@ def _apply_event(
             state.committed_tile,
             state.output_pads,
         )
-        return macro.with_block(coord, new)
 
     raise MacroEventError(f"unknown event kind {event.kind!r}")
+
+
+def _apply_event(
+    cs: CompiledSystem, macro: MacroAssembly, event: MacroEvent, **kwargs
+) -> MacroAssembly:
+    """`macro` with `event` applied; `kwargs` go to `_next_state`."""
+    state = _next_state(cs, macro.get(event.coord), event, **kwargs)
+    return macro.with_block(event.coord, state)
+
+
+def _draw_bits(rng: random.Random, width: int) -> str:
+    return format(rng.getrandbits(width), f"0{width}b")
 
 
 def macro_step(
@@ -214,8 +252,7 @@ def macro_step(
     if event.kind is EventKind.PROBE:
         if rng_seed is None:
             raise MacroEventError("a probe event needs an rng seed to draw bits")
-        rng = random.Random(rng_seed)
-        probe_bits = format(rng.getrandbits(cs.random_width), f"0{cs.random_width}b")
+        probe_bits = _draw_bits(random.Random(rng_seed), cs.random_width)
     return _apply_event(cs, macro, event, probe_bits=probe_bits)
 
 
@@ -240,47 +277,74 @@ def run_macro(
     max_events: int = 100_000,
     bound: int | None = None,
 ) -> MacroRun:
-    """Apply uniformly chosen enabled events until quiescence, reproducibly."""
+    """Apply uniformly chosen enabled events until quiescence, reproducibly.
+
+    Each step draws from the enabled events in `macro_frontier` order.  The
+    enabled set is kept as a sorted list of sort keys (unique per event), and
+    a step recomputes only the events at its own coordinate, plus those at the
+    four neighbours after a completion, so it costs the same however large
+    the assembly has grown.  Once `bound` blocks exist, arrivals at empty
+    coordinates are held back, and the run is truncated if any was.
+    """
     rng = random.Random(rng_seed)
-    macro = seed_macro(cs)
+    blocks: dict[Coord, BlockState] = dict(seed_macro(cs).blocks)
+    enabled: list[tuple] = []
+    by_key: dict[tuple, MacroEvent] = {}
+    keys_at: dict[Coord, list[tuple]] = {}
+    held_back = False
+
+    def refresh(coord: Coord) -> None:
+        nonlocal held_back
+        for key in keys_at.pop(coord, ()):
+            del enabled[bisect_left(enabled, key)]
+            del by_key[key]
+        events = _events_at(cs, blocks, coord)
+        if not events:
+            return
+        if bound is not None and len(blocks) >= bound and coord not in blocks:
+            held_back = True  # every event at an empty coordinate is an arrival
+            return
+        keys_at[coord] = keys = [event.sort_key() for event in events]
+        for key, event in zip(keys, events):
+            insort(enabled, key)
+            by_key[key] = event
+
+    for coord in (0, 0), *(d.step((0, 0)) for d in DIRECTIONS):
+        refresh(coord)
     applied: list[MacroEvent] = []
     log: list[str] = []
     truncated = False
     while len(applied) < max_events:
-        events = list(macro_frontier(cs, macro))
-        if bound is not None:
-            kept = []
-            for ev in events:
-                if (
-                    ev.kind is EventKind.PAD_ARRIVAL
-                    and ev.coord not in macro.blocks
-                    and len(macro) >= bound
-                ):
-                    truncated = True
-                    continue
-                kept.append(ev)
-            events = kept
-        if not events:
+        truncated = held_back  # a held-back arrival stays enabled for good
+        if not enabled:
             break
-        event = events[rng.randrange(len(events))]
+        event = by_key[enabled[rng.randrange(len(enabled))]]
         probe_bits = None
         if event.kind is EventKind.PROBE:
-            probe_bits = format(
-                rng.getrandbits(cs.random_width), f"0{cs.random_width}b"
-            )
-        macro = _apply_event(cs, macro, event, probe_bits=probe_bits)
+            probe_bits = _draw_bits(rng, cs.random_width)
+        coord = event.coord
+        grew = coord not in blocks
+        state = blocks[coord] = _next_state(
+            cs, blocks.get(coord), event, probe_bits=probe_bits
+        )
+        # a block's state reaches its neighbours' events only once it is complete
+        refresh(coord)
+        if state.phase is BlockPhase.COMPLETE:
+            for d in DIRECTIONS:
+                refresh(d.step(coord))
+        if grew and len(blocks) == bound:  # hold back the arrivals enabled so far
+            for empty in [c for c in keys_at if c not in blocks]:
+                refresh(empty)
         applied.append(event)
         note = event.describe()
         if event.kind is EventKind.PROBE:
-            state = macro.get(event.coord)
-            assert state is not None and state.input_kind is not None
+            assert state.input_kind is not None
             note += f" [{state.input_kind.value}, bits={state.random_bits}]"
         elif event.kind is EventKind.COMMIT:
-            state = macro.get(event.coord)
-            assert state is not None and state.committed_tile is not None
+            assert state.committed_tile is not None
             note += f" -> {cs.source.tiles[state.committed_tile].name}"
         log.append(note)
-    return MacroRun(tuple(applied), tuple(log), macro, truncated)
+    return MacroRun(tuple(applied), tuple(log), MacroAssembly(blocks), truncated)
 
 
 @dataclass(frozen=True)

@@ -205,3 +205,16 @@ def test_criterion_10_counter_semantics(systems):
             expected.append(value)
             value = value + 1  # plain integer increments, no wrap below 8
         assert [counter_value(tas, asm, k) for k in range(8)] == expected
+
+
+def test_criterion_11_linear_macro_run(systems, compiled):
+    with _criterion(11, "linear-time macro run", 5):
+        tas = systems["counter4"]
+        run = run_macro(compiled["counter4"], 11, max_events=16000)
+        assert len(run.events) == 16000 and not run.truncated
+        asm = decode_assembly(run.final, compiled["counter4"])
+        rows = []
+        while (value := counter_value(tas, asm, len(rows))) is not None:
+            rows.append(value)
+        assert len(rows) > 250
+        assert rows == [k % 16 for k in range(len(rows))]

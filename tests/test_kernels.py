@@ -42,10 +42,11 @@ def test_sweep_matches_reference_loop_across_corpus(compiled, lone_seed):
 
 
 def test_sweep_matches_reference_loop_on_malformed_tables():
-    # the last table's mirrored half lost the copy of entry 0
-    for bad in ("", "< wrong start", "> # no middle", "> # 1 # < % % > # <"):
+    # "> # 1 < x" has a '<' but no '< % % >' middle after it; the last
+    # table's mirrored half lost the copy of entry 0
+    for bad in ("", "< wrong start", "> # no middle", "> # 1 < x", "> # 1 # < % % > # <"):
         idx = TableIndex(bad)
-        for addr in (0, 1, -1):
+        for addr in (0, 1, 5, -1):
             for b in (0, 1):
                 _assert_matches_loop(idx, addr, b, bad)
 
@@ -69,7 +70,13 @@ def test_selection_arithmetic(compiled):
 
 
 def test_malformed_tables_flagged():
-    for bad in ("", "< no leading marker", "> # no middle", "> # 1 # < % % > # <"):
+    for bad in (
+        "",
+        "< no leading marker",
+        "> # no middle",
+        "> # 1 < x",
+        "> # 1 # < % % > # <",
+    ):
         idx = TableIndex(bad)
         assert sweep(idx, 0, 0)[S_STATUS] == E_MALFORMED
     # a well-formed tiny table for contrast

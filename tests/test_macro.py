@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from tileworks.atam import Direction, Pad, TileSystem, TileType, explore
+from tileworks import corpus
+from tileworks.atam import Direction, Pad, TileSystem, TileType, WorkbenchError, explore
 from tileworks.blocks import BlockPhase, BlockState, InputKind, detect_kind
 from tileworks.encoding import compile_system
 from tileworks.macro import (
     EventKind,
     MacroEvent,
     MacroEventError,
+    MacroRun,
     RepresentationError,
     ThreeProbeError,
+    _addressable,
+    _apply_event,
     decode_assembly,
     decode_block,
     macro_explore,
@@ -227,3 +233,132 @@ def test_decode_assembly_reports_block(compiled):
     with pytest.raises(RepresentationError) as err:
         decode_assembly(corrupted, cs)
     assert "(1, 1)" in str(err.value)
+
+
+# --- reference oracle ----------------------------------------------------
+# `_scan_frontier` and `_rescan_run` are the frontier scan and the run loop
+# that `macro_frontier` and `run_macro` replaced: every step rescans every
+# block and rebuilds the whole assembly, so a run is quadratic in its length.
+# They are kept here only as the oracle the fast versions are checked against.
+
+
+def _scan_frontier(cs, macro):
+    events = []
+    for coord, state in macro.blocks.items():
+        if state.phase is BlockPhase.COMPLETE:
+            for pad in state.output_pads:
+                target = pad.direction.step(coord)
+                received = Pad(pad.glue, pad.direction.opposite, pad.strength)
+                neighbour = macro.get(target)
+                if neighbour is None:
+                    events.append(
+                        MacroEvent(EventKind.PAD_ARRIVAL, target, received, coord)
+                    )
+                elif (
+                    neighbour.phase is BlockPhase.INPUTS_PARTIAL
+                    and received.direction not in neighbour.input_directions
+                ):
+                    events.append(
+                        MacroEvent(EventKind.PAD_ARRIVAL, target, received, coord)
+                    )
+        elif state.phase is BlockPhase.INPUTS_PARTIAL:
+            if state.received_strength == 2:
+                events.append(MacroEvent(EventKind.PROBE, coord))
+        elif state.phase is BlockPhase.TYPE_DETECTED:
+            if _addressable(cs, state):
+                events.append(MacroEvent(EventKind.COMMIT, coord))
+        elif state.phase is BlockPhase.COMMITTED:
+            events.append(MacroEvent(EventKind.COMPLETION, coord))
+    events.sort(key=MacroEvent.sort_key)
+    return tuple(events)
+
+
+def _rescan_run(cs, rng_seed, *, max_events=100_000, bound=None):
+    rng = random.Random(rng_seed)
+    macro = seed_macro(cs)
+    applied = []
+    log = []
+    truncated = False
+    while len(applied) < max_events:
+        events = list(_scan_frontier(cs, macro))
+        if bound is not None:
+            kept = []
+            for ev in events:
+                if (
+                    ev.kind is EventKind.PAD_ARRIVAL
+                    and ev.coord not in macro.blocks
+                    and len(macro) >= bound
+                ):
+                    truncated = True
+                    continue
+                kept.append(ev)
+            events = kept
+        if not events:
+            break
+        event = events[rng.randrange(len(events))]
+        probe_bits = None
+        if event.kind is EventKind.PROBE:
+            probe_bits = format(
+                rng.getrandbits(cs.random_width), f"0{cs.random_width}b"
+            )
+        macro = _apply_event(cs, macro, event, probe_bits=probe_bits)
+        applied.append(event)
+        note = event.describe()
+        if event.kind is EventKind.PROBE:
+            state = macro.get(event.coord)
+            note += f" [{state.input_kind.value}, bits={state.random_bits}]"
+        elif event.kind is EventKind.COMMIT:
+            state = macro.get(event.coord)
+            note += f" -> {cs.source.tiles[state.committed_tile].name}"
+        log.append(note)
+    return MacroRun(tuple(applied), tuple(log), macro, truncated)
+
+
+def _five_tile_system() -> TileSystem:
+    # passes check-lc, yet (1, 1) is offered three pads: a run that delivers
+    # two and then probes is fine, one that delivers all three raises
+    tiles = (
+        TileType.make("seed", e=("a", 2), n=("b", 2)),
+        TileType.make("r1", w=("a", 2), e=("a2", 2), n=("c", 1)),
+        TileType.make("r2", w=("a2", 2), n=("g", 2)),
+        TileType.make("u1", s=("b", 2), e=("d", 1)),
+        TileType.make("q", s=("g", 2), w=("e", 1)),
+    )
+    return TileSystem(tiles, seed=0, name="five_tile")
+
+
+DIFFERENTIAL = (*corpus.GENERATORS, "lone_seed", "five_tile")
+
+
+def _run_outcome(run, cs, seed, bound):
+    """What a run produced, or the type and message of what it raised."""
+    try:
+        result = run(cs, seed, max_events=400, bound=bound)
+    except WorkbenchError as exc:
+        return type(exc), str(exc)
+    return result.events, result.log, result.final.key, result.truncated
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL)
+def test_run_macro_matches_rescanning_oracle(name, systems, lone_seed):
+    tas = {**systems, "lone_seed": lone_seed, "five_tile": _five_tile_system()}[name]
+    # the two faulty elbows fail check-lc but still compile and run
+    cs = compile_system(tas, force=True)
+    outcomes = []
+    for bound in (None, 1, 6, 12):  # at bound 1 the seed alone fills it
+        for seed in range(40):
+            got = _run_outcome(run_macro, cs, seed, bound)
+            assert got == _run_outcome(_rescan_run, cs, seed, bound), (name, seed, bound)
+            outcomes.append(got)
+    if name == "five_tile":  # some seeds deliver the third pad, others probe first
+        raised = [o[0] for o in outcomes if isinstance(o[0], type)]
+        assert set(raised) == {ThreeProbeError}
+        assert 0 < len(raised) < len(outcomes)
+
+
+@pytest.mark.parametrize("name", ("sierpinski", "nondet_elbow"))
+def test_macro_frontier_matches_scan_on_every_state(compiled, name):
+    cs = compiled[name]
+    states = macro_explore(cs, 6).states.values()
+    for macro in states:
+        assert macro_frontier(cs, macro) == _scan_frontier(cs, macro)
