@@ -17,7 +17,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 TEMPERATURE = 2
 
@@ -60,22 +60,19 @@ class Direction(Enum):
 
     @property
     def opposite(self) -> "Direction":
-        return _OPPOSITE[self]
+        return DIRECTIONS[_DIR_INDEX[self] ^ 2]
 
     def step(self, pos: Coord) -> Coord:
         dx, dy = self.value
         return (pos[0] + dx, pos[1] + dy)
 
 
-_OPPOSITE = {
-    Direction.N: Direction.S,
-    Direction.S: Direction.N,
-    Direction.E: Direction.W,
-    Direction.W: Direction.E,
-}
-
 DIRECTIONS = (Direction.N, Direction.E, Direction.S, Direction.W)
 _DIR_INDEX = {d: i for i, d in enumerate(DIRECTIONS)}
+# OFFSETS[k] steps toward DIRECTIONS[k]; the facing side of side k is k ^ 2.
+OFFSETS = tuple(d.vector for d in DIRECTIONS)
+# every possible set of bound sides, indexed by its bit mask over side indices
+_SIDE_SETS = tuple(frozenset(d for k, d in enumerate(DIRECTIONS) if m >> k & 1) for m in range(16))
 
 
 def direction_order(d: Direction) -> int:
@@ -141,17 +138,39 @@ class TileType:
         return cls(name, _as_side(n), _as_side(e), _as_side(s), _as_side(w))
 
     def side(self, d: Direction) -> SidePad:
-        if d is Direction.N:
-            return self.north
-        if d is Direction.E:
-            return self.east
-        if d is Direction.S:
-            return self.south
-        return self.west
+        return (self.north, self.east, self.south, self.west)[_DIR_INDEX[d]]
 
     def sides(self) -> Iterator[tuple[Direction, SidePad]]:
         for d in DIRECTIONS:
             yield d, self.side(d)
+
+
+class GlueTables(NamedTuple):
+    """Glue lookups of one tile system, indexed by side k (as in DIRECTIONS).
+
+    `match[k][other]` maps each tile whose side k bonds with the facing side of
+    a neighbour `other` to the bond's strength (equal label and strength, not
+    null).  `clash[k][tile]` holds the neighbours that disagree with `tile`
+    across side k: either glue has positive strength and the two differ.
+    """
+
+    match: list[list[dict[int, int]]]
+    clash: list[list[set[int]]]
+
+
+def _glue_tables(tiles: tuple[TileType, ...]) -> GlueTables:
+    sides = [[(p.glue, p.strength) for p in (t.north, t.east, t.south, t.west)] for t in tiles]
+    match = [[{} for _ in tiles] for _ in DIRECTIONS]
+    clash = [[set() for _ in tiles] for _ in DIRECTIONS]
+    for k in range(4):
+        for i, mine in enumerate(sides):
+            for j, theirs in enumerate(sides):
+                a, b = mine[k], theirs[k ^ 2]
+                if a[1] and a == b:
+                    match[k][j][i] = a[1]
+                elif a[1] or b[1]:
+                    clash[k][i].add(j)
+    return GlueTables(match, clash)
 
 
 @dataclass(frozen=True)
@@ -162,6 +181,8 @@ class TileSystem:
     seed: int
     temperature: int = TEMPERATURE
     name: str = ""
+    # derived from `tiles`, so it takes no part in equality, hashing or repr
+    glue_tables: GlueTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.temperature != TEMPERATURE:
@@ -173,6 +194,7 @@ class TileSystem:
         names = [t.name for t in self.tiles]
         if len(set(names)) != len(names):
             raise ValueError("tile type names must be unique")
+        object.__setattr__(self, "glue_tables", _glue_tables(self.tiles))
 
     def tile_index(self, name: str) -> int:
         for i, t in enumerate(self.tiles):
@@ -195,6 +217,14 @@ class Assembly:
             raise ValueError("an assembly must be nonempty")
         self._cells = dict(cells)
         self._key = frozenset(self._cells.items())
+
+    @classmethod
+    def _trusted(cls, cells: dict[Coord, int], key: frozenset) -> "Assembly":
+        """Wrap `cells` and its already computed key without copying either."""
+        asm = cls.__new__(cls)
+        asm._cells = cells
+        asm._key = key
+        return asm
 
     @property
     def key(self) -> frozenset:
@@ -228,15 +258,12 @@ class Assembly:
     def sorted_items(self) -> list[tuple[Coord, int]]:
         return sorted(self._cells.items(), key=lambda kv: (kv[0][1], kv[0][0]))
 
-    def positions(self) -> Iterator[Coord]:
-        return iter(self._cells)
-
     def with_tile(self, pos: Coord, tile: int) -> "Assembly":
         if pos in self._cells:
             raise OccupiedPositionError(f"position {pos} already holds a tile")
         cells = dict(self._cells)
         cells[pos] = tile
-        return Assembly(cells)
+        return Assembly._trusted(cells, self._key | {(pos, tile)})
 
     def bounds(self) -> tuple[int, int, int, int]:
         xs = [p[0] for p in self._cells]
@@ -248,60 +275,43 @@ def seed_assembly(tas: TileSystem) -> Assembly:
     return Assembly({(0, 0): tas.seed})
 
 
-def _matched_sides(tas: TileSystem, asm: Assembly, pos: Coord, tile: int):
-    """Sides of `tile` at `pos` whose glue matches the abutting neighbour.
-
-    A match requires equal labels and equal strengths; the null glue never
-    matches anything.
-    """
-    t = tas.tiles[tile]
-    out = []
-    for d in DIRECTIONS:
-        other = asm.get(d.step(pos))
-        if other is None:
-            continue
-        mine = t.side(d)
-        if mine.glue is None:
-            continue
-        theirs = tas.tiles[other].side(d.opposite)
-        if mine.glue == theirs.glue and mine.strength == theirs.strength:
-            out.append((d, mine.strength))
-    return out
+def _bond(match, cells: Mapping[Coord, int], pos: Coord, tile: int) -> tuple[int, int]:
+    """Total strength `tile` would bind with at `pos`, and the bit mask of its bonded sides."""
+    x, y = pos
+    strength = mask = 0
+    for k, (dx, dy) in enumerate(OFFSETS):
+        other = cells.get((x + dx, y + dy))
+        if other is not None:
+            s = match[k][other].get(tile)
+            if s:
+                strength += s
+                mask |= 1 << k
+    return strength, mask
 
 
 def binding_strength(tas: TileSystem, asm: Assembly, pos: Coord, tile: int) -> int:
     """Total matching glue strength `tile` would bind with at `pos`."""
     if pos in asm:
         raise OccupiedPositionError(f"position {pos} already holds a tile")
-    return sum(s for _, s in _matched_sides(tas, asm, pos, tile))
+    return _bond(tas.glue_tables.match, asm._cells, pos, tile)[0]
 
 
-def matching_sides(tas: TileSystem, asm: Assembly, pos: Coord, tile: int) -> frozenset[Direction]:
-    if pos in asm:
-        raise OccupiedPositionError(f"position {pos} already holds a tile")
-    return frozenset(d for d, _ in _matched_sides(tas, asm, pos, tile))
-
-
-def _frontier_at(tas: TileSystem, asm: Assembly, pos: Coord) -> list[tuple[Coord, int]]:
-    found = []
-    for tile in range(len(tas.tiles)):
-        if sum(s for _, s in _matched_sides(tas, asm, pos, tile)) >= TEMPERATURE:
-            found.append((pos, tile))
-    return found
+def _frontier_at(match, cells: Mapping[Coord, int], pos: Coord) -> list[tuple[Coord, int]]:
+    x, y = pos
+    totals: dict[int, int] = {}
+    for k, (dx, dy) in enumerate(OFFSETS):
+        other = cells.get((x + dx, y + dy))
+        if other is not None:
+            for tile, s in match[k][other].items():
+                totals[tile] = totals.get(tile, 0) + s
+    return [(pos, tile) for tile, s in totals.items() if s >= TEMPERATURE]
 
 
 def frontier(tas: TileSystem, asm: Assembly) -> frozenset[tuple[Coord, int]]:
     """All (position, tile) pairs that may legally attach to `asm`."""
-    seen: set[Coord] = set()
-    out: list[tuple[Coord, int]] = []
-    for pos in asm.positions():
-        for d in DIRECTIONS:
-            q = d.step(pos)
-            if q in seen or q in asm:
-                continue
-            seen.add(q)
-            out.extend(_frontier_at(tas, asm, q))
-    return frozenset(out)
+    cells = asm._cells
+    empty = {(x + dx, y + dy) for x, y in cells for dx, dy in OFFSETS} - cells.keys()
+    return frozenset(pt for q in empty for pt in _frontier_at(tas.glue_tables.match, cells, q))
 
 
 def _front_key(item: tuple[Coord, int]):
@@ -313,20 +323,13 @@ def sorted_frontier(tas: TileSystem, asm: Assembly) -> list[tuple[Coord, int]]:
     return sorted(frontier(tas, asm), key=_front_key)
 
 
-def _advance_frontier(
-    tas: TileSystem,
-    child: Assembly,
-    parent_front: frozenset[tuple[Coord, int]],
-    pos: Coord,
-) -> frozenset[tuple[Coord, int]]:
+def _advance_frontier(match, cells: Mapping[Coord, int], parent_front: frozenset, pos: Coord):
     # Strengths only grow when a neighbour appears, so surviving pairs stay
     # valid; only the four positions around the new tile need a fresh look.
     keep = {pt for pt in parent_front if pt[0] != pos}
-    for d in DIRECTIONS:
-        q = d.step(pos)
-        if q in child:
-            continue
-        keep.update(_frontier_at(tas, child, q))
+    x, y = pos
+    empty = {(x + dx, y + dy) for dx, dy in OFFSETS} - cells.keys()
+    keep.update(pt for q in empty for pt in _frontier_at(match, cells, q))
     return frozenset(keep)
 
 
@@ -375,12 +378,12 @@ def attachment_sides(seq: AssemblySequence, pos: Coord) -> frozenset[Direction]:
     """Sides on which the tile at `pos` initially bound when the sequence placed it."""
     for i, (p, tile) in enumerate(seq.steps):
         if p == pos:
-            before = seq.assemblies()[i]
-            return matching_sides(seq.system, before, pos, tile)
+            before = seq.assemblies()[i]._cells
+            return _SIDE_SETS[_bond(seq.system.glue_tables.match, before, pos, tile)[1]]
     raise NoAttachmentRecordError(f"no step in the sequence places a tile at {pos}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttachmentEdge:
     """One legal attachment between two explored assemblies."""
 
@@ -412,7 +415,7 @@ class ExplorationResult:
         return sorted(out, key=lambda k: (len(k), sorted(k)))
 
 
-def explore(tas: TileSystem, bound: int, _reverse: bool = False) -> ExplorationResult:
+def explore(tas: TileSystem, bound: int) -> ExplorationResult:
     """Breadth-first closure of all producible assemblies up to `bound` tiles.
 
     `truncated` is set when some assembly at the bound still had a nonempty
@@ -420,47 +423,45 @@ def explore(tas: TileSystem, bound: int, _reverse: bool = False) -> ExplorationR
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    match = tas.glue_tables.match
     seed = seed_assembly(tas)
     assemblies: dict[frozenset, Assembly] = {seed.key: seed}
+    # frontiers are dropped once expanded, so only the queue's stay alive
     fronts: dict[frozenset, frozenset] = {seed.key: frontier(tas, seed)}
     edges: list[AttachmentEdge] = []
     queue: deque[frozenset] = deque([seed.key])
     truncated = False
     while queue:
         key = queue.popleft()
-        asm = assemblies[key]
-        front = fronts[key]
-        if len(asm) >= bound:
-            if front:
-                truncated = True
+        cells = assemblies[key]._cells
+        front = fronts.pop(key)
+        if len(cells) >= bound:
+            truncated = truncated or bool(front)
             continue
-        ordered = sorted(front, key=_front_key)
-        if _reverse:
-            ordered.reverse()
-        for pos, tile in ordered:
-            matched = _matched_sides(tas, asm, pos, tile)
-            sides = frozenset(d for d, _ in matched)
-            strength = sum(s for _, s in matched)
-            child = asm.with_tile(pos, tile)
-            ckey = child.key
+        for pos, tile in sorted(front, key=_front_key):
+            strength, mask = _bond(match, cells, pos, tile)
+            ckey = key | {(pos, tile)}
             if ckey not in assemblies:
-                assemblies[ckey] = child
-                fronts[ckey] = _advance_frontier(tas, child, front, pos)
+                child = dict(cells)
+                child[pos] = tile
+                assemblies[ckey] = Assembly._trusted(child, ckey)
+                fronts[ckey] = _advance_frontier(match, child, front, pos)
                 queue.append(ckey)
-            edges.append(AttachmentEdge(key, ckey, pos, tile, sides, strength))
+            edges.append(AttachmentEdge(key, ckey, pos, tile, _SIDE_SETS[mask], strength))
     return ExplorationResult(assemblies, tuple(edges), seed.key, truncated, bound)
 
 
 def sample_sequence(tas: TileSystem, rng_seed: int, max_steps: int) -> AssemblySequence:
     """One uniformly random attachment history, reproducible from `rng_seed`."""
     rng = random.Random(rng_seed)
-    asm = seed_assembly(tas)
-    front = frontier(tas, asm)
+    match = tas.glue_tables.match
+    cells = {(0, 0): tas.seed}
+    front = frontier(tas, seed_assembly(tas))
     steps: list[tuple[Coord, int]] = []
     while front and len(steps) < max_steps:
         ordered = sorted(front, key=_front_key)
         pos, tile = ordered[rng.randrange(len(ordered))]
         steps.append((pos, tile))
-        asm = asm.with_tile(pos, tile)
-        front = _advance_frontier(tas, asm, front, pos)
+        cells[pos] = tile
+        front = _advance_frontier(match, cells, front, pos)
     return AssemblySequence(tas, tuple(steps))

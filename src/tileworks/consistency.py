@@ -19,12 +19,14 @@ from dataclasses import dataclass
 
 from .atam import (
     DIRECTIONS,
+    OFFSETS,
     Assembly,
     AssemblySequence,
     Coord,
     Direction,
     TileSystem,
     binding_strength,
+    direction_order,
     explore,
 )
 
@@ -61,14 +63,10 @@ class Verdict:
 def _pair_mismatch(tas: TileSystem, asm: Assembly, pos: Coord, d: Direction) -> Witness | None:
     q = d.step(pos)
     other = asm.get(q)
-    if other is None:
+    if other not in tas.glue_tables.clash[direction_order(d)][asm[pos]]:
         return None
     a = tas.tiles[asm[pos]].side(d)
     b = tas.tiles[other].side(d.opposite)
-    if a.strength == 0 and b.strength == 0:
-        return None
-    if a.glue == b.glue and a.strength == b.strength:
-        return None
     return Witness(
         kind="label-mismatch",
         assembly=asm,
@@ -128,6 +126,7 @@ def verify_locally_consistent(tas: TileSystem, bound: int) -> Verdict:
     which covers every pair of every producible assembly exactly once.
     """
     result = explore(tas, bound)
+    clash = tas.glue_tables.clash
     for edge in result.edges:
         if edge.strength != 2:
             parent = result.assemblies[edge.parent]
@@ -143,9 +142,10 @@ def verify_locally_consistent(tas: TileSystem, bound: int) -> Verdict:
             )
             return Verdict(False, witness, result.truncated, _note(bound, result.truncated))
         child = result.assemblies[edge.child]
-        for d in DIRECTIONS:
-            witness = _pair_mismatch(tas, child, edge.pos, d)
-            if witness is not None:
+        x, y = edge.pos
+        for k, (dx, dy) in enumerate(OFFSETS):
+            if child.get((x + dx, y + dy)) in clash[k][edge.tile]:
+                witness = _pair_mismatch(tas, child, edge.pos, DIRECTIONS[k])
                 return Verdict(False, witness, result.truncated, _note(bound, result.truncated))
     return Verdict(True, None, result.truncated, _note(bound, result.truncated))
 

@@ -59,6 +59,73 @@ def brute_producibles(tas: TileSystem, bound: int) -> set[frozenset]:
     return seen
 
 
+def naive_frontier(tas: TileSystem, cells: dict) -> set[tuple]:
+    """Every (position, tile) that may attach to a plain-dict assembly."""
+    found = set()
+    for (x, y) in cells:
+        for _, (dx, dy) in _DIRS:
+            q = (x + dx, y + dy)
+            if q in cells:
+                continue
+            for tile in range(len(tas.tiles)):
+                if naive_strength(tas, cells, q, tile) >= 2:
+                    found.add((q, tile))
+    return found
+
+
+def brute_attachments(tas: TileSystem, bound: int) -> set[tuple]:
+    """Every legal attachment out of a producible assembly of fewer than `bound` tiles.
+
+    Each is (parent key, child key, position, tile, strength), with keys as
+    frozensets of (position, tile index) pairs.
+    """
+    edges = set()
+    for key in brute_producibles(tas, bound):
+        cells = dict(key)
+        if len(cells) >= bound:
+            continue
+        for pos, tile in naive_frontier(tas, cells):
+            child = dict(cells)
+            child[pos] = tile
+            strength = naive_strength(tas, cells, pos, tile)
+            edges.add((key, frozenset(child.items()), pos, tile, strength))
+    return edges
+
+
+def naive_locally_consistent(tas: TileSystem, bound: int) -> bool:
+    """Both conditions of local consistency, checked over the brute-force sets.
+
+    Every attachment out of an assembly below the bound has strength exactly
+    2, and no producible assembly holds an abutting pair where either side
+    has positive strength and the two glues differ in label or strength.
+    """
+    if any(strength != 2 for *_, strength in brute_attachments(tas, bound)):
+        return False
+    return not any(
+        naive_clash(tas, dict(key), pos, dname)
+        for key in brute_producibles(tas, bound)
+        for pos, _ in key
+        for dname, _ in _DIRS
+    )
+
+
+def naive_clash(tas: TileSystem, cells: dict, pos: tuple, dname: str) -> bool:
+    """Whether the tile at `pos` and its neighbour toward `dname` ("N", ...) disagree.
+
+    They disagree when either facing glue has positive strength and the two
+    differ in label or strength.
+    """
+    dx, dy = dict(_DIRS)[dname]
+    other = cells.get((pos[0] + dx, pos[1] + dy))
+    if other is None:
+        return False
+    mine = getattr(tas.tiles[cells[pos]], _SIDE_OF[dname])
+    theirs = getattr(tas.tiles[other], _SIDE_OF[_FLIP[dname]])
+    return bool(mine.strength or theirs.strength) and (
+        (mine.glue, mine.strength) != (theirs.glue, theirs.strength)
+    )
+
+
 def pascal_parity(x: int, y: int) -> int:
     """Parity of C(x + y, x), computed with actual binomials."""
     return math.comb(x + y, x) % 2

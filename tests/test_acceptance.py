@@ -9,7 +9,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 
-import conftest
+from . import conftest
 
 from tileworks.atam import Direction, Pad, explore, sample_sequence
 from tileworks.consistency import replay_witness, verify_locally_consistent
@@ -29,7 +29,7 @@ from tileworks.macro import decode_assembly, macro_explore, run_macro, terminal_
 from tileworks.svg import render_svg
 from tileworks.verifier import simulation_report
 
-from test_corpus import _grow_counter
+from .test_corpus import _grow_counter
 
 
 @contextmanager

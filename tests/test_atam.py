@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
 from tileworks.atam import (
@@ -22,7 +25,10 @@ from tileworks.atam import (
     seed_assembly,
     sorted_frontier,
 )
-from oracles import brute_producibles, naive_strength
+from tileworks.consistency import verify_locally_consistent
+from tileworks.tasio import format_tas, parse_tas
+
+from .oracles import brute_attachments, brute_producibles, naive_frontier
 
 
 def test_side_pad_rejects_inconsistent_null():
@@ -97,6 +103,9 @@ def test_explore_matches_brute_force(systems, name, bound):
     tas = systems[name]
     result = explore(tas, bound)
     assert set(result.assemblies) == brute_producibles(tas, bound)
+    edges = {(e.parent, e.child, e.pos, e.tile, e.strength) for e in result.edges}
+    assert len(edges) == len(result.edges)
+    assert edges == brute_attachments(tas, bound)
 
 
 def test_elbow_exploration_counts(systems):
@@ -118,17 +127,6 @@ def test_nondet_elbow_exploration_counts(systems):
     assert sorted(len(result.assemblies[k]) for k in terminals) == [4, 4]
 
 
-def test_explore_is_order_insensitive(systems):
-    for name in ("elbow", "nondet_elbow"):
-        tas = systems[name]
-        a = explore(tas, 6)
-        b = explore(tas, 6, _reverse=True)
-        assert set(a.assemblies) == set(b.assemblies)
-        assert {(e.parent, e.child) for e in a.edges} == {
-            (e.parent, e.child) for e in b.edges
-        }
-
-
 def test_explore_truncation_flag(systems):
     tas = systems["counter3"]
     assert explore(tas, 10).truncated
@@ -141,17 +139,7 @@ def test_frontier_matches_naive_strengths(systems):
     tas = systems["sierpinski"]
     result = explore(tas, 6)
     for asm in result.assemblies.values():
-        cells = dict(asm.items())
-        expected = set()
-        for (x, y) in list(cells):
-            for dx, dy in ((0, 1), (1, 0), (0, -1), (-1, 0)):
-                q = (x + dx, y + dy)
-                if q in cells:
-                    continue
-                for tile in range(len(tas.tiles)):
-                    if naive_strength(tas, cells, q, tile) >= 2:
-                        expected.add((q, tile))
-        assert frontier(tas, asm) == expected
+        assert frontier(tas, asm) == naive_frontier(tas, dict(asm.items()))
 
 
 def test_edges_record_bound_sides(systems):
@@ -197,3 +185,28 @@ def test_counter_growth_is_sequential(systems):
         pos, tile = front[0]
         asm = attach(tas, asm, pos, tile)
     assert len(asm) == 41
+
+
+def test_glue_tables_stay_invisible(systems):
+    # the per-system tables are derived state: identity, text and answers
+    # depend on the tiles alone, in whatever order they are listed
+    for name, tas in systems.items():
+        rebuilt = TileSystem(tuple(tas.tiles), tas.seed, name=tas.name)
+        assert rebuilt == tas and hash(rebuilt) == hash(tas)
+        assert repr(rebuilt) == repr(tas) and "glue_tables" not in repr(tas)
+        assert dataclasses.replace(tas) == tas
+        text = format_tas(tas)
+        assert format_tas(parse_tas(text, name=name).system) == text
+        order = list(range(len(tas.tiles)))
+        random.Random(name).shuffle(order)
+        shuffled = dataclasses.replace(
+            tas, tiles=tuple(tas.tiles[i] for i in order), seed=order.index(tas.seed)
+        )
+        assert shuffled != tas
+        a, b = explore(tas, 12), explore(shuffled, 12)
+        assert (len(a.assemblies), len(a.edges), a.truncated) == (
+            len(b.assemblies), len(b.edges), b.truncated
+        )
+        assert verify_locally_consistent(shuffled, 12).passed == (
+            verify_locally_consistent(tas, 12).passed
+        )

@@ -26,7 +26,9 @@ def test_bad_sum_fails_with_replayable_witness(systems):
     assert verdict.witness is not None
     assert verdict.witness.kind == "strength-sum"
     assert replay_witness(tas, verdict.witness)
-    assert "strength 4" in verdict.witness.describe()
+    assert verdict.witness.describe() == (
+        "strength-sum at (1, 1): tile tX attaches at (1, 1) with strength 4, not 2"
+    )
 
 
 def test_mismatch_fails_with_replayable_witness(systems):
@@ -35,6 +37,9 @@ def test_mismatch_fails_with_replayable_witness(systems):
     assert not verdict.passed
     assert verdict.witness is not None
     assert verdict.witness.kind == "label-mismatch"
+    assert verdict.witness.describe() == (
+        "label-mismatch at (1, 1) toward W: c:1 abuts b:1 between (1, 1) and (0, 1)"
+    )
     assert replay_witness(tas, verdict.witness)
 
 

@@ -12,7 +12,7 @@ from tileworks.corpus import (
 )
 from tileworks.tasio import format_tas
 
-from oracles import pascal_parity
+from .oracles import pascal_parity
 
 
 def _grow_counter(tas, steps):

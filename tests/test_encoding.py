@@ -28,7 +28,7 @@ from tileworks.encoding import (
     splice_blanks,
     strip_blanks,
 )
-from oracles import ref_encode_pad, ref_splice
+from .oracles import ref_encode_pad, ref_splice
 
 DIRS = (Direction.N, Direction.E, Direction.S, Direction.W)
 
