@@ -56,6 +56,20 @@ class BlockState:
     committed_tile: int | None = None
     output_pads: tuple[Pad, ...] = ()
 
+    def __hash__(self) -> int:
+        # the dataclass hash, computed once: macro keys rehash the same few states
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            head = (self.phase, self.input_pads, self.input_kind, self.random_bits)
+            value = hash(head + (self.committed_tile, self.output_pads))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __getstate__(self) -> dict:
+        # string hashes are seeded per process, so the cached one never travels
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     @property
     def input_directions(self) -> frozenset[Direction]:
         return frozenset(p.direction for p in self.input_pads)

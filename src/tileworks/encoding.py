@@ -290,6 +290,26 @@ def edge_string(
     return table.symbols + pad_field + "0" * spacer + pad_field + table.symbols
 
 
+def _check_edges(
+    table: LookupTable, ordering: GlueOrdering, tile, spacer: int, resolution: int
+) -> None:
+    """Each edge string of `tile` has the resolution and repeats its pad field."""
+    tlen, width = len(table.symbols), ordering.pad_bits
+    for d in DIRECTIONS:
+        edge = edge_string(table, ordering, tile, d, spacer)
+        if len(edge) != resolution:
+            raise EncodingError(
+                f"edge string of {tile.name}/{d.name} has length {len(edge)}, "
+                f"expected resolution {resolution}"
+            )
+        first = edge[tlen : tlen + width]
+        second = edge[tlen + width + spacer : tlen + 2 * width + spacer]
+        if first != second:
+            raise EncodingError(
+                f"edge string of {tile.name}/{d.name} repeats its pad field inconsistently"
+            )
+
+
 @dataclass(eq=False)
 class CompiledSystem:
     """Everything the lookup engine and the macro simulation need."""
@@ -353,6 +373,8 @@ def compile_system(
     if random_width < 1:
         raise EncodingError("random_width must be at least 1")
     resolution = 2 * len(table.symbols) + 2 * ordering.pad_bits + spacer
+    for tile in tas.tiles:
+        _check_edges(table, ordering, tile, spacer, resolution)
     entry_count = 1 + max(amap, default=-1)
     assert entries.count("#") == entry_count
     return CompiledSystem(

@@ -16,13 +16,11 @@ from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Mapping
-from weakref import WeakKeyDictionary
 
 from .atam import (
     DIRECTIONS,
     Assembly,
     Coord,
-    Direction,
     Pad,
     WorkbenchError,
     direction_order,
@@ -34,7 +32,7 @@ from .blocks import (
     detect_kind,
     sort_pads,
 )
-from .encoding import CompiledSystem, address_of, edge_string
+from .encoding import CompiledSystem, address_of
 from .lookup import AddressRangeError, EmptyEntryError, trace_lookup
 
 
@@ -232,30 +230,6 @@ def _next_state(
     raise MacroEventError(f"unknown event kind {event.kind!r}")
 
 
-def _apply_event(
-    cs: CompiledSystem, macro: MacroAssembly, event: MacroEvent, **kwargs
-) -> MacroAssembly:
-    """`macro` with `event` applied; `kwargs` go to `_next_state`."""
-    state = _next_state(cs, macro.get(event.coord), event, **kwargs)
-    return macro.with_block(event.coord, state)
-
-
-def _draw_bits(rng: random.Random, width: int) -> str:
-    return format(rng.getrandbits(width), f"0{width}b")
-
-
-def macro_step(
-    cs: CompiledSystem, macro: MacroAssembly, event: MacroEvent, rng_seed: int | None = None
-) -> MacroAssembly:
-    """Apply one event; probes draw their random bits from `rng_seed`."""
-    probe_bits = None
-    if event.kind is EventKind.PROBE:
-        if rng_seed is None:
-            raise MacroEventError("a probe event needs an rng seed to draw bits")
-        probe_bits = _draw_bits(random.Random(rng_seed), cs.random_width)
-    return _apply_event(cs, macro, event, probe_bits=probe_bits)
-
-
 def seed_macro(cs: CompiledSystem) -> MacroAssembly:
     return MacroAssembly({(0, 0): cs.seed_block})
 
@@ -321,7 +295,7 @@ def run_macro(
         event = by_key[enabled[rng.randrange(len(enabled))]]
         probe_bits = None
         if event.kind is EventKind.PROBE:
-            probe_bits = _draw_bits(rng, cs.random_width)
+            probe_bits = format(rng.getrandbits(cs.random_width), f"0{cs.random_width}b")
         coord = event.coord
         grew = coord not in blocks
         state = blocks[coord] = _next_state(
@@ -368,7 +342,11 @@ def macro_explore(cs: CompiledSystem, bound: int) -> MacroExplorationResult:
 
     Commits branch over every possible random-bit value; since later behaviour
     depends only on the committed tile, commit children drop the raw bits and
-    collapse to one state per distinct outcome.
+    collapse to one state per distinct outcome.  A block's next states depend
+    on its own state and the event's kind and pad alone, so each distinct
+    transition (for a commit, its distinct outcomes over all bit values) is
+    computed once per call.  A transition that raises is not stored: the
+    exploration stops where it first meets it, with that block's coordinate.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -380,78 +358,38 @@ def macro_explore(cs: CompiledSystem, bound: int) -> MacroExplorationResult:
     bit_values = [
         format(b, f"0{cs.random_width}b") for b in range(2**cs.random_width)
     ]
+    # (state, kind, pad) -> the distinct next states, in bit order for a commit
+    next_states: dict[tuple, tuple[BlockState, ...]] = {}
     while queue:
         key = queue.popleft()
         macro = states[key]
         for event in macro_frontier(cs, macro):
-            if (
-                event.kind is EventKind.PAD_ARRIVAL
-                and event.coord not in macro.blocks
-                and len(macro) >= bound
-            ):
-                truncated = True
+            coord = event.coord
+            state = macro.get(coord)
+            if state is None and len(macro) >= bound:
+                truncated = True  # every event at an empty coordinate is an arrival
                 continue
-            if event.kind is EventKind.COMMIT:
-                seen_children = set()
-                for bits in bit_values:
-                    child = _apply_event(
-                        cs, macro, event, commit_bits=bits, keep_bits=False
+            slot = (state, event.kind, event.pad)
+            outcomes = next_states.get(slot)
+            if outcomes is None:
+                if event.kind is EventKind.COMMIT:
+                    outcomes = tuple(
+                        dict.fromkeys(
+                            _next_state(cs, state, event, commit_bits=bits, keep_bits=False)
+                            for bits in bit_values
+                        )
                     )
-                    ckey = child.key
-                    if ckey in seen_children:
-                        continue
-                    seen_children.add(ckey)
-                    if ckey not in states:
-                        states[ckey] = child
-                        queue.append(ckey)
-                    edges.append(MacroEdge(key, ckey, event))
-            else:
-                child = _apply_event(cs, macro, event)
+                else:
+                    outcomes = (_next_state(cs, state, event),)
+                next_states[slot] = outcomes
+            for outcome in outcomes:
+                child = macro.with_block(coord, outcome)
                 ckey = child.key
                 if ckey not in states:
                     states[ckey] = child
                     queue.append(ckey)
                 edges.append(MacroEdge(key, ckey, event))
     return MacroExplorationResult(states, tuple(edges), start.key, truncated, bound)
-
-
-def terminal_macro_keys(cs: CompiledSystem, result: MacroExplorationResult) -> list[frozenset]:
-    """States with no enabled events at all (independent of the block bound)."""
-    out = [
-        key
-        for key, macro in result.states.items()
-        if not macro_frontier(cs, macro)
-    ]
-    out.sort(key=lambda k: len(k))
-    return out
-
-
-_EDGE_CHECKED: "WeakKeyDictionary[CompiledSystem, set[int]]" = WeakKeyDictionary()
-
-
-def _check_edges_once(cs: CompiledSystem, tile_index: int) -> None:
-    # The four edge strings are pure functions of the tile; verify once per
-    # system that the pad fields embed where the geometry says they must.
-    checked = _EDGE_CHECKED.setdefault(cs, set())
-    if tile_index in checked:
-        return
-    tile = cs.source.tiles[tile_index]
-    tlen = len(cs.table.symbols)
-    width = cs.glues.pad_bits
-    for d in (Direction.N, Direction.E, Direction.S, Direction.W):
-        edge = edge_string(cs.table, cs.glues, tile, d, cs.spacer)
-        if len(edge) != cs.resolution:
-            raise RepresentationError(
-                f"edge string of {tile.name}/{d.name} has length {len(edge)}, "
-                f"expected resolution {cs.resolution}"
-            )
-        first = edge[tlen : tlen + width]
-        second = edge[tlen + width + cs.spacer : tlen + 2 * width + cs.spacer]
-        if first != second:
-            raise RepresentationError(
-                f"edge string of {tile.name}/{d.name} repeats its pad field inconsistently"
-            )
-    checked.add(tile_index)
 
 
 def decode_block(state: BlockState, cs: CompiledSystem) -> int | None:
@@ -483,20 +421,24 @@ def decode_block(state: BlockState, cs: CompiledSystem) -> int | None:
             raise RepresentationError(
                 f"block input pad {pad} disagrees with tile {tile.name}"
             )
-    _check_edges_once(cs, tile_index)
     return tile_index
 
 
-def decode_assembly(macro: MacroAssembly, cs: CompiledSystem) -> Assembly:
-    """Map every committed block to its tile; collecting blocks are undefined."""
+def decode_cells(blocks: Mapping[Coord, BlockState], decode) -> dict[Coord, int]:
+    """Each committed block's tile, from `decode(state)`; collecting blocks are undefined."""
     cells: dict[Coord, int] = {}
-    for coord, state in macro.blocks.items():
+    for coord, state in blocks.items():
         try:
-            tile = decode_block(state, cs)
+            tile = decode(state)
         except RepresentationError as exc:
             raise RepresentationError(f"block {coord}: {exc}") from exc
         if tile is not None:
             cells[coord] = tile
     if not cells:
         raise RepresentationError("no committed blocks; nothing to decode")
-    return Assembly(cells)
+    return cells
+
+
+def decode_assembly(macro: MacroAssembly, cs: CompiledSystem) -> Assembly:
+    """Map every committed block to its tile; collecting blocks are undefined."""
+    return Assembly(decode_cells(macro.blocks, lambda state: decode_block(state, cs)))

@@ -16,13 +16,16 @@ from collections import deque
 from dataclasses import dataclass
 
 from .atam import explore
-from .blocks import BlockPhase
+from .blocks import BlockPhase, BlockState
 from .encoding import CompiledSystem
-from .macro import (
+# `decode_assembly` is unused here but stays a name of this module, because
+# tilebench/probe.py counts decoding calls made through it
+from .macro import (  # noqa: F401
     MacroExplorationResult,
     RepresentationError,
     decode_assembly,
     decode_block,
+    decode_cells,
     macro_explore,
 )
 
@@ -103,11 +106,21 @@ def _sorted_cells(key: frozenset) -> str:
 
 
 def _decode_all(cs: CompiledSystem, macro_result: MacroExplorationResult):
-    """Map every macro state key to the key of its decoded assembly."""
-    decoded: dict[frozenset, frozenset] = {}
-    for key, macro in macro_result.states.items():
-        decoded[key] = decode_assembly(macro, cs).key
-    return decoded
+    """Map every macro state key to the key of its decoded assembly.
+
+    The states share a few distinct block states, so each is decoded once.
+    """
+    tiles: dict[BlockState, int | None] = {}
+
+    def decode(state: BlockState) -> int | None:
+        if state not in tiles:
+            tiles[state] = decode_block(state, cs)
+        return tiles[state]
+
+    return {
+        key: frozenset(decode_cells(macro.blocks, decode).items())
+        for key, macro in macro_result.states.items()
+    }
 
 
 def _coverage(cs, source_result, macro_result, decoded) -> ConditionReport:

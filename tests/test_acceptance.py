@@ -25,11 +25,12 @@ from tileworks.encoding import (
     strip_blanks,
 )
 from tileworks.lookup import direct_lookup, selection_counts, trace_lookup
-from tileworks.macro import decode_assembly, macro_explore, run_macro, terminal_macro_keys
+from tileworks.macro import decode_assembly, macro_explore, run_macro
 from tileworks.svg import render_svg
 from tileworks.verifier import simulation_report
 
 from .test_corpus import _grow_counter
+from .test_macro import terminal_macro_keys
 
 
 @contextmanager

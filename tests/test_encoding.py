@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tileworks import encoding
 from tileworks.atam import Direction, Pad, TileType, TileSystem
 from tileworks.encoding import (
     ADDRESS_PAIR_ORDER,
@@ -207,6 +208,33 @@ def test_edge_string_layout(compiled):
     assert west[tlen : tlen + cs.glues.pad_bits] == encode_pad(
         Pad("a", Direction.W, 2), cs.glues
     )
+
+
+def _broken_edges(flaw):
+    """`edge_string` with `flaw` applied to every edge of tile tR."""
+
+    def edge(table, ordering, tile, direction, spacer):
+        text = edge_string(table, ordering, tile, direction, spacer)
+        return flaw(text, len(table.symbols)) if tile.name == "tR" else text
+
+    return edge
+
+
+@pytest.mark.parametrize(
+    "flaw, message",
+    [
+        (lambda e, tlen: e + "0", "edge string of tR/N has length 15945, expected resolution 15944"),
+        (
+            lambda e, tlen: e[:tlen] + "1" + e[tlen + 1 :],
+            "edge string of tR/N repeats its pad field inconsistently",
+        ),
+    ],
+)
+def test_compile_checks_every_edge_string(systems, monkeypatch, flaw, message):
+    monkeypatch.setattr(encoding, "edge_string", _broken_edges(flaw))
+    with pytest.raises(EncodingError) as err:
+        compile_system(systems["elbow"])
+    assert str(err.value) == message
 
 
 def test_resolution_formula(compiled):

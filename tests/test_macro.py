@@ -1,31 +1,63 @@
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
+from collections import deque
 
 import pytest
 
 from tileworks import corpus
 from tileworks.atam import Direction, Pad, TileSystem, TileType, WorkbenchError, explore
-from tileworks.blocks import BlockPhase, BlockState, InputKind, detect_kind
+from tileworks.blocks import BlockPhase, BlockState, InputKind, MacroAssembly, detect_kind
 from tileworks.encoding import compile_system
 from tileworks.macro import (
     EventKind,
+    MacroEdge,
     MacroEvent,
     MacroEventError,
+    MacroExplorationResult,
     MacroRun,
     RepresentationError,
     ThreeProbeError,
     _addressable,
-    _apply_event,
+    _next_state,
     decode_assembly,
     decode_block,
     macro_explore,
     macro_frontier,
-    macro_step,
     run_macro,
     seed_macro,
-    terminal_macro_keys,
 )
+from tileworks.verifier import _decode_all
+
+
+# --- test helpers --------------------------------------------------------
+# Single steps and terminal states, which the package itself never needs.
+
+
+def _apply_event(cs, macro, event, **kwargs):
+    """`macro` with `event` applied; `kwargs` go to `_next_state`."""
+    state = _next_state(cs, macro.get(event.coord), event, **kwargs)
+    return macro.with_block(event.coord, state)
+
+
+def macro_step(cs, macro, event, rng_seed=None):
+    """Apply one event; probes draw their random bits from `rng_seed`."""
+    probe_bits = None
+    if event.kind is EventKind.PROBE:
+        if rng_seed is None:
+            raise MacroEventError("a probe event needs an rng seed to draw bits")
+        rng = random.Random(rng_seed)
+        probe_bits = format(rng.getrandbits(cs.random_width), f"0{cs.random_width}b")
+    return _apply_event(cs, macro, event, probe_bits=probe_bits)
+
+
+def terminal_macro_keys(cs, result):
+    """States with no enabled events at all (independent of the block bound)."""
+    out = [key for key, macro in result.states.items() if not macro_frontier(cs, macro)]
+    out.sort(key=len)
+    return out
 
 
 def test_detect_kind():
@@ -239,6 +271,8 @@ def test_decode_assembly_reports_block(compiled):
 # `_scan_frontier` and `_rescan_run` are the frontier scan and the run loop
 # that `macro_frontier` and `run_macro` replaced: every step rescans every
 # block and rebuilds the whole assembly, so a run is quadratic in its length.
+# `_reference_explore` is the exploration loop that `macro_explore` replaced:
+# one `_apply_event` per event and, for a commit, per random-bit value.
 # They are kept here only as the oracle the fast versions are checked against.
 
 
@@ -314,6 +348,48 @@ def _rescan_run(cs, rng_seed, *, max_events=100_000, bound=None):
     return MacroRun(tuple(applied), tuple(log), macro, truncated)
 
 
+def _reference_explore(cs, bound):
+    start = seed_macro(cs)
+    states = {start.key: start}
+    edges = []
+    queue = deque([start.key])
+    truncated = False
+    bit_values = [format(b, f"0{cs.random_width}b") for b in range(2**cs.random_width)]
+    while queue:
+        key = queue.popleft()
+        macro = states[key]
+        for event in macro_frontier(cs, macro):
+            if (
+                event.kind is EventKind.PAD_ARRIVAL
+                and event.coord not in macro.blocks
+                and len(macro) >= bound
+            ):
+                truncated = True
+                continue
+            if event.kind is EventKind.COMMIT:
+                seen_children = set()
+                for bits in bit_values:
+                    child = _apply_event(
+                        cs, macro, event, commit_bits=bits, keep_bits=False
+                    )
+                    ckey = child.key
+                    if ckey in seen_children:
+                        continue
+                    seen_children.add(ckey)
+                    if ckey not in states:
+                        states[ckey] = child
+                        queue.append(ckey)
+                    edges.append(MacroEdge(key, ckey, event))
+            else:
+                child = _apply_event(cs, macro, event)
+                ckey = child.key
+                if ckey not in states:
+                    states[ckey] = child
+                    queue.append(ckey)
+                edges.append(MacroEdge(key, ckey, event))
+    return MacroExplorationResult(states, tuple(edges), start.key, truncated, bound)
+
+
 def _five_tile_system() -> TileSystem:
     # passes check-lc, yet (1, 1) is offered three pads: a run that delivers
     # two and then probes is fine, one that delivers all three raises
@@ -362,3 +438,92 @@ def test_macro_frontier_matches_scan_on_every_state(compiled, name):
     states = macro_explore(cs, 6).states.values()
     for macro in states:
         assert macro_frontier(cs, macro) == _scan_frontier(cs, macro)
+
+
+def _explore_outcome(explore, cs, bound):
+    """An exploration's state keys, edges and truncation, or what it raised."""
+    try:
+        result = explore(cs, bound)
+    except WorkbenchError as exc:
+        return type(exc), str(exc)
+    edges = [(e.parent, e.child, e.event) for e in result.edges]
+    return list(result.states), edges, result.truncated, result.seed_key
+
+
+def _decode_outcome(decode_all, cs, result):
+    try:
+        return decode_all(cs, result)
+    except WorkbenchError as exc:
+        return type(exc), str(exc)
+
+
+EXPLORED = (
+    *((name, 6) for name in DIFFERENTIAL),
+    ("sierpinski", 8),
+)
+
+
+@pytest.mark.parametrize("name, bound", EXPLORED)
+def test_macro_explore_matches_reference_loop(name, bound, systems, lone_seed):
+    tas = {**systems, "lone_seed": lone_seed, "five_tile": _five_tile_system()}[name]
+    cs = compile_system(tas, force=True)
+    got = _explore_outcome(macro_explore, cs, bound)
+    assert got == _explore_outcome(_reference_explore, cs, bound)
+    if name == "five_tile":
+        assert got[0] is ThreeProbeError
+        return
+    result = macro_explore(cs, bound)
+    assert all(isinstance(m, MacroAssembly) for m in result.states.values())
+    expected = _decode_outcome(
+        lambda cs, r: {k: decode_assembly(m, cs).key for k, m in r.states.items()},
+        cs,
+        result,
+    )
+    assert _decode_outcome(_decode_all, cs, result) == expected
+
+
+def test_decode_all_reports_the_first_bad_block(compiled):
+    cs = compiled["elbow"]
+    result = macro_explore(cs, 6)
+    tile = cs.source.tile_index("tR")
+    for key, macro in list(result.states.items()):
+        for coord, state in macro.blocks.items():
+            if state.committed_tile == cs.source.tile_index("tD"):
+                bad = dataclasses.replace(state, committed_tile=tile)
+                result.states[key] = macro.with_block(coord, bad)
+    with pytest.raises(RepresentationError) as want:
+        {k: decode_assembly(m, cs) for k, m in result.states.items()}
+    with pytest.raises(RepresentationError) as got:
+        _decode_all(cs, result)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("block (1, 1): block output pads")
+
+
+def test_block_state_hash_cache_is_invisible():
+    pads = (Pad("a", Direction.S, 1), Pad("b", Direction.W, 1))
+    outputs = (Pad("c", Direction.N, 2),)
+
+    def build():
+        return BlockState(
+            BlockPhase.COMPLETE, tuple(pads), InputKind.ADJACENT_PAIR, None, 3, outputs
+        )
+
+    hashed, fresh = build(), build()
+    text, names = repr(fresh), [f.name for f in dataclasses.fields(fresh)]
+    pickled = pickle.dumps(fresh)
+    assert hashed is not fresh
+    hash(hashed)
+    assert hashed == fresh and hash(hashed) == hash(fresh)
+    # the same value the dataclass's own field-tuple hash gives
+    assert hash(fresh) == hash(tuple(getattr(fresh, n) for n in names))
+    assert repr(hashed) == text == repr(fresh)
+    assert [f.name for f in dataclasses.fields(hashed)] == names
+    assert names == [
+        "phase", "input_pads", "input_kind", "random_bits", "committed_tile", "output_pads"
+    ]
+    assert pickle.dumps(hashed) == pickle.dumps(fresh) == pickled
+    assert pickle.loads(pickle.dumps(hashed)) == fresh
+    moved = dataclasses.replace(hashed, committed_tile=4)
+    back = dataclasses.replace(moved, committed_tile=3)
+    assert moved != hashed and back == hashed and hash(back) == hash(hashed)
+    assert {hashed: 1}[fresh] == 1

@@ -1,8 +1,10 @@
-"""Differential checks of exploration and the consistency classifier on random systems.
+"""Differential checks of exploration, the consistency classifier and the macro layer on random systems.
 
 Small tile systems are drawn at random and every answer of `explore`,
 `frontier` and `verify_locally_consistent` is compared with the brute-force
-oracles, which share no code with the package's glue tables.
+oracles, which share no code with the package's glue tables.  Every system
+that passes the check is compiled, and `macro_explore` is compared with the
+per-edge reference loop of `tests/test_macro.py`.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 
 from tileworks.atam import DIRECTIONS, TileSystem, TileType, explore, frontier
 from tileworks.consistency import replay_witness, verify_locally_consistent
+from tileworks.encoding import compile_system
+from tileworks.macro import macro_explore
 
 from .oracles import (
     brute_attachments,
@@ -21,10 +25,13 @@ from .oracles import (
     naive_locally_consistent,
     naive_strength,
 )
+from .test_macro import _explore_outcome, _reference_explore
 
 # Systems whose every tile binds everywhere have millions of assemblies at
 # bound 6; the bound is lowered until the oracles stay cheap.
 MAX_ASSEMBLIES = 300
+# macro states outnumber assemblies by far, so the macro layer stops sooner
+MACRO_BOUND = 4
 
 # strength 2 first: hypothesis favours early choices, and bonds make growth
 _side = st.tuples(st.sampled_from("abc"), st.sampled_from((2, 1, 0))).map(
@@ -105,4 +112,10 @@ def test_random_systems_match_oracles(tas):
     )
     if not verdict.passed:
         assert replay_witness(tas, witness)
+        return
+
+    cs = compile_system(tas, lc_bound=bound)
+    macro_bound = min(bound, MACRO_BOUND)
+    got = _explore_outcome(macro_explore, cs, macro_bound)
+    assert got == _explore_outcome(_reference_explore, cs, macro_bound)
 
