@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import kernels
-from .atam import DIRECTIONS, Direction, Pad, WorkbenchError
+from .atam import DIRECTIONS, Pad, WorkbenchError
 from .encoding import CompiledSystem, DecodeError, GlueOrdering, decode_pad
 
 
@@ -55,15 +55,6 @@ class SubEntry:
     """Output pads of one attachable tile, sorted in N,E,S,W side order."""
 
     pads: tuple[Pad, ...]
-
-    def pad_for(self, direction: Direction) -> Pad | None:
-        for pad in self.pads:
-            if pad.direction is direction:
-                return pad
-        return None
-
-    def by_direction(self) -> dict[Direction, Pad]:
-        return {p.direction: p for p in self.pads}
 
 
 @dataclass(frozen=True)
@@ -183,31 +174,26 @@ def trace_lookup(
     if rec is None:
         rec = kernels.sweep(cs.table.index, addr, b)
         cache[key] = rec
-    status = int(rec[kernels.S_STATUS])
-    if status == kernels.E_ADDR_RANGE:
+    if rec.status == kernels.E_ADDR_RANGE:
         raise AddressRangeError(
             f"address {addr} out of range; table has {cs.entry_count} entries"
         )
-    if status == kernels.E_MALFORMED:
+    if rec.status == kernels.E_MALFORMED:
         raise TableFormatError("table failed the sweep's structural checks")
     trace = PhaseTrace(
         addr=addr,
         bits=bits,
-        match_col=int(rec[kernels.S_MATCH]),
-        match_end=int(rec[kernels.S_MATCH_END]),
-        sub_entries=int(rec[kernels.S_N]),
-        remaining_entries=int(rec[kernels.S_M]),
-        selection=int(rec[kernels.S_P]),
-        middle_span=(int(rec[kernels.S_MIDDLE_LT]), int(rec[kernels.S_MIDDLE_GT])),
-        mirror_span=(int(rec[kernels.S_MIRROR_LO]), int(rec[kernels.S_MIRROR_HI])),
-        selected_span=(int(rec[kernels.S_SEL_LO]), int(rec[kernels.S_SEL_HI])),
-        selected_index=(
-            int(rec[kernels.S_N]) - 1 - int(rec[kernels.S_P])
-            if status == kernels.OK
-            else -1
-        ),
+        match_col=rec.match,
+        match_end=rec.match_end,
+        sub_entries=rec.n,
+        remaining_entries=rec.m,
+        selection=rec.p,
+        middle_span=(rec.middle_lt, rec.middle_gt),
+        mirror_span=(rec.mirror_lo, rec.mirror_hi),
+        selected_span=(rec.sel_lo, rec.sel_hi),
+        selected_index=rec.n - 1 - rec.p if rec.status == kernels.OK else -1,
     )
-    if status == kernels.E_EMPTY_ENTRY:
+    if rec.status == kernels.E_EMPTY_ENTRY:
         raise EmptyEntryError(
             f"entry {addr} is bare; no tile attaches there", trace=trace
         )

@@ -127,10 +127,15 @@ def _events_at(
 def macro_frontier(cs: CompiledSystem, macro: MacroAssembly) -> tuple[MacroEvent, ...]:
     """Every event currently enabled, in deterministic order."""
     blocks = macro.blocks
-    coords = set(blocks)
+    coords = set()
+    complete = set()  # a complete block never has an event
     for coord, state in blocks.items():
         if state.phase is BlockPhase.COMPLETE:
+            complete.add(coord)
             coords.update(pad.direction.step(coord) for pad in state.output_pads)
+        else:
+            coords.add(coord)
+    coords -= complete
     events = [event for coord in coords for event in _events_at(cs, blocks, coord)]
     events.sort(key=MacroEvent.sort_key)
     return tuple(events)

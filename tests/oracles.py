@@ -2,8 +2,9 @@
 
 Everything here is written from the model definition alone, avoiding the
 library's data structures and shortcuts: plain dicts for assemblies, a
-from-scratch neighbour scan for strengths, binomials via math.comb, and a
-character-level reference for the pad and splice encoders.
+from-scratch neighbour scan for strengths, binomials via math.comb, a
+character-level reference for the pad and splice encoders, and the table
+sweep walked one column at a time.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 
 from tileworks.atam import TileSystem
+from tileworks.kernels import E_ADDR_RANGE, E_EMPTY_ENTRY, E_MALFORMED, OK, SweepRecord
 
 _DIRS = (("N", (0, 1)), ("E", (1, 0)), ("S", (0, -1)), ("W", (-1, 0)))
 _SIDE_OF = {"N": "north", "E": "east", "S": "south", "W": "west"}
@@ -148,3 +150,108 @@ def ref_splice(text: str) -> str:
             out.append(" ")
         out.append(ch)
     return "".join(out)
+
+
+def ref_sweep(table: str, addr: int, b: int) -> SweepRecord:
+    """Reference table sweep, one column at a time, as a block's automaton walks it.
+
+    On counter4's table it is several thousand times slower than
+    `kernels.sweep`, which must return the same record.
+    """
+    ncols = len(table)
+    # structure first: a leading '>' and the spliced '< % % >' middle,
+    # seven columns from the first '<'
+    if ncols == 0 or table[0] != ">":
+        return SweepRecord(E_MALFORMED)
+    middle_lt = 0
+    while middle_lt < ncols and table[middle_lt] != "<":
+        middle_lt += 1
+    middle_gt = middle_lt + 6
+    if (
+        middle_gt >= ncols
+        or table[middle_lt + 2] != "%"
+        or table[middle_lt + 4] != "%"
+        or table[middle_gt] != ">"
+    ):
+        return SweepRecord(E_MALFORMED)
+
+    # phase 1: walk to the marker of entry `addr`
+    entry = -1
+    match = -1
+    for col in range(middle_lt):
+        if table[col] == "#":
+            entry += 1
+            if entry == addr:
+                match = col
+                break
+    if match < 0:
+        return SweepRecord(E_ADDR_RANGE)
+
+    # count sub-entries up to the end of the matched entry
+    n = 0
+    payload = False
+    col = match + 1
+    while table[col] not in "#<":
+        if table[col] != " ":
+            payload = True
+            if table[col] == ";":
+                n += 1
+        col += 1
+    match_end = col
+    if payload:
+        n += 1
+
+    # count entries left before the middle
+    m = sum(1 for col in range(match_end, middle_lt) if table[col] == "#")
+    found = dict(
+        match=match, match_end=match_end, n=n, m=m,
+        middle_lt=middle_lt, middle_gt=middle_gt,
+    )
+    if n == 0:
+        return SweepRecord(E_EMPTY_ENTRY, **found)
+    p = b % n
+
+    # phase 2: count down m entry markers past the middle, landing on the
+    # mirrored copy of the matched entry
+    mirror_lo = -1
+    seen = 0
+    col = middle_gt + 1
+    while col < ncols:
+        if seen == m:
+            while col < ncols and table[col] == " ":
+                col += 1
+            mirror_lo = col
+            break
+        if table[col] == "#":
+            seen += 1
+        col += 1
+    if mirror_lo < 0 or mirror_lo >= ncols:
+        return SweepRecord(E_MALFORMED)
+    col = mirror_lo
+    while col < ncols and table[col] != "#":
+        col += 1
+    if col >= ncols:
+        return SweepRecord(E_MALFORMED)
+    mirror_hi = col
+
+    # skip p sub-entry separators inside the mirrored entry
+    sel_lo = mirror_lo
+    seen = 0
+    col = mirror_lo
+    while col < mirror_hi and seen < p:
+        if table[col] == ";":
+            seen += 1
+            if seen == p:
+                col += 1
+                while col < mirror_hi and table[col] == " ":
+                    col += 1
+                sel_lo = col
+                break
+        col += 1
+    col = sel_lo
+    while col < mirror_hi and table[col] != ";":
+        col += 1
+    return SweepRecord(
+        OK, **found, p=p, mirror_lo=mirror_lo, mirror_hi=mirror_hi,
+        sel_lo=sel_lo, sel_hi=col,
+    )

@@ -1,35 +1,29 @@
 from __future__ import annotations
 
-import numpy as np
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import tileworks
 from tileworks.encoding import build_table, compile_system
 from tileworks.kernels import (
     E_ADDR_RANGE,
     E_EMPTY_ENTRY,
     E_MALFORMED,
     OK,
-    RECORD_SIZE,
-    S_N,
-    S_P,
-    S_STATUS,
     TableIndex,
-    _sweep_loop,
-    encode_symbols,
     sweep,
 )
 
+from .oracles import ref_sweep
 
-def _assert_matches_loop(idx, addr, b, label):
+
+def _assert_matches_loop(idx, table, addr, b, label):
     got = sweep(idx, addr, b)
-    want = _sweep_loop(idx.codes, addr, b)
-    assert got.shape == (RECORD_SIZE,)
-    assert np.array_equal(got, want), (label, addr, b, got, want)
-
-
-def test_symbol_codes_cover_alphabet():
-    codes = encode_symbols(" 01#;,<>%")
-    assert codes.tolist() == list(range(9))
-    assert codes.dtype == np.uint8
+    want = ref_sweep(table, addr, b)
+    assert got._asdict() == want._asdict(), (label, addr, b)
+    assert all(type(v) is int for v in got), (label, addr, b, got)
 
 
 def test_sweep_matches_reference_loop_across_corpus(compiled, lone_seed):
@@ -38,7 +32,7 @@ def test_sweep_matches_reference_loop_across_corpus(compiled, lone_seed):
         probe_addrs = sorted(cs.addresses)[:8] + [0, cs.entry_count - 1, cs.entry_count, -1]
         for addr in probe_addrs:
             for b in range(5):
-                _assert_matches_loop(idx, addr, b, cs.source.name)
+                _assert_matches_loop(idx, cs.table.symbols, addr, b, cs.source.name)
 
 
 def test_sweep_matches_reference_loop_on_malformed_tables():
@@ -48,16 +42,16 @@ def test_sweep_matches_reference_loop_on_malformed_tables():
         idx = TableIndex(bad)
         for addr in (0, 1, 5, -1):
             for b in (0, 1):
-                _assert_matches_loop(idx, addr, b, bad)
+                _assert_matches_loop(idx, bad, addr, b, bad)
 
 
 def test_sweep_statuses(compiled):
     cs = compiled["elbow"]
     idx = cs.table.index
-    assert sweep(idx, 15, 0)[S_STATUS] == OK
-    assert sweep(idx, 0, 0)[S_STATUS] == E_EMPTY_ENTRY
-    assert sweep(idx, 5000, 0)[S_STATUS] == E_ADDR_RANGE
-    assert sweep(idx, -1, 0)[S_STATUS] == E_ADDR_RANGE
+    assert sweep(idx, 15, 0).status == OK
+    assert sweep(idx, 0, 0).status == E_EMPTY_ENTRY
+    assert sweep(idx, 5000, 0).status == E_ADDR_RANGE
+    assert sweep(idx, -1, 0).status == E_ADDR_RANGE
 
 
 def test_selection_arithmetic(compiled):
@@ -65,8 +59,8 @@ def test_selection_arithmetic(compiled):
     idx = cs.table.index
     for b in range(16):
         rec = sweep(idx, 1948, b)
-        assert rec[S_N] == 2
-        assert rec[S_P] == b % 2
+        assert rec.n == 2
+        assert rec.p == b % 2
 
 
 def test_malformed_tables_flagged():
@@ -78,7 +72,17 @@ def test_malformed_tables_flagged():
         "> # 1 # < % % > # <",
     ):
         idx = TableIndex(bad)
-        assert sweep(idx, 0, 0)[S_STATUS] == E_MALFORMED
+        assert sweep(idx, 0, 0).status == E_MALFORMED
     # a well-formed tiny table for contrast
     good = build_table("#a,b,c,d#")
-    assert sweep(good.index, 0, 0)[S_STATUS] == OK
+    assert sweep(good.index, 0, 0).status == OK
+
+
+def test_import_leaves_numpy_out():
+    # the package has no runtime dependencies; numpy must not creep back in
+    code = "import sys, tileworks, tileworks.cli; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(tileworks.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"

@@ -438,6 +438,11 @@ def test_macro_frontier_matches_scan_on_every_state(compiled, name):
     states = macro_explore(cs, 6).states.values()
     for macro in states:
         assert macro_frontier(cs, macro) == _scan_frontier(cs, macro)
+        # blocks cut off from the complete blocks that fed them keep their own events
+        cut = MacroAssembly(
+            {c: s for c, s in macro.blocks.items() if s.phase is not BlockPhase.COMPLETE}
+        )
+        assert macro_frontier(cs, cut) == _scan_frontier(cs, cut)
 
 
 def _explore_outcome(explore, cs, bound):

@@ -3,18 +3,23 @@
 Small tile systems are drawn at random and every answer of `explore`,
 `frontier` and `verify_locally_consistent` is compared with the brute-force
 oracles, which share no code with the package's glue tables.  Every system
-that passes the check is compiled, and `macro_explore` is compared with the
+that passes the check is compiled: every lookup through the table sweep is
+compared with the direct parse of the entries string and with the
+column-by-column reference sweep, and `macro_explore` is compared with the
 per-edge reference loop of `tests/test_macro.py`.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tileworks.atam import DIRECTIONS, TileSystem, TileType, explore, frontier
 from tileworks.consistency import replay_witness, verify_locally_consistent
-from tileworks.encoding import compile_system
+from tileworks.encoding import CompiledSystem, compile_system
+from tileworks.kernels import E_ADDR_RANGE, sweep
+from tileworks.lookup import AddressRangeError, direct_lookup, parse_entry, trace_lookup
 from tileworks.macro import macro_explore
 
 from .oracles import (
@@ -24,6 +29,7 @@ from .oracles import (
     naive_frontier,
     naive_locally_consistent,
     naive_strength,
+    ref_sweep,
 )
 from .test_macro import _explore_outcome, _reference_explore
 
@@ -115,7 +121,31 @@ def test_random_systems_match_oracles(tas):
         return
 
     cs = compile_system(tas, lc_bound=bound)
+    _check_lookups(cs)
     macro_bound = min(bound, MACRO_BOUND)
     got = _explore_outcome(macro_explore, cs, macro_bound)
     assert got == _explore_outcome(_reference_explore, cs, macro_bound)
 
+
+def _check_lookups(cs: CompiledSystem) -> None:
+    """Every (address, bits) query: the sweep against the reference sweep, and
+    the selected sub-entry against the direct parse."""
+    idx = cs.table.index
+    payloads = cs.entry_payloads()
+    width = cs.random_width
+    for addr in cs.addresses:
+        n = len(parse_entry("#" + payloads[addr], cs.glues))
+        # the reference sweep reads the bits only through p = b mod n
+        want = [ref_sweep(cs.table.symbols, addr, p) for p in range(min(n, 2**width))]
+        for b in range(2**width):
+            assert sweep(idx, addr, b) == want[b % n], (addr, b)
+            outcome, trace = trace_lookup(cs, addr, format(b, f"0{width}b"))
+            assert trace.selected_index == outcome.selected_index == n - 1 - b % n
+            assert outcome.sub_entry == direct_lookup(cs, addr, trace.selected_index)
+    out_of_range = cs.entry_count
+    assert sweep(idx, out_of_range, 0) == ref_sweep(cs.table.symbols, out_of_range, 0)
+    assert sweep(idx, out_of_range, 0).status == E_ADDR_RANGE
+    with pytest.raises(AddressRangeError):
+        trace_lookup(cs, out_of_range, "0" * width)
+    with pytest.raises(AddressRangeError):
+        direct_lookup(cs, out_of_range, 0)
