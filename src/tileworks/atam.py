@@ -44,10 +44,6 @@ class IllegalAttachmentError(WorkbenchError):
         self.strength = strength
 
 
-class NoAttachmentRecordError(WorkbenchError):
-    pass
-
-
 class Direction(Enum):
     N = (0, 1)
     E = (1, 0)
@@ -144,6 +140,12 @@ class TileType:
         for d in DIRECTIONS:
             yield d, self.side(d)
 
+    def pads(self) -> tuple[Pad, ...]:
+        """The positive-strength sides as pads, in N, E, S, W (`Pad.sort_key`) order."""
+        return tuple(
+            Pad(side.glue, d, side.strength) for d, side in self.sides() if side.glue is not None
+        )
+
 
 class GlueTables(NamedTuple):
     """Glue lookups of one tile system, indexed by side k (as in DIRECTIONS).
@@ -208,7 +210,10 @@ class TileSystem:
 
 
 class Assembly:
-    """Immutable nonempty partial map from positions to tile-type indices."""
+    """Immutable nonempty partial map from positions to tile-type indices.
+
+    `blocks.MacroAssembly` reuses it with block states as the cell values.
+    """
 
     __slots__ = ("_cells", "_key")
 
@@ -250,7 +255,7 @@ class Assembly:
         return hash(self._key)
 
     def __repr__(self) -> str:
-        return f"Assembly({len(self._cells)} tiles)"
+        return f"{type(self).__name__}({len(self._cells)} cells)"
 
     def items(self) -> Iterator[tuple[Coord, int]]:
         return iter(self._cells.items())
@@ -319,10 +324,6 @@ def _front_key(item: tuple[Coord, int]):
     return (y, x, tile)
 
 
-def sorted_frontier(tas: TileSystem, asm: Assembly) -> list[tuple[Coord, int]]:
-    return sorted(frontier(tas, asm), key=_front_key)
-
-
 def _advance_frontier(match, cells: Mapping[Coord, int], parent_front: frozenset, pos: Coord):
     # Strengths only grow when a neighbour appears, so surviving pairs stay
     # valid; only the four positions around the new tile need a fresh look.
@@ -372,15 +373,6 @@ class AssemblySequence:
 
     def result(self) -> Assembly:
         return self._assemblies[-1]
-
-
-def attachment_sides(seq: AssemblySequence, pos: Coord) -> frozenset[Direction]:
-    """Sides on which the tile at `pos` initially bound when the sequence placed it."""
-    for i, (p, tile) in enumerate(seq.steps):
-        if p == pos:
-            before = seq.assemblies()[i]._cells
-            return _SIDE_SETS[_bond(seq.system.glue_tables.match, before, pos, tile)[1]]
-    raise NoAttachmentRecordError(f"no step in the sequence places a tile at {pos}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,15 +4,16 @@ A block is one scaled-up grid cell of the macro simulation.  It moves through
 a fixed lifecycle: collecting input pads, input type detected by the probe,
 committed to a tile type after the table lookup, and finally complete, at
 which point its output pads become visible to the neighbouring blocks.
+A macro state, `MacroAssembly`, is an `Assembly` of block states: the same
+immutable cell map, keyed by its (coordinate, block state) pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Mapping
 
-from .atam import Coord, Direction, Pad, TileSystem
+from .atam import Assembly, Coord, Direction, Pad, TileSystem
 
 
 class BlockPhase(IntEnum):
@@ -85,55 +86,25 @@ def sort_pads(pads) -> tuple[Pad, ...]:
 
 def seed_block(tas: TileSystem) -> BlockState:
     """The complete block representing the seed tile: all non-null sides output."""
-    tile = tas.seed_tile
-    outputs = [
-        Pad(side.glue, d, side.strength)
-        for d, side in tile.sides()
-        if side.glue is not None
-    ]
     return BlockState(
         phase=BlockPhase.COMPLETE,
         committed_tile=tas.seed,
-        output_pads=sort_pads(outputs),
+        output_pads=tas.seed_tile.pads(),
     )
 
 
-class MacroAssembly:
-    """Immutable map from block coordinates to block states."""
+class MacroAssembly(Assembly):
+    """An `Assembly` whose cells hold block states instead of tile indices."""
 
-    __slots__ = ("_blocks", "_key")
-
-    def __init__(self, blocks: Mapping[Coord, BlockState]):
-        self._blocks = dict(blocks)
-        self._key = frozenset(self._blocks.items())
-
-    @property
-    def key(self) -> frozenset:
-        return self._key
+    __slots__ = ()
 
     @property
     def blocks(self) -> dict[Coord, BlockState]:
-        return self._blocks
-
-    def get(self, pos: Coord) -> BlockState | None:
-        return self._blocks.get(pos)
-
-    def __len__(self) -> int:
-        return len(self._blocks)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MacroAssembly) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __repr__(self) -> str:
-        return f"MacroAssembly({len(self._blocks)} blocks)"
-
-    def sorted_items(self) -> list[tuple[Coord, BlockState]]:
-        return sorted(self._blocks.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+        return self._cells
 
     def with_block(self, pos: Coord, state: BlockState) -> "MacroAssembly":
-        blocks = dict(self._blocks)
+        blocks = dict(self._cells)
+        old = blocks.get(pos)
         blocks[pos] = state
-        return MacroAssembly(blocks)
+        key = self._key if old is None else self._key - {(pos, old)}
+        return MacroAssembly._trusted(blocks, key | {(pos, state)})

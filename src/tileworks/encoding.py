@@ -178,11 +178,7 @@ class AddressEntry:
 
 def _input_combinations(tile) -> list[tuple[Pad, ...]]:
     """Side combinations of one tile whose strengths sum to exactly 2."""
-    positive = [
-        Pad(side.glue, d, side.strength)
-        for d, side in tile.sides()
-        if side.glue is not None
-    ]
+    positive = tile.pads()
     combos = [(p,) for p in positive if p.strength == 2]
     ones = [p for p in positive if p.strength == 1]
     for i in range(len(ones)):

@@ -410,11 +410,7 @@ def decode_block(state: BlockState, cs: CompiledSystem) -> int | None:
         raise RepresentationError("committed block without a committed tile")
     tile = cs.source.tiles[tile_index]
     inputs = state.input_directions
-    expected = sort_pads(
-        Pad(side.glue, d, side.strength)
-        for d, side in tile.sides()
-        if side.glue is not None and d not in inputs
-    )
+    expected = tuple(pad for pad in tile.pads() if pad.direction not in inputs)
     if expected != state.output_pads:
         raise RepresentationError(
             f"block output pads {state.output_pads} disagree with tile "

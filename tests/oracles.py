@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from tileworks.atam import TileSystem
+from tileworks.atam import DIRECTIONS, AssemblySequence, TileSystem
 from tileworks.kernels import E_ADDR_RANGE, E_EMPTY_ENTRY, E_MALFORMED, OK, SweepRecord
 
 _DIRS = (("N", (0, 1)), ("E", (1, 0)), ("S", (0, -1)), ("W", (-1, 0)))
@@ -32,6 +32,28 @@ def naive_strength(tas: TileSystem, cells: dict, pos: tuple, tile: int) -> int:
         if mine.glue is not None and mine.glue == theirs.glue and mine.strength == theirs.strength:
             total += mine.strength
     return total
+
+
+def naive_sides(tas: TileSystem, cells: dict, pos, tile) -> set:
+    """Directions on which `tile` at `pos` bonds, one neighbour at a time."""
+    out = set()
+    for d in DIRECTIONS:
+        q = d.step(pos)
+        if q in cells and naive_strength(tas, {q: cells[q]}, pos, tile) > 0:
+            out.add(d)
+    return out
+
+
+class NoAttachmentRecordError(LookupError):
+    pass
+
+
+def attachment_sides(seq: AssemblySequence, pos: tuple) -> set:
+    """Sides on which the tile at `pos` bonded when the sequence placed it."""
+    for i, (p, tile) in enumerate(seq.steps):
+        if p == pos:
+            return naive_sides(seq.system, dict(seq.assemblies()[i].items()), pos, tile)
+    raise NoAttachmentRecordError(f"no step in the sequence places a tile at {pos}")
 
 
 def brute_producibles(tas: TileSystem, bound: int) -> set[frozenset]:

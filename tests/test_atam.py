@@ -10,25 +10,29 @@ from tileworks.atam import (
     AssemblySequence,
     Direction,
     IllegalAttachmentError,
-    NoAttachmentRecordError,
     OccupiedPositionError,
     SidePad,
     TileSystem,
     TileType,
     attach,
-    attachment_sides,
     binding_strength,
     explore,
     frontier,
     is_terminal,
     sample_sequence,
     seed_assembly,
-    sorted_frontier,
 )
+from tileworks.blocks import MacroAssembly
 from tileworks.consistency import verify_locally_consistent
 from tileworks.tasio import format_tas, parse_tas
 
-from .oracles import brute_attachments, brute_producibles, naive_frontier
+from .oracles import (
+    NoAttachmentRecordError,
+    attachment_sides,
+    brute_attachments,
+    brute_producibles,
+    naive_frontier,
+)
 
 
 def test_side_pad_rejects_inconsistent_null():
@@ -59,6 +63,8 @@ def test_assembly_value_identity():
     assert a != Assembly({(0, 0): 0})
     with pytest.raises(ValueError):
         Assembly({})
+    with pytest.raises(ValueError):
+        MacroAssembly({})
     with pytest.raises(OccupiedPositionError):
         a.with_tile((0, 0), 1)
 
@@ -180,9 +186,9 @@ def test_counter_growth_is_sequential(systems):
     tas = systems["counter3"]
     asm = seed_assembly(tas)
     for _ in range(40):
-        front = sorted_frontier(tas, asm)
+        front = frontier(tas, asm)
         assert len(front) == 1
-        pos, tile = front[0]
+        ((pos, tile),) = front
         asm = attach(tas, asm, pos, tile)
     assert len(asm) == 41
 

@@ -1,10 +1,28 @@
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from tileworks.cli import main
 from tileworks.corpus import fixture_path
 from tileworks.tasio import format_tas
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_outputs() -> dict[str, str]:
+    """Each fenced output in README.md, keyed by the quoted command that introduces it."""
+    pattern = r"`([^`\n]+)`(?: prints)?:\n\n```\n(.*?)```\n"
+    return dict(re.findall(pattern, README.read_text(), re.S))
+
+
+@pytest.mark.parametrize("command", ("explore elbow --bound 6", "verify nondet_elbow --bound 6"))
+def test_readme_example_output_is_exact(command, capsys):
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out == _readme_outputs()[command]
 
 
 def test_help_exits_zero(capsys):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from tileworks.atam import attach, seed_assembly, sorted_frontier
+from tileworks.atam import attach, frontier, seed_assembly
 from tileworks.corpus import (
     GENERATORS,
     counter_value,
@@ -18,9 +18,9 @@ from .oracles import pascal_parity
 def _grow_counter(tas, steps):
     asm = seed_assembly(tas)
     for _ in range(steps):
-        front = sorted_frontier(tas, asm)
+        front = frontier(tas, asm)
         assert len(front) == 1, "counter growth must stay sequential"
-        (pos, tile) = front[0]
+        ((pos, tile),) = front
         asm = attach(tas, asm, pos, tile)
     return asm
 
@@ -64,7 +64,7 @@ def test_sierpinski_corner_matches_pascal_parity(systems):
     )
     for pos in cells:
         candidates = [
-            (p, t) for p, t in sorted_frontier(tas, asm) if p == pos
+            (p, t) for p, t in frontier(tas, asm) if p == pos
         ]
         assert len(candidates) == 1, f"growth at {pos} must be forced"
         asm = attach(tas, asm, *candidates[0])

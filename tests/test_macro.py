@@ -120,6 +120,7 @@ def test_run_macro_reaches_elbow_terminal(compiled):
     run = run_macro(cs, rng_seed=0)
     assert not run.truncated
     assert macro_frontier(cs, run.final) == ()
+    assert run.final.key == frozenset(run.final.blocks.items())
     decoded = decode_assembly(run.final, cs)
     names = {pos: cs.source.tiles[t].name for pos, t in decoded.items()}
     assert names == {(0, 0): "seed", (1, 0): "tR", (0, 1): "tU", (1, 1): "tD"}
@@ -262,6 +263,7 @@ def test_decode_assembly_reports_block(compiled):
             run.final.get((1, 1)).output_pads,
         ),
     )
+    assert corrupted.key == frozenset(corrupted.blocks.items())
     with pytest.raises(RepresentationError) as err:
         decode_assembly(corrupted, cs)
     assert "(1, 1)" in str(err.value)
@@ -438,11 +440,13 @@ def test_macro_frontier_matches_scan_on_every_state(compiled, name):
     states = macro_explore(cs, 6).states.values()
     for macro in states:
         assert macro_frontier(cs, macro) == _scan_frontier(cs, macro)
-        # blocks cut off from the complete blocks that fed them keep their own events
-        cut = MacroAssembly(
-            {c: s for c, s in macro.blocks.items() if s.phase is not BlockPhase.COMPLETE}
-        )
-        assert macro_frontier(cs, cut) == _scan_frontier(cs, cut)
+        # blocks cut off from the complete blocks that fed them keep their own
+        # events; a state whose blocks are all complete leaves an empty map,
+        # which has no events and is no macro state
+        cut = {c: s for c, s in macro.blocks.items() if s.phase is not BlockPhase.COMPLETE}
+        if cut:
+            cut = MacroAssembly(cut)
+            assert macro_frontier(cs, cut) == _scan_frontier(cs, cut)
 
 
 def _explore_outcome(explore, cs, bound):
@@ -451,6 +455,8 @@ def _explore_outcome(explore, cs, bound):
         result = explore(cs, bound)
     except WorkbenchError as exc:
         return type(exc), str(exc)
+    for key, macro in result.states.items():
+        assert key == macro.key == frozenset(macro.blocks.items())
     edges = [(e.parent, e.child, e.event) for e in result.edges]
     return list(result.states), edges, result.truncated, result.seed_key
 

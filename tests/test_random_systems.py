@@ -28,7 +28,7 @@ from .oracles import (
     naive_clash,
     naive_frontier,
     naive_locally_consistent,
-    naive_strength,
+    naive_sides,
     ref_sweep,
 )
 from .test_macro import _explore_outcome, _reference_explore
@@ -70,16 +70,6 @@ def _workable_bound(tas: TileSystem, most: int) -> int:
     return bound
 
 
-def _naive_sides(tas: TileSystem, cells: dict, pos, tile) -> set:
-    """Directions on which `tile` at `pos` bonds, one neighbour at a time."""
-    out = set()
-    for d in DIRECTIONS:
-        q = d.step(pos)
-        if q in cells and naive_strength(tas, {q: cells[q]}, pos, tile) > 0:
-            out.add(d)
-    return out
-
-
 def _first_failure(tas: TileSystem, result):
     """The failure the classifier must report: the first edge, in exploration
     order, that binds with strength other than 2 or creates a clash (sides in
@@ -105,7 +95,7 @@ def test_random_systems_match_oracles(tas):
     assert len(edges) == len(result.edges)
     assert edges == brute_attachments(tas, bound)
     for e in result.edges:
-        assert e.bound_sides == _naive_sides(tas, dict(e.parent), e.pos, e.tile)
+        assert e.bound_sides == naive_sides(tas, dict(e.parent), e.pos, e.tile)
     for asm in result.assemblies.values():
         assert frontier(tas, asm) == naive_frontier(tas, dict(asm.items()))
 
