@@ -67,8 +67,6 @@ DIRECTIONS = (Direction.N, Direction.E, Direction.S, Direction.W)
 _DIR_INDEX = {d: i for i, d in enumerate(DIRECTIONS)}
 # OFFSETS[k] steps toward DIRECTIONS[k]; the facing side of side k is k ^ 2.
 OFFSETS = tuple(d.vector for d in DIRECTIONS)
-# every possible set of bound sides, indexed by its bit mask over side indices
-_SIDE_SETS = tuple(frozenset(d for k, d in enumerate(DIRECTIONS) if m >> k & 1) for m in range(16))
 
 
 def direction_order(d: Direction) -> int:
@@ -280,25 +278,22 @@ def seed_assembly(tas: TileSystem) -> Assembly:
     return Assembly({(0, 0): tas.seed})
 
 
-def _bond(match, cells: Mapping[Coord, int], pos: Coord, tile: int) -> tuple[int, int]:
-    """Total strength `tile` would bind with at `pos`, and the bit mask of its bonded sides."""
+def _bond(match, cells: Mapping[Coord, int], pos: Coord, tile: int) -> int:
+    """Total strength `tile` would bind with at `pos`."""
     x, y = pos
-    strength = mask = 0
+    strength = 0
     for k, (dx, dy) in enumerate(OFFSETS):
         other = cells.get((x + dx, y + dy))
         if other is not None:
-            s = match[k][other].get(tile)
-            if s:
-                strength += s
-                mask |= 1 << k
-    return strength, mask
+            strength += match[k][other].get(tile, 0)
+    return strength
 
 
 def binding_strength(tas: TileSystem, asm: Assembly, pos: Coord, tile: int) -> int:
     """Total matching glue strength `tile` would bind with at `pos`."""
     if pos in asm:
         raise OccupiedPositionError(f"position {pos} already holds a tile")
-    return _bond(tas.glue_tables.match, asm._cells, pos, tile)[0]
+    return _bond(tas.glue_tables.match, asm._cells, pos, tile)
 
 
 def _frontier_at(match, cells: Mapping[Coord, int], pos: Coord) -> list[tuple[Coord, int]]:
@@ -383,7 +378,6 @@ class AttachmentEdge:
     child: frozenset
     pos: Coord
     tile: int
-    bound_sides: frozenset[Direction]
     strength: int
 
 
@@ -431,7 +425,7 @@ def explore(tas: TileSystem, bound: int) -> ExplorationResult:
             truncated = truncated or bool(front)
             continue
         for pos, tile in sorted(front, key=_front_key):
-            strength, mask = _bond(match, cells, pos, tile)
+            strength = _bond(match, cells, pos, tile)
             ckey = key | {(pos, tile)}
             if ckey not in assemblies:
                 child = dict(cells)
@@ -439,7 +433,7 @@ def explore(tas: TileSystem, bound: int) -> ExplorationResult:
                 assemblies[ckey] = Assembly._trusted(child, ckey)
                 fronts[ckey] = _advance_frontier(match, child, front, pos)
                 queue.append(ckey)
-            edges.append(AttachmentEdge(key, ckey, pos, tile, _SIDE_SETS[mask], strength))
+            edges.append(AttachmentEdge(key, ckey, pos, tile, strength))
     return ExplorationResult(assemblies, tuple(edges), seed.key, truncated, bound)
 
 

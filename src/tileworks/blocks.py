@@ -46,8 +46,8 @@ class BlockState:
 
     `input_pads` hold received pads keyed by the side they arrived on;
     `output_pads` are only the non-null pads the committed tile presents on
-    its non-input sides.  `random_bits` is the bit string drawn at probing
-    time when the engine retains it.
+    its non-input sides.  `random_bits` is the bit string a probe drew;
+    the commit consumes it, so committed and complete blocks hold none.
     """
 
     phase: BlockPhase

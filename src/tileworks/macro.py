@@ -146,11 +146,13 @@ def _next_state(
     state: BlockState | None,
     event: MacroEvent,
     *,
-    probe_bits: str | None = None,
-    commit_bits: str | None = None,
-    keep_bits: bool = True,
+    bits: str | None = None,
 ) -> BlockState:
-    """The state of the block at `event.coord` after `event`; `state` is the one before."""
+    """The state of the block at `event.coord` after `event`; `state` is the one before.
+
+    A probe stores `bits`; a commit looks up with `bits` in place of the stored
+    ones, and the committed block keeps none.
+    """
     coord = event.coord
 
     if event.kind is EventKind.PAD_ARRIVAL:
@@ -184,14 +186,15 @@ def _next_state(
                 f"got phase {state.phase.name} strength {state.received_strength} at {coord}"
             )
         kind = detect_kind(state.input_pads)
-        return BlockState(BlockPhase.TYPE_DETECTED, state.input_pads, kind, probe_bits)
+        return BlockState(BlockPhase.TYPE_DETECTED, state.input_pads, kind, bits)
 
     if event.kind is EventKind.COMMIT:
         if state.phase is not BlockPhase.TYPE_DETECTED:
             raise MacroEventError(
                 f"commit needs a type-detected block, got {state.phase.name} at {coord}"
             )
-        bits = commit_bits if commit_bits is not None else state.random_bits
+        if bits is None:
+            bits = state.random_bits
         if bits is None:
             raise MacroEventError(f"block {coord} has no random bits to commit with")
         address = address_of(state.input_pads, cs.glues)
@@ -213,7 +216,7 @@ def _next_state(
             BlockPhase.COMMITTED,
             state.input_pads,
             state.input_kind,
-            bits if keep_bits else None,
+            None,
             tile_index,
             outcome.sub_entry.pads,
         )
@@ -298,14 +301,12 @@ def run_macro(
         if not enabled:
             break
         event = by_key[enabled[rng.randrange(len(enabled))]]
-        probe_bits = None
+        bits = None
         if event.kind is EventKind.PROBE:
-            probe_bits = format(rng.getrandbits(cs.random_width), f"0{cs.random_width}b")
+            bits = format(rng.getrandbits(cs.random_width), f"0{cs.random_width}b")
         coord = event.coord
         grew = coord not in blocks
-        state = blocks[coord] = _next_state(
-            cs, blocks.get(coord), event, probe_bits=probe_bits
-        )
+        state = blocks[coord] = _next_state(cs, blocks.get(coord), event, bits=bits)
         # a block's state reaches its neighbours' events only once it is complete
         refresh(coord)
         if state.phase is BlockPhase.COMPLETE:
@@ -345,13 +346,13 @@ class MacroExplorationResult:
 def macro_explore(cs: CompiledSystem, bound: int) -> MacroExplorationResult:
     """Closure of macro states reachable within `bound` blocks.
 
-    Commits branch over every possible random-bit value; since later behaviour
-    depends only on the committed tile, commit children drop the raw bits and
-    collapse to one state per distinct outcome.  A block's next states depend
-    on its own state and the event's kind and pad alone, so each distinct
-    transition (for a commit, its distinct outcomes over all bit values) is
-    computed once per call.  A transition that raises is not stored: the
-    exploration stops where it first meets it, with that block's coordinate.
+    Commits branch over every possible random-bit value; a committed block
+    keeps no bits, so commit children collapse to one state per distinct
+    outcome.  A block's next states depend on its own state and the event's
+    kind and pad alone, so each distinct transition (for a commit, its
+    distinct outcomes over all bit values) is computed once per call.  A
+    transition that raises is not stored: the exploration stops where it
+    first meets it, with that block's coordinate.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -380,8 +381,7 @@ def macro_explore(cs: CompiledSystem, bound: int) -> MacroExplorationResult:
                 if event.kind is EventKind.COMMIT:
                     outcomes = tuple(
                         dict.fromkeys(
-                            _next_state(cs, state, event, commit_bits=bits, keep_bits=False)
-                            for bits in bit_values
+                            _next_state(cs, state, event, bits=bits) for bits in bit_values
                         )
                     )
                 else:

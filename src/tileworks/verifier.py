@@ -12,7 +12,6 @@ Three conditions, each over bounded explorations of both levels:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .atam import explore
@@ -184,26 +183,20 @@ def _dynamics(cs, source_result, macro_result, decoded) -> ConditionReport:
                 ),
             )
 
-    # source reachability, then macro reachability from each pre-image set
-    src_adj: dict[frozenset, list[frozenset]] = {}
-    for p, c in source_edges:
-        src_adj.setdefault(p, []).append(c)
-    mac_adj: dict[frozenset, list[frozenset]] = {}
-    for edge in macro_result.edges:
-        mac_adj.setdefault(edge.parent, []).append(edge.child)
-    preimages: dict[frozenset, list[frozenset]] = {}
+    # completeness: one bit per source assembly, in exploration order; a macro
+    # state owns the bit of its decoded image, if that is a source assembly
+    order = list(source_result.assemblies)
+    bit = {akey: 1 << i for i, akey in enumerate(order)}
+    src_reach = _reach(order, source_result.edges, bit.__getitem__)
+    mac_reach = _reach(decoded, macro_result.edges, lambda m: bit.get(decoded[m], 0))
+    followed = dict.fromkeys(order, 0)
     for mkey, akey in decoded.items():
-        preimages.setdefault(akey, []).append(mkey)
-
-    mimicked = 0
-    for akey in source_result.assemblies:
-        src_reach = _multi_closure((akey,), src_adj)
-        macro_reach_decoded = {
-            decoded[m] for m in _multi_closure(preimages.get(akey, ()), mac_adj)
-        }
-        unmatched = src_reach - macro_reach_decoded
-        if unmatched:
-            target = min(unmatched, key=len)
+        if akey in followed:
+            followed[akey] |= mac_reach[mkey]
+    for akey in order:
+        if missing := src_reach[akey] & ~followed[akey]:
+            # the fewest tiles, then the first in source exploration order
+            target = min((k for i, k in enumerate(order) if missing >> i & 1), key=len)
             return ConditionReport(
                 "dynamics",
                 False,
@@ -213,7 +206,7 @@ def _dynamics(cs, source_result, macro_result, decoded) -> ConditionReport:
                     f"a decode of {_sorted_cells(target)}"
                 ),
             )
-        mimicked += len(src_reach)
+    mimicked = sum(mask.bit_count() for mask in src_reach.values())
     return ConditionReport(
         "dynamics",
         True,
@@ -222,16 +215,16 @@ def _dynamics(cs, source_result, macro_result, decoded) -> ConditionReport:
     )
 
 
-def _multi_closure(starts, adj: dict) -> set[frozenset]:
-    seen = set(starts)
-    queue = deque(seen)
-    while queue:
-        node = queue.popleft()
-        for nxt in adj.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
+def _reach(nodes, edges, own) -> dict:
+    """Each node's `own(node)` bits ORed with those of every node it reaches."""
+    # One reverse pass suffices: every path to a node has the same length (a
+    # source edge adds one tile; a macro event adds one to the sum, over
+    # non-seed blocks, of received pads plus phase steps), so a breadth-first
+    # exploration appends every edge into a node before any edge out of it.
+    reach = {node: own(node) for node in nodes}
+    for edge in reversed(edges):
+        reach[edge.parent] |= reach[edge.child]
+    return reach
 
 
 def simulation_report(cs: CompiledSystem, bound: int) -> SimulationReport:

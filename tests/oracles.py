@@ -4,15 +4,19 @@ Everything here is written from the model definition alone, avoiding the
 library's data structures and shortcuts: plain dicts for assemblies, a
 from-scratch neighbour scan for strengths, binomials via math.comb, a
 character-level reference for the pad and splice encoders, and the table
-sweep walked one column at a time.
+sweep walked one column at a time.  `ref_dynamics` is the exception: it is
+the breadth-first closure per source assembly that the verifier's single
+reverse pass replaced, kept as the oracle that pass must match.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 
 from tileworks.atam import DIRECTIONS, AssemblySequence, TileSystem
 from tileworks.kernels import E_ADDR_RANGE, E_EMPTY_ENTRY, E_MALFORMED, OK, SweepRecord
+from tileworks.verifier import ConditionReport
 
 _DIRS = (("N", (0, 1)), ("E", (1, 0)), ("S", (0, -1)), ("W", (-1, 0)))
 _SIDE_OF = {"N": "north", "E": "east", "S": "south", "W": "west"}
@@ -276,4 +280,73 @@ def ref_sweep(table: str, addr: int, b: int) -> SweepRecord:
     return SweepRecord(
         OK, **found, p=p, mirror_lo=mirror_lo, mirror_hi=mirror_hi,
         sel_lo=sel_lo, sel_hi=col,
+    )
+
+
+def _cells(key: frozenset) -> str:
+    return str(sorted(key))
+
+
+def _closure(starts, adj: dict) -> set:
+    seen = set(starts)
+    queue = deque(seen)
+    while queue:
+        for nxt in adj.get(queue.popleft(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+def ref_dynamics(source_result, macro_result, decoded: dict) -> ConditionReport:
+    """Condition 3 with one breadth-first closure per source assembly on each graph.
+
+    Soundness: every macro step decodes to no change or to a source edge.
+    Completeness: from the pre-images of each source assembly, in exploration
+    order, the macro reaches a decode of everything the source reaches; the
+    witness target is the unmatched assembly with the fewest tiles, then the
+    first in source exploration order.
+    """
+    source_edges = {(e.parent, e.child) for e in source_result.edges}
+    for edge in macro_result.edges:
+        pa, ca = decoded[edge.parent], decoded[edge.child]
+        if pa != ca and (pa, ca) not in source_edges:
+            return ConditionReport(
+                "dynamics",
+                False,
+                "a macro step decoded to a jump the source cannot make",
+                witness=(
+                    f"{edge.event.describe()}: decode changed {_cells(pa)} -> "
+                    f"{_cells(ca)} with no matching source attachment"
+                ),
+            )
+    src_adj, mac_adj, preimages = {}, {}, {}
+    for p, c in source_edges:
+        src_adj.setdefault(p, []).append(c)
+    for edge in macro_result.edges:
+        mac_adj.setdefault(edge.parent, []).append(edge.child)
+    for mkey, akey in decoded.items():
+        preimages.setdefault(akey, []).append(mkey)
+    mimicked = 0
+    for akey in source_result.assemblies:
+        src_reach = _closure((akey,), src_adj)
+        followed = {decoded[m] for m in _closure(preimages.get(akey, ()), mac_adj)}
+        unmatched = src_reach - followed
+        if unmatched:
+            target = min((k for k in source_result.assemblies if k in unmatched), key=len)
+            return ConditionReport(
+                "dynamics",
+                False,
+                "the macro cannot follow a source derivation",
+                witness=(
+                    f"from decodes of {_cells(akey)} the macro never reaches "
+                    f"a decode of {_cells(target)}"
+                ),
+            )
+        mimicked += len(src_reach)
+    return ConditionReport(
+        "dynamics",
+        True,
+        f"{len(macro_result.edges)} macro steps sound; "
+        f"{mimicked} reachable source pairs mimicked",
     )

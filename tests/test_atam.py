@@ -148,14 +148,13 @@ def test_frontier_matches_naive_strengths(systems):
         assert frontier(tas, asm) == naive_frontier(tas, dict(asm.items()))
 
 
-def test_edges_record_bound_sides(systems):
+def test_corner_edges_bind_with_strength_two(systems):
     tas = systems["elbow"]
     result = explore(tas, 6)
     tD = tas.tile_index("tD")
     corner = [e for e in result.edges if e.tile == tD]
     assert corner
     for e in corner:
-        assert e.bound_sides == {Direction.W, Direction.S}
         assert e.strength == 2
 
 

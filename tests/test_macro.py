@@ -44,13 +44,13 @@ def _apply_event(cs, macro, event, **kwargs):
 
 def macro_step(cs, macro, event, rng_seed=None):
     """Apply one event; probes draw their random bits from `rng_seed`."""
-    probe_bits = None
+    bits = None
     if event.kind is EventKind.PROBE:
         if rng_seed is None:
             raise MacroEventError("a probe event needs an rng seed to draw bits")
         rng = random.Random(rng_seed)
-        probe_bits = format(rng.getrandbits(cs.random_width), f"0{cs.random_width}b")
-    return _apply_event(cs, macro, event, probe_bits=probe_bits)
+        bits = format(rng.getrandbits(cs.random_width), f"0{cs.random_width}b")
+    return _apply_event(cs, macro, event, bits=bits)
 
 
 def terminal_macro_keys(cs, result):
@@ -332,12 +332,10 @@ def _rescan_run(cs, rng_seed, *, max_events=100_000, bound=None):
         if not events:
             break
         event = events[rng.randrange(len(events))]
-        probe_bits = None
+        bits = None
         if event.kind is EventKind.PROBE:
-            probe_bits = format(
-                rng.getrandbits(cs.random_width), f"0{cs.random_width}b"
-            )
-        macro = _apply_event(cs, macro, event, probe_bits=probe_bits)
+            bits = format(rng.getrandbits(cs.random_width), f"0{cs.random_width}b")
+        macro = _apply_event(cs, macro, event, bits=bits)
         applied.append(event)
         note = event.describe()
         if event.kind is EventKind.PROBE:
@@ -371,9 +369,7 @@ def _reference_explore(cs, bound):
             if event.kind is EventKind.COMMIT:
                 seen_children = set()
                 for bits in bit_values:
-                    child = _apply_event(
-                        cs, macro, event, commit_bits=bits, keep_bits=False
-                    )
+                    child = _apply_event(cs, macro, event, bits=bits)
                     ckey = child.key
                     if ckey in seen_children:
                         continue
@@ -449,6 +445,18 @@ def test_macro_frontier_matches_scan_on_every_state(compiled, name):
             assert macro_frontier(cs, cut) == _scan_frontier(cs, cut)
 
 
+def check_breadth_first_edges(nodes, edges):
+    """The order `verifier._reach` relies on, over nodes in insertion order:
+    every edge's parent comes before its child, and the parents never go back
+    along the edge list."""
+    index = {key: i for i, key in enumerate(nodes)}
+    last = 0
+    for e in edges:
+        parent = index[e.parent]
+        assert last <= parent < index[e.child]
+        last = parent
+
+
 def _explore_outcome(explore, cs, bound):
     """An exploration's state keys, edges and truncation, or what it raised."""
     try:
@@ -457,6 +465,7 @@ def _explore_outcome(explore, cs, bound):
         return type(exc), str(exc)
     for key, macro in result.states.items():
         assert key == macro.key == frozenset(macro.blocks.items())
+    check_breadth_first_edges(result.states, result.edges)
     edges = [(e.parent, e.child, e.event) for e in result.edges]
     return list(result.states), edges, result.truncated, result.seed_key
 

@@ -5,8 +5,9 @@ Small tile systems are drawn at random and every answer of `explore`,
 oracles, which share no code with the package's glue tables.  Every system
 that passes the check is compiled: every lookup through the table sweep is
 compared with the direct parse of the entries string and with the
-column-by-column reference sweep, and `macro_explore` is compared with the
-per-edge reference loop of `tests/test_macro.py`.
+column-by-column reference sweep, `macro_explore` is compared with the
+per-edge reference loop of `tests/test_macro.py`, and condition 3 of the
+verifier with the closure oracle `ref_dynamics`.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tileworks.atam import DIRECTIONS, TileSystem, TileType, explore, frontier
+from tileworks.atam import DIRECTIONS, TileSystem, TileType, WorkbenchError, explore, frontier
 from tileworks.consistency import replay_witness, verify_locally_consistent
 from tileworks.encoding import CompiledSystem, compile_system
 from tileworks.kernels import E_ADDR_RANGE, sweep
 from tileworks.lookup import AddressRangeError, direct_lookup, parse_entry, trace_lookup
 from tileworks.macro import macro_explore
+from tileworks.verifier import _decode_all, _dynamics
 
 from .oracles import (
     brute_attachments,
@@ -28,10 +30,10 @@ from .oracles import (
     naive_clash,
     naive_frontier,
     naive_locally_consistent,
-    naive_sides,
+    ref_dynamics,
     ref_sweep,
 )
-from .test_macro import _explore_outcome, _reference_explore
+from .test_macro import _explore_outcome, _reference_explore, check_breadth_first_edges
 
 # Systems whose every tile binds everywhere have millions of assemblies at
 # bound 6; the bound is lowered until the oracles stay cheap.
@@ -94,8 +96,7 @@ def test_random_systems_match_oracles(tas):
     edges = {(e.parent, e.child, e.pos, e.tile, e.strength) for e in result.edges}
     assert len(edges) == len(result.edges)
     assert edges == brute_attachments(tas, bound)
-    for e in result.edges:
-        assert e.bound_sides == naive_sides(tas, dict(e.parent), e.pos, e.tile)
+    check_breadth_first_edges(result.assemblies, result.edges)
     for asm in result.assemblies.values():
         assert frontier(tas, asm) == naive_frontier(tas, dict(asm.items()))
 
@@ -115,6 +116,15 @@ def test_random_systems_match_oracles(tas):
     macro_bound = min(bound, MACRO_BOUND)
     got = _explore_outcome(macro_explore, cs, macro_bound)
     assert got == _explore_outcome(_reference_explore, cs, macro_bound)
+    if isinstance(got[0], type):
+        return
+    macro = macro_explore(cs, macro_bound)
+    try:
+        decoded = _decode_all(cs, macro)
+    except WorkbenchError:
+        return
+    source = explore(tas, macro_bound)
+    assert _dynamics(cs, source, macro, decoded) == ref_dynamics(source, macro, decoded)
 
 
 def _check_lookups(cs: CompiledSystem) -> None:

@@ -5,11 +5,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from tileworks import verifier
-from tileworks.atam import Pad
-from tileworks.blocks import BlockPhase, BlockState, sort_pads
+from tileworks import corpus, verifier
+from tileworks.atam import explore
+from tileworks.blocks import BlockPhase, BlockState
 from tileworks.encoding import AddressEntry, build_entries, build_table, compile_system
+from tileworks.macro import macro_explore
 from tileworks.verifier import check_seed_representation, simulation_report
+
+from .oracles import ref_dynamics
 
 
 @pytest.mark.parametrize("name", ["elbow", "nondet_elbow", "lone_seed"])
@@ -41,15 +44,6 @@ def test_report_to_text_shape(compiled):
     assert lines[-1] == "overall: PASS"
 
 
-def _full_pads(cs, tile_index):
-    tile = cs.source.tiles[tile_index]
-    return sort_pads(
-        Pad(side.glue, d, side.strength)
-        for d, side in tile.sides()
-        if side.glue is not None
-    )
-
-
 def test_seed_condition_rejects_wrong_tile(systems):
     cs = compile_system(systems["elbow"])
     assert check_seed_representation(cs).passed
@@ -57,7 +51,7 @@ def test_seed_condition_rejects_wrong_tile(systems):
     # but represents the wrong tile
     tr = cs.source.tile_index("tR")
     cs.seed_block = BlockState(
-        BlockPhase.COMPLETE, output_pads=_full_pads(cs, tr), committed_tile=tr
+        BlockPhase.COMPLETE, output_pads=cs.source.tiles[tr].pads(), committed_tile=tr
     )
     report = check_seed_representation(cs)
     assert not report.passed
@@ -70,7 +64,7 @@ def test_seed_condition_rejects_integrity_break(systems):
     tr = cs.source.tile_index("tR")
     cs.seed_block = BlockState(
         BlockPhase.COMPLETE,
-        output_pads=_full_pads(cs, tr),
+        output_pads=cs.source.tiles[tr].pads(),
         committed_tile=cs.source.tile_index("tU"),
     )
     report = check_seed_representation(cs)
@@ -144,3 +138,50 @@ def test_dynamics_soundness_flags_impossible_jump():
     assert not report.passed
     assert "synthetic step" in report.witness
     assert "no matching source attachment" in report.witness
+
+
+def _both_dynamics(cs, bound):
+    source = explore(cs.source, bound)
+    macro = macro_explore(cs, bound)
+    decoded = verifier._decode_all(cs, macro)
+    return verifier._dynamics(cs, source, macro, decoded), ref_dynamics(source, macro, decoded)
+
+
+DYNAMICS_CASES = (
+    *((name, bound) for name in corpus.GENERATORS for bound in range(3, 7)),
+    ("sierpinski", 8),
+)
+
+
+@pytest.mark.parametrize("name, bound", DYNAMICS_CASES)
+def test_dynamics_matches_closure_oracle(systems, name, bound):
+    # the two faulty elbows fail check-lc but still compile and explore
+    got, want = _both_dynamics(compile_system(systems[name], force=True), bound)
+    assert got == want
+    assert got.passed
+
+
+@pytest.mark.parametrize("bound", (4, 5, 6))
+def test_dynamics_matches_closure_oracle_on_a_lost_branch(systems, bound):
+    got, want = _both_dynamics(_suppress_tdp(systems), bound)
+    assert got == want
+    assert not got.passed
+
+
+@pytest.mark.parametrize("first", (0, 1))
+def test_dynamics_witness_tie_break(first):
+    # the seed's two one-tile extensions are both out of the macro's reach:
+    # the witness names the one the source explored first
+    a = frozenset({((0, 0), 0)})
+    b = frozenset({((0, 0), 0), ((1, 0), 1)})
+    c = frozenset({((0, 0), 0), ((0, 1), 2)})
+    later = (b, c) if first == 0 else (c, b)
+    source = SimpleNamespace(
+        assemblies=dict.fromkeys((a, *later)),
+        edges=tuple(SimpleNamespace(parent=a, child=k) for k in later),
+    )
+    macro = SimpleNamespace(edges=())
+    decoded = {"m0": a}
+    report = verifier._dynamics(None, source, macro, decoded)
+    assert report == ref_dynamics(source, macro, decoded)
+    assert report.witness.endswith(f"a decode of {sorted(later[0])}")
