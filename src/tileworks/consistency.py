@@ -21,7 +21,6 @@ from .atam import (
     DIRECTIONS,
     OFFSETS,
     Assembly,
-    AssemblySequence,
     Coord,
     Direction,
     TileSystem,
@@ -77,34 +76,6 @@ def _pair_mismatch(tas: TileSystem, asm: Assembly, pos: Coord, d: Direction) -> 
             f"between {pos} and {q}"
         ),
     )
-
-
-def check_binding_exactly_two(tas: TileSystem, seq: AssemblySequence) -> Verdict:
-    """Condition 1 along one attachment history."""
-    states = seq.assemblies()
-    for i, (pos, tile) in enumerate(seq.steps):
-        before = states[i]
-        total = binding_strength(tas, before, pos, tile)
-        if total != 2:
-            witness = Witness(
-                kind="strength-sum",
-                assembly=before,
-                pos=pos,
-                tile=tile,
-                detail=f"tile {tas.tiles[tile].name} binds with strength {total}, not 2",
-            )
-            return Verdict(False, witness)
-    return Verdict(True)
-
-
-def check_no_mismatch(tas: TileSystem, asm: Assembly) -> Verdict:
-    """Condition 2 over every abutting pair of one assembly."""
-    for pos, _ in asm.items():
-        for d in (Direction.N, Direction.E):  # each unordered pair once
-            witness = _pair_mismatch(tas, asm, pos, d)
-            if witness is not None:
-                return Verdict(False, witness)
-    return Verdict(True)
 
 
 def replay_witness(tas: TileSystem, witness: Witness) -> bool:

@@ -241,10 +241,6 @@ def splice_blanks(text: str) -> str:
     return BLANK.join(text)
 
 
-def strip_blanks(text: str) -> str:
-    return text[::2]
-
-
 @dataclass(eq=False)
 class LookupTable:
     """The spliced table string plus lazily built kernel structures."""
@@ -324,6 +320,8 @@ class CompiledSystem:
     _payloads: tuple[str, ...] | None = dc_field(
         default=None, repr=False, compare=False
     )
+    # committed block state -> the tile it represents, filled by `macro.decode_block`
+    block_tiles: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def entry_payloads(self) -> tuple[str, ...]:
         """Raw entry bodies (text after each '#'), indexed by address value."""

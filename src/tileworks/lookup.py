@@ -81,15 +81,6 @@ class PhaseTrace:
     selected_index: int  # in original sub-entry order: n - 1 - p
 
 
-def mod_select(bits: str, n: int) -> int:
-    """The selection index p for a drawn bit string: value(bits) mod n."""
-    if n < 1:
-        raise SelectionError("selection requires at least one sub-entry")
-    if bits == "" or any(c not in "01" for c in bits):
-        raise SelectionError(f"not a bit string: {bits!r}")
-    return int(bits, 2) % n
-
-
 def parse_entry(entry: str, ordering: GlueOrdering) -> tuple[SubEntry, ...]:
     """Parse one raw entry ('#' plus payload) into its sub-entries."""
     if not entry.startswith("#"):

@@ -19,6 +19,7 @@ from typing import Mapping
 
 from .atam import (
     DIRECTIONS,
+    OFFSETS,
     Assembly,
     Coord,
     Pad,
@@ -124,18 +125,18 @@ def _events_at(
     return events
 
 
+def _touched(coord: Coord, state: BlockState) -> tuple[Coord, ...]:
+    """Where events can change when `coord` becomes `state`: its neighbours once complete."""
+    if state.phase is not BlockPhase.COMPLETE:
+        return (coord,)
+    x, y = coord
+    return (coord, *[(x + dx, y + dy) for dx, dy in OFFSETS])
+
+
 def macro_frontier(cs: CompiledSystem, macro: MacroAssembly) -> tuple[MacroEvent, ...]:
     """Every event currently enabled, in deterministic order."""
     blocks = macro.blocks
-    coords = set()
-    complete = set()  # a complete block never has an event
-    for coord, state in blocks.items():
-        if state.phase is BlockPhase.COMPLETE:
-            complete.add(coord)
-            coords.update(pad.direction.step(coord) for pad in state.output_pads)
-        else:
-            coords.add(coord)
-    coords -= complete
+    coords = {c for coord, state in blocks.items() for c in _touched(coord, state)}
     events = [event for coord in coords for event in _events_at(cs, blocks, coord)]
     events.sort(key=MacroEvent.sort_key)
     return tuple(events)
@@ -204,22 +205,16 @@ def _next_state(
             raise MacroEventError(
                 f"no tile attaches at {coord} for address {address.value}: {exc}"
             ) from exc
-        tile_index = outcome.tile_candidates[outcome.selected_index]
-        tile = cs.source.tiles[tile_index]
-        for pad in state.input_pads:
-            side = tile.side(pad.direction)
-            if side.glue != pad.glue or side.strength != pad.strength:
-                raise RepresentationError(
-                    f"looked-up tile {tile.name} does not match input pad {pad} at {coord}"
-                )
-        return BlockState(
+        committed = BlockState(
             BlockPhase.COMMITTED,
             state.input_pads,
             state.input_kind,
             None,
-            tile_index,
+            outcome.tile_candidates[outcome.selected_index],
             outcome.sub_entry.pads,
         )
+        _decode_at(cs, coord, committed)  # the block must represent the looked-up tile
+        return committed
 
     if event.kind is EventKind.COMPLETION:
         if state.phase is not BlockPhase.COMMITTED:
@@ -263,10 +258,10 @@ def run_macro(
 
     Each step draws from the enabled events in `macro_frontier` order.  The
     enabled set is kept as a sorted list of sort keys (unique per event), and
-    a step recomputes only the events at its own coordinate, plus those at the
-    four neighbours after a completion, so it costs the same however large
-    the assembly has grown.  Once `bound` blocks exist, arrivals at empty
-    coordinates are held back, and the run is truncated if any was.
+    a step recomputes only the events at its `_touched` coordinates, so it
+    costs the same however large the assembly has grown.  Once `bound`
+    blocks exist, arrivals at empty coordinates are held back, and the run
+    is truncated if any was.
     """
     rng = random.Random(rng_seed)
     blocks: dict[Coord, BlockState] = dict(seed_macro(cs).blocks)
@@ -291,7 +286,7 @@ def run_macro(
             insort(enabled, key)
             by_key[key] = event
 
-    for coord in (0, 0), *(d.step((0, 0)) for d in DIRECTIONS):
+    for coord in _touched((0, 0), blocks[(0, 0)]):
         refresh(coord)
     applied: list[MacroEvent] = []
     log: list[str] = []
@@ -307,11 +302,8 @@ def run_macro(
         coord = event.coord
         grew = coord not in blocks
         state = blocks[coord] = _next_state(cs, blocks.get(coord), event, bits=bits)
-        # a block's state reaches its neighbours' events only once it is complete
-        refresh(coord)
-        if state.phase is BlockPhase.COMPLETE:
-            for d in DIRECTIONS:
-                refresh(d.step(coord))
+        for touched in _touched(coord, state):
+            refresh(touched)
         if grew and len(blocks) == bound:  # hold back the arrivals enabled so far
             for empty in [c for c in keys_at if c not in blocks]:
                 refresh(empty)
@@ -351,7 +343,8 @@ def macro_explore(cs: CompiledSystem, bound: int) -> MacroExplorationResult:
     outcome.  A block's next states depend on its own state and the event's
     kind and pad alone, so each distinct transition (for a commit, its
     distinct outcomes over all bit values) is computed once per call.  A
-    transition that raises is not stored: the exploration stops where it
+    child's events are its parent's, redone at the `_touched` coordinates.
+    A transition that raises is not stored: the exploration stops where it
     first meets it, with that block's coordinate.
     """
     if bound < 1:
@@ -359,6 +352,8 @@ def macro_explore(cs: CompiledSystem, bound: int) -> MacroExplorationResult:
     start = seed_macro(cs)
     states: dict[frozenset, MacroAssembly] = {start.key: start}
     edges: list[MacroEdge] = []
+    # enabled events, carried from parent to child and dropped once expanded
+    fronts: dict[frozenset, list[MacroEvent]] = {start.key: list(macro_frontier(cs, start))}
     queue: deque[frozenset] = deque([start.key])
     truncated = False
     bit_values = [
@@ -369,7 +364,8 @@ def macro_explore(cs: CompiledSystem, bound: int) -> MacroExplorationResult:
     while queue:
         key = queue.popleft()
         macro = states[key]
-        for event in macro_frontier(cs, macro):
+        front = fronts.pop(key)
+        for event in front:
             coord = event.coord
             state = macro.get(coord)
             if state is None and len(macro) >= bound:
@@ -392,6 +388,10 @@ def macro_explore(cs: CompiledSystem, bound: int) -> MacroExplorationResult:
                 ckey = child.key
                 if ckey not in states:
                     states[ckey] = child
+                    touched = _touched(coord, outcome)
+                    events = [e for e in front if e.coord not in touched]
+                    events += (e for c in touched for e in _events_at(cs, child.blocks, c))
+                    fronts[ckey] = sorted(events, key=MacroEvent.sort_key)
                     queue.append(ckey)
                 edges.append(MacroEdge(key, ckey, event))
     return MacroExplorationResult(states, tuple(edges), start.key, truncated, bound)
@@ -401,10 +401,14 @@ def decode_block(state: BlockState, cs: CompiledSystem) -> int | None:
     """The tile a block represents, or None before commitment.
 
     A committed block must present exactly the committed tile's non-null,
-    non-input pads; anything else is a representation-integrity error.
+    non-input pads, and its input pads must be the tile's on those sides;
+    anything else is a representation-integrity error.  Each committed state
+    is checked once per compiled system; a failing one is checked again.
     """
     if state.phase < BlockPhase.COMMITTED:
         return None
+    if state in cs.block_tiles:
+        return cs.block_tiles[state]
     tile_index = state.committed_tile
     if tile_index is None:
         raise RepresentationError("committed block without a committed tile")
@@ -422,24 +426,25 @@ def decode_block(state: BlockState, cs: CompiledSystem) -> int | None:
             raise RepresentationError(
                 f"block input pad {pad} disagrees with tile {tile.name}"
             )
+    cs.block_tiles[state] = tile_index
     return tile_index
 
 
-def decode_cells(blocks: Mapping[Coord, BlockState], decode) -> dict[Coord, int]:
-    """Each committed block's tile, from `decode(state)`; collecting blocks are undefined."""
-    cells: dict[Coord, int] = {}
-    for coord, state in blocks.items():
-        try:
-            tile = decode(state)
-        except RepresentationError as exc:
-            raise RepresentationError(f"block {coord}: {exc}") from exc
-        if tile is not None:
-            cells[coord] = tile
-    if not cells:
-        raise RepresentationError("no committed blocks; nothing to decode")
-    return cells
+def _decode_at(cs: CompiledSystem, coord: Coord, state: BlockState) -> int | None:
+    """`decode_block`, with any error naming the block's coordinate."""
+    try:
+        return decode_block(state, cs)
+    except RepresentationError as exc:
+        raise RepresentationError(f"block {coord}: {exc}") from exc
 
 
 def decode_assembly(macro: MacroAssembly, cs: CompiledSystem) -> Assembly:
     """Map every committed block to its tile; collecting blocks are undefined."""
-    return Assembly(decode_cells(macro.blocks, lambda state: decode_block(state, cs)))
+    cells: dict[Coord, int] = {}
+    for coord, state in macro.blocks.items():
+        tile = _decode_at(cs, coord, state)
+        if tile is not None:
+            cells[coord] = tile
+    if not cells:
+        raise RepresentationError("no committed blocks; nothing to decode")
+    return Assembly(cells)

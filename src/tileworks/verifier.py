@@ -15,16 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .atam import explore
-from .blocks import BlockPhase, BlockState
+from .blocks import BlockPhase
 from .encoding import CompiledSystem
-# `decode_assembly` is unused here but stays a name of this module, because
-# tilebench/probe.py counts decoding calls made through it
-from .macro import (  # noqa: F401
+from .macro import (
     MacroExplorationResult,
     RepresentationError,
     decode_assembly,
     decode_block,
-    decode_cells,
     macro_explore,
 )
 
@@ -105,20 +102,9 @@ def _sorted_cells(key: frozenset) -> str:
 
 
 def _decode_all(cs: CompiledSystem, macro_result: MacroExplorationResult):
-    """Map every macro state key to the key of its decoded assembly.
-
-    The states share a few distinct block states, so each is decoded once.
-    """
-    tiles: dict[BlockState, int | None] = {}
-
-    def decode(state: BlockState) -> int | None:
-        if state not in tiles:
-            tiles[state] = decode_block(state, cs)
-        return tiles[state]
-
+    """Map every macro state key to the key of its decoded assembly."""
     return {
-        key: frozenset(decode_cells(macro.blocks, decode).items())
-        for key, macro in macro_result.states.items()
+        key: decode_assembly(macro, cs).key for key, macro in macro_result.states.items()
     }
 
 

@@ -4,9 +4,11 @@ Everything here is written from the model definition alone, avoiding the
 library's data structures and shortcuts: plain dicts for assemblies, a
 from-scratch neighbour scan for strengths, binomials via math.comb, a
 character-level reference for the pad and splice encoders, and the table
-sweep walked one column at a time.  `ref_dynamics` is the exception: it is
-the breadth-first closure per source assembly that the verifier's single
-reverse pass replaced, kept as the oracle that pass must match.
+sweep walked one column at a time, and `ref_replay`, which replays a
+seeded macro run's commits as source attachments in one linear pass.
+`ref_dynamics` is the exception: it is the breadth-first closure per source
+assembly that the verifier's single reverse pass replaced, kept as the
+oracle that pass must match.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from collections import deque
 
 from tileworks.atam import DIRECTIONS, AssemblySequence, TileSystem
 from tileworks.kernels import E_ADDR_RANGE, E_EMPTY_ENTRY, E_MALFORMED, OK, SweepRecord
+from tileworks.macro import EventKind
 from tileworks.verifier import ConditionReport
 
 _DIRS = (("N", (0, 1)), ("E", (1, 0)), ("S", (0, -1)), ("W", (-1, 0)))
@@ -154,6 +157,46 @@ def naive_clash(tas: TileSystem, cells: dict, pos: tuple, dname: str) -> bool:
     )
 
 
+def ref_replay(tas: TileSystem, run, decoded: dict) -> str | None:
+    """The first way a macro run departs from the source model, or None.
+
+    The run is replayed in order onto a plain dict that starts at the seed.
+    Each pad arrival must come from a placed neighbour, on the side that
+    faces it, with the glue and strength that neighbour's tile shows there.
+    Each commit attaches the tile its log line names: the position must be
+    empty, and the tile must bind with strength exactly 2 and clash with no
+    present neighbour.  `decoded`, the run's final state decoded to
+    {position: tile index}, must equal the result.
+    """
+    names = {tile.name: i for i, tile in enumerate(tas.tiles)}
+    offsets = dict(_DIRS)
+    cells = {(0, 0): tas.seed}
+    for event, note in zip(run.events, run.log):
+        pos = event.coord
+        if event.kind is EventKind.PAD_ARRIVAL:
+            dname = event.pad.direction.name
+            dx, dy = offsets[dname]
+            if event.source != (pos[0] + dx, pos[1] + dy) or event.source not in cells:
+                return f"{note}: no placed neighbour on that side"
+            side = getattr(tas.tiles[cells[event.source]], _SIDE_OF[_FLIP[dname]])
+            if (side.glue, side.strength) != (event.pad.glue, event.pad.strength):
+                return f"{note}: the neighbour shows {side.glue}:{side.strength} there"
+        if event.kind is not EventKind.COMMIT:
+            continue
+        tile = names[note.rsplit(" -> ", 1)[1]]
+        if pos in cells:
+            return f"{note}: position already holds {tas.tiles[cells[pos]].name}"
+        strength = naive_strength(tas, cells, pos, tile)
+        if strength != 2:
+            return f"{note}: binds with strength {strength}"
+        cells[pos] = tile
+        if any(naive_clash(tas, cells, pos, dname) for dname, _ in _DIRS):
+            return f"{note}: clashes with a neighbour"
+    if decoded != cells:
+        return f"final decode {_cells(decoded.items())} is not the replay {_cells(cells.items())}"
+    return None
+
+
 def pascal_parity(x: int, y: int) -> int:
     """Parity of C(x + y, x), computed with actual binomials."""
     return math.comb(x + y, x) % 2
@@ -176,6 +219,11 @@ def ref_splice(text: str) -> str:
             out.append(" ")
         out.append(ch)
     return "".join(out)
+
+
+def strip_blanks(text: str) -> str:
+    """The symbols of a spliced string, without the blanks between them."""
+    return text[::2]
 
 
 def ref_sweep(table: str, addr: int, b: int) -> SweepRecord:

@@ -13,7 +13,6 @@ from . import conftest
 
 from tileworks.atam import Direction, Pad, explore, sample_sequence
 from tileworks.consistency import replay_witness, verify_locally_consistent
-from tileworks.corpus import counter_value
 from tileworks.encoding import (
     ADDRESS_PAIR_ORDER,
     GlueOrdering,
@@ -22,14 +21,14 @@ from tileworks.encoding import (
     decode_pad,
     encode_pad,
     serialize_compiled,
-    strip_blanks,
 )
 from tileworks.lookup import direct_lookup, selection_counts, trace_lookup
 from tileworks.macro import decode_assembly, macro_explore, run_macro
 from tileworks.svg import render_svg
 from tileworks.verifier import simulation_report
 
-from .test_corpus import _grow_counter
+from .oracles import strip_blanks
+from .test_corpus import _grow_counter, counter_value
 from .test_macro import terminal_macro_keys
 
 

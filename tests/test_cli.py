@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 from tileworks.cli import main
-from tileworks.corpus import fixture_path
 from tileworks.tasio import format_tas
+
+from .test_corpus import fixture_path
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

@@ -2,13 +2,54 @@ from __future__ import annotations
 
 import pytest
 
-from tileworks.atam import AssemblySequence, explore, sample_sequence
+from tileworks.atam import (
+    Assembly,
+    AssemblySequence,
+    Direction,
+    TileSystem,
+    binding_strength,
+    explore,
+    sample_sequence,
+)
 from tileworks.consistency import (
-    check_binding_exactly_two,
-    check_no_mismatch,
+    Verdict,
+    Witness,
+    _pair_mismatch,
     replay_witness,
     verify_locally_consistent,
 )
+
+
+# --- test helpers --------------------------------------------------------
+# Each condition checked on its own, along one history or over one assembly.
+
+
+def check_binding_exactly_two(tas: TileSystem, seq: AssemblySequence) -> Verdict:
+    """Condition 1 along one attachment history."""
+    states = seq.assemblies()
+    for i, (pos, tile) in enumerate(seq.steps):
+        before = states[i]
+        total = binding_strength(tas, before, pos, tile)
+        if total != 2:
+            witness = Witness(
+                kind="strength-sum",
+                assembly=before,
+                pos=pos,
+                tile=tile,
+                detail=f"tile {tas.tiles[tile].name} binds with strength {total}, not 2",
+            )
+            return Verdict(False, witness)
+    return Verdict(True)
+
+
+def check_no_mismatch(tas: TileSystem, asm: Assembly) -> Verdict:
+    """Condition 2 over every abutting pair of one assembly."""
+    for pos, _ in asm.items():
+        for d in (Direction.N, Direction.E):  # each unordered pair once
+            witness = _pair_mismatch(tas, asm, pos, d)
+            if witness is not None:
+                return Verdict(False, witness)
+    return Verdict(True)
 
 
 @pytest.mark.parametrize("name", ["elbow", "nondet_elbow", "counter4", "sierpinski"])

@@ -1,18 +1,78 @@
 from __future__ import annotations
 
+from importlib import resources
+from pathlib import Path
+
 import pytest
 
-from tileworks.atam import attach, frontier, seed_assembly
-from tileworks.corpus import (
-    GENERATORS,
-    counter_value,
-    counter_width,
-    fixture_path,
-    sierpinski_bit,
-)
+from tileworks.atam import Assembly, TileSystem, attach, frontier, seed_assembly
+from tileworks.corpus import GENERATORS
 from tileworks.tasio import format_tas
 
 from .oracles import pascal_parity
+
+
+# --- test helpers --------------------------------------------------------
+# Readers of the corpus systems' tiles and of the shipped .tas files.
+
+
+def counter_width(tas: TileSystem) -> int:
+    names = {t.name for t in tas.tiles}
+    width = 0
+    while f"s{width + 1}" in names:
+        width += 1
+    if width == 0:
+        raise ValueError("not a counter system")
+    return width
+
+
+_COUNTER_BITS = {
+    **{f"i{b}{c}": b ^ c for b in (0, 1) for c in (0, 1)},
+    "c0": 0,
+    "c1": 1,
+}
+
+
+def counter_value(tas: TileSystem, asm: Assembly, row: int) -> int | None:
+    """The number encoded by logical row `row`, or None if it is incomplete.
+
+    Logical row 0 is the seed row (value 0); logical row k >= 1 lives at
+    physical row 2k - 1, the increment row that produced it.  Bits read most
+    significant at the west.
+    """
+    width = counter_width(tas)
+    y = 0 if row == 0 else 2 * row - 1
+    value = 0
+    for x in range(1, width + 1):
+        tile_index = asm.get((x, y))
+        if tile_index is None:
+            return None
+        name = tas.tiles[tile_index].name
+        if name.startswith("s"):
+            bit = 0
+        else:
+            bit = _COUNTER_BITS.get(name)
+            if bit is None:
+                return None
+        value = (value << 1) | bit
+    return value
+
+
+def sierpinski_bit(tas: TileSystem, tile_index: int) -> int:
+    """The parity a sierpinski tile writes into its cell."""
+    name = tas.tiles[tile_index].name
+    if name in ("seed", "r", "c"):
+        return 1
+    if name.startswith("x"):
+        return int(name[1]) ^ int(name[2])
+    raise ValueError(f"not a sierpinski tile: {name}")
+
+
+def fixture_path(name: str) -> Path:
+    """Path of the shipped .tas file for a corpus system."""
+    if name not in GENERATORS:
+        raise KeyError(f"unknown corpus system {name!r}")
+    return Path(resources.files("tileworks").joinpath("corpus_data", f"{name}.tas"))
 
 
 def _grow_counter(tas, steps):

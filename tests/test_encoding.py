@@ -27,9 +27,8 @@ from tileworks.encoding import (
     encode_pad,
     serialize_compiled,
     splice_blanks,
-    strip_blanks,
 )
-from .oracles import ref_encode_pad, ref_splice
+from .oracles import ref_encode_pad, ref_splice, strip_blanks
 
 DIRS = (Direction.N, Direction.E, Direction.S, Direction.W)
 

@@ -3,22 +3,35 @@ from __future__ import annotations
 import pytest
 
 from tileworks.atam import Direction
-from tileworks.encoding import strip_blanks
 from tileworks.lookup import (
     AddressRangeError,
     EmptyEntryError,
     EntryFormatError,
     SelectionError,
     direct_lookup,
-    mod_select,
     parse_entry,
     render_trace,
     selection_counts,
     trace_lookup,
 )
 
+from .oracles import strip_blanks
 
-def test_mod_select():
+
+def mod_select(bits: str, n: int) -> int:
+    """The selection index p for a drawn bit string: value(bits) mod n."""
+    if n < 1:
+        raise SelectionError("selection requires at least one sub-entry")
+    if bits == "" or any(c not in "01" for c in bits):
+        raise SelectionError(f"not a bit string: {bits!r}")
+    return int(bits, 2) % n
+
+
+def test_mod_select(compiled):
+    cs = compiled["nondet_elbow"]
+    for b in range(2**cs.random_width):
+        bits = format(b, f"0{cs.random_width}b")
+        assert trace_lookup(cs, 1948, bits)[1].selection == mod_select(bits, 2)
     assert mod_select("0000", 2) == 0
     assert mod_select("0101", 2) == 1
     assert mod_select("111", 5) == 2

@@ -8,6 +8,7 @@ from collections import deque
 import pytest
 
 from tileworks import corpus
+from tileworks import macro as macro_module
 from tileworks.atam import Direction, Pad, TileSystem, TileType, WorkbenchError, explore
 from tileworks.blocks import BlockPhase, BlockState, InputKind, MacroAssembly, detect_kind
 from tileworks.encoding import compile_system
@@ -30,6 +31,8 @@ from tileworks.macro import (
     seed_macro,
 )
 from tileworks.verifier import _decode_all
+
+from .oracles import naive_frontier, ref_replay
 
 
 # --- test helpers --------------------------------------------------------
@@ -165,6 +168,19 @@ def test_macro_explore_nondet_terminals(compiled):
     assert decoded == src_terms
 
 
+def test_macro_explore_scans_only_the_start_state(compiled, monkeypatch):
+    scanned = []
+
+    def counting(cs, macro):
+        scanned.append(macro)
+        return scan(cs, macro)
+
+    scan = macro_module.macro_frontier
+    monkeypatch.setattr(macro_module, "macro_frontier", counting)
+    result = macro_explore(compiled["sierpinski"], 6)
+    assert scanned == [result.states[result.seed_key]]
+
+
 def test_commit_branches_split_on_entry(compiled):
     cs = compiled["nondet_elbow"]
     result = macro_explore(cs, 6)
@@ -269,12 +285,66 @@ def test_decode_assembly_reports_block(compiled):
     assert "(1, 1)" in str(err.value)
 
 
+def _swapped_branches(systems):
+    """A fresh nondet elbow compile whose address map lists entry 1948's tiles
+    in reverse, so each commit there names the other branch's tile while the
+    table still hands out the pads of the one it selected."""
+    cs = compile_system(systems["nondet_elbow"])
+    entry = cs.addresses[1948]
+    cs.addresses[1948] = dataclasses.replace(entry, tiles=entry.tiles[::-1])
+    return cs
+
+
+@pytest.mark.parametrize(
+    "engine",
+    (lambda cs: run_macro(cs, 0), lambda cs: macro_explore(cs, 6)),
+    ids=("run_macro", "macro_explore"),
+)
+def test_commit_checks_the_block_it_builds(engine, systems):
+    with pytest.raises(RepresentationError) as err:
+        engine(_swapped_branches(systems))
+    assert str(err.value).startswith("block (1, 1): block output pads")
+
+
+def test_decode_block_never_keeps_a_failure(compiled):
+    cs = compiled["elbow"]
+    corner = run_macro(cs, rng_seed=0).final.get((1, 1))
+    bad = dataclasses.replace(corner, committed_tile=cs.source.tile_index("tR"))
+    for _ in range(2):
+        with pytest.raises(RepresentationError):
+            decode_block(bad, cs)
+    assert bad not in cs.block_tiles
+    assert decode_block(corner, cs) == cs.block_tiles[corner]
+    assert "block_tiles" not in repr(cs)
+
+
+# the CLI default of 100000 events would cost about 20 s of tier-1 on counter4
+REPLAYED = (
+    ("counter4", 16000), ("counter3", 8000), ("sierpinski", 6000),
+    ("elbow", None), ("nondet_elbow", None),
+)
+
+
+@pytest.mark.parametrize("name, max_events", REPLAYED)
+@pytest.mark.parametrize("seed", range(3))
+def test_run_replays_as_source_attachments(name, max_events, seed, compiled):
+    cs = compiled[name]
+    run = run_macro(cs, seed, **({} if max_events is None else {"max_events": max_events}))
+    assert run.truncated is False
+    decoded = dict(decode_assembly(run.final, cs).items())
+    assert ref_replay(cs.source, run, decoded) is None
+    if max_events is None:  # a run that stopped by itself decodes to a terminal assembly
+        assert macro_frontier(cs, run.final) == ()
+        assert naive_frontier(cs.source, decoded) == set()
+
+
 # --- reference oracle ----------------------------------------------------
 # `_scan_frontier` and `_rescan_run` are the frontier scan and the run loop
 # that `macro_frontier` and `run_macro` replaced: every step rescans every
 # block and rebuilds the whole assembly, so a run is quadratic in its length.
 # `_reference_explore` is the exploration loop that `macro_explore` replaced:
-# one `_apply_event` per event and, for a commit, per random-bit value.
+# a full frontier scan per state and one `_apply_event` per event and, for a
+# commit, per random-bit value.
 # They are kept here only as the oracle the fast versions are checked against.
 
 
@@ -358,7 +428,7 @@ def _reference_explore(cs, bound):
     while queue:
         key = queue.popleft()
         macro = states[key]
-        for event in macro_frontier(cs, macro):
+        for event in _scan_frontier(cs, macro):
             if (
                 event.kind is EventKind.PAD_ARRIVAL
                 and event.coord not in macro.blocks

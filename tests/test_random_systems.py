@@ -5,9 +5,10 @@ Small tile systems are drawn at random and every answer of `explore`,
 oracles, which share no code with the package's glue tables.  Every system
 that passes the check is compiled: every lookup through the table sweep is
 compared with the direct parse of the entries string and with the
-column-by-column reference sweep, `macro_explore` is compared with the
-per-edge reference loop of `tests/test_macro.py`, and condition 3 of the
-verifier with the closure oracle `ref_dynamics`.
+column-by-column reference sweep, seeded runs are replayed by `ref_replay`,
+`macro_explore` is compared with the per-edge reference loop of
+`tests/test_macro.py`, and condition 3 of the verifier with the closure
+oracle `ref_dynamics`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from tileworks.consistency import replay_witness, verify_locally_consistent
 from tileworks.encoding import CompiledSystem, compile_system
 from tileworks.kernels import E_ADDR_RANGE, sweep
 from tileworks.lookup import AddressRangeError, direct_lookup, parse_entry, trace_lookup
-from tileworks.macro import macro_explore
+from tileworks.macro import ThreeProbeError, decode_assembly, macro_explore, run_macro
 from tileworks.verifier import _decode_all, _dynamics
 
 from .oracles import (
@@ -31,6 +32,7 @@ from .oracles import (
     naive_frontier,
     naive_locally_consistent,
     ref_dynamics,
+    ref_replay,
     ref_sweep,
 )
 from .test_macro import _explore_outcome, _reference_explore, check_breadth_first_edges
@@ -40,6 +42,8 @@ from .test_macro import _explore_outcome, _reference_explore, check_breadth_firs
 MAX_ASSEMBLIES = 300
 # macro states outnumber assemblies by far, so the macro layer stops sooner
 MACRO_BOUND = 4
+# each seeded run stops here, within the bound the consistency check covered
+REPLAY_EVENTS = 300
 
 # strength 2 first: hypothesis favours early choices, and bonds make growth
 _side = st.tuples(st.sampled_from("abc"), st.sampled_from((2, 1, 0))).map(
@@ -113,6 +117,7 @@ def test_random_systems_match_oracles(tas):
 
     cs = compile_system(tas, lc_bound=bound)
     _check_lookups(cs)
+    _check_replays(cs, bound)
     macro_bound = min(bound, MACRO_BOUND)
     got = _explore_outcome(macro_explore, cs, macro_bound)
     assert got == _explore_outcome(_reference_explore, cs, macro_bound)
@@ -125,6 +130,20 @@ def test_random_systems_match_oracles(tas):
         return
     source = explore(tas, macro_bound)
     assert _dynamics(cs, source, macro, decoded) == ref_dynamics(source, macro, decoded)
+
+
+def _check_replays(cs: CompiledSystem, bound: int) -> None:
+    """Seeded runs within the checked bound replay as source attachments, and
+    one that stops by itself decodes to a terminal assembly."""
+    for seed in range(3):
+        try:
+            run = run_macro(cs, seed, max_events=REPLAY_EVENTS, bound=bound)
+        except ThreeProbeError:  # the open three-pad defect
+            continue
+        decoded = dict(decode_assembly(run.final, cs).items())
+        assert ref_replay(cs.source, run, decoded) is None
+        if not run.truncated and len(run.events) < REPLAY_EVENTS:
+            assert naive_frontier(cs.source, decoded) == set()
 
 
 def _check_lookups(cs: CompiledSystem) -> None:
