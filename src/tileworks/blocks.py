@@ -4,8 +4,12 @@ A block is one scaled-up grid cell of the macro simulation.  It moves through
 a fixed lifecycle: collecting input pads, input type detected by the probe,
 committed to a tile type after the table lookup, and finally complete, at
 which point its output pads become visible to the neighbouring blocks.
-A macro state, `MacroAssembly`, is an `Assembly` of block states: the same
-immutable cell map, keyed by its (coordinate, block state) pairs.
+`macro_explore` stores a macro state as a packed key: one character per
+coordinate slot, holding the interned code of the block state there (see
+`macro.MacroStates`).  `MacroAssembly` is that key's materialised view, and
+the form `run_macro`, the frontier and the decoder work on: an `Assembly` of
+block states, the same immutable cell map, keyed by its (coordinate, block
+state) pairs.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from .atam import (
     Pad,
     TileSystem,
     WorkbenchError,
-    direction_order,
 )
 from .blocks import BlockState, seed_block
 from .kernels import TableIndex

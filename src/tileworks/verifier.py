@@ -18,8 +18,10 @@ from .atam import explore
 from .blocks import BlockPhase
 from .encoding import CompiledSystem
 from .macro import (
+    EventKind,
     MacroExplorationResult,
     RepresentationError,
+    _decode_at,
     decode_assembly,
     decode_block,
     macro_explore,
@@ -101,17 +103,37 @@ def _sorted_cells(key: frozenset) -> str:
     return str(sorted(key))
 
 
-def _decode_all(cs: CompiledSystem, macro_result: MacroExplorationResult):
-    """Map every macro state key to the key of its decoded assembly."""
-    return {
-        key: decode_assembly(macro, cs).key for key, macro in macro_result.states.items()
-    }
+def _decode_all(cs: CompiledSystem, macro_result: MacroExplorationResult) -> list:
+    """Every macro state's decoded image, by id, decoded along the edges.
+
+    The start state is decoded whole.  The first edge into a state comes from
+    its parent, whose image is then known; the child's image is the parent's,
+    except after a commit, which adds the one block it committed.  A
+    completion copies the committed fields, so it cannot change the image.
+    Equal images are one frozenset object.
+    """
+    states = macro_result.states
+    start = decode_assembly(states[macro_result.seed_key], cs).key
+    images: list = [None] * len(states)
+    images[macro_result.seed_key] = start
+    interned = {start: start}
+    for parent, child, event in macro_result.edges:
+        if images[child] is not None:
+            continue
+        image = images[parent]
+        if event.kind is EventKind.COMMIT:
+            coord = event.coord
+            tile = _decode_at(cs, coord, states.block(child, coord))
+            image = image | {(coord, tile)}
+            image = interned.setdefault(image, image)
+        images[child] = image
+    return images
 
 
 def _coverage(cs, source_result, macro_result, decoded) -> ConditionReport:
     image = {}
-    for mkey, akey in decoded.items():
-        image.setdefault(akey, mkey)
+    for state_id, akey in enumerate(decoded):
+        image.setdefault(akey, state_id)
     missing = [k for k in source_result.assemblies if k not in image]
     extra = [k for k in image if k not in source_result.assemblies]
     rows = [
@@ -136,7 +158,7 @@ def _coverage(cs, source_result, macro_result, decoded) -> ConditionReport:
             f"{len(extra)} decoded assemblies are not source-producible",
             witness=(
                 f"decoded but not producible: {_sorted_cells(k)} "
-                f"(macro state {len(image[k])} blocks)"
+                f"(macro state {len(macro_result.states[image[k]])} blocks)"
             ),
             rows=tuple(rows),
         )
@@ -173,12 +195,12 @@ def _dynamics(cs, source_result, macro_result, decoded) -> ConditionReport:
     # state owns the bit of its decoded image, if that is a source assembly
     order = list(source_result.assemblies)
     bit = {akey: 1 << i for i, akey in enumerate(order)}
-    src_reach = _reach(order, source_result.edges, bit.__getitem__)
-    mac_reach = _reach(decoded, macro_result.edges, lambda m: bit.get(decoded[m], 0))
+    src_reach = _reach(bit, source_result.edges)
+    mac_reach = _reach([bit.get(akey, 0) for akey in decoded], macro_result.edges)
     followed = dict.fromkeys(order, 0)
-    for mkey, akey in decoded.items():
+    for state_id, akey in enumerate(decoded):
         if akey in followed:
-            followed[akey] |= mac_reach[mkey]
+            followed[akey] |= mac_reach[state_id]
     for akey in order:
         if missing := src_reach[akey] & ~followed[akey]:
             # the fewest tiles, then the first in source exploration order
@@ -201,13 +223,14 @@ def _dynamics(cs, source_result, macro_result, decoded) -> ConditionReport:
     )
 
 
-def _reach(nodes, edges, own) -> dict:
-    """Each node's `own(node)` bits ORed with those of every node it reaches."""
+def _reach(own, edges):
+    """`own`, each node's bits (a dict by source assembly or a list by macro
+    state id), with those of every node it reaches ORed in."""
     # One reverse pass suffices: every path to a node has the same length (a
     # source edge adds one tile; a macro event adds one to the sum, over
     # non-seed blocks, of received pads plus phase steps), so a breadth-first
     # exploration appends every edge into a node before any edge out of it.
-    reach = {node: own(node) for node in nodes}
+    reach = own.copy()
     for edge in reversed(edges):
         reach[edge.parent] |= reach[edge.child]
     return reach

@@ -346,7 +346,7 @@ def _closure(starts, adj: dict) -> set:
     return seen
 
 
-def ref_dynamics(source_result, macro_result, decoded: dict) -> ConditionReport:
+def ref_dynamics(source_result, macro_result, decoded: list) -> ConditionReport:
     """Condition 3 with one breadth-first closure per source assembly on each graph.
 
     Soundness: every macro step decodes to no change or to a source edge.
@@ -373,8 +373,8 @@ def ref_dynamics(source_result, macro_result, decoded: dict) -> ConditionReport:
         src_adj.setdefault(p, []).append(c)
     for edge in macro_result.edges:
         mac_adj.setdefault(edge.parent, []).append(edge.child)
-    for mkey, akey in decoded.items():
-        preimages.setdefault(akey, []).append(mkey)
+    for state_id, akey in enumerate(decoded):
+        preimages.setdefault(akey, []).append(state_id)
     mimicked = 0
     for akey in source_result.assemblies:
         src_reach = _closure((akey,), src_adj)

@@ -18,7 +18,6 @@ from tileworks.encoding import (
     GlueOrdering,
     address_map,
     address_of,
-    build_entries,
     build_table,
     compile_system,
     decode_pad,

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import pickle
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
@@ -57,10 +58,10 @@ def macro_step(cs, macro, event, rng_seed=None):
 
 
 def terminal_macro_keys(cs, result):
-    """States with no enabled events at all (independent of the block bound)."""
-    out = [key for key, macro in result.states.items() if not macro_frontier(cs, macro)]
-    out.sort(key=len)
-    return out
+    """Ids of the states with no enabled events at all (independent of the
+    block bound), fewest blocks first."""
+    out = [(len(m), i) for i, m in result.states.items() if not macro_frontier(cs, m)]
+    return [i for _, i in sorted(out)]
 
 
 def test_detect_kind():
@@ -194,6 +195,19 @@ def test_commit_branches_split_on_entry(compiled):
         state = result.states[ckey].get((1, 1))
         tiles.add(cs.source.tiles[state.committed_tile].name)
     assert tiles == {"tD", "tDp"}
+
+
+def test_macro_explore_memory_at_bound_ten(compiled):
+    # packed keys, shared events and id edges: the frozenset store held 49 MB here
+    cs = compiled["sierpinski"]
+    tracemalloc.start()
+    try:
+        result = macro_explore(cs, 10)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(result.states), len(result.edges)) == (14975, 50400)
+    assert held < 15 * 2**20
 
 
 def test_illegal_events_raise(compiled):
@@ -344,7 +358,7 @@ def test_run_replays_as_source_attachments(name, max_events, seed, compiled):
 # block and rebuilds the whole assembly, so a run is quadratic in its length.
 # `_reference_explore` is the exploration loop that `macro_explore` replaced:
 # a full frontier scan per state and one `_apply_event` per event and, for a
-# commit, per random-bit value.
+# commit, per random-bit value, with states keyed by their frozenset keys.
 # They are kept here only as the oracle the fast versions are checked against.
 
 
@@ -528,16 +542,23 @@ def check_breadth_first_edges(nodes, edges):
 
 
 def _explore_outcome(explore, cs, bound):
-    """An exploration's state keys, edges and truncation, or what it raised."""
+    """An exploration's states, edges and truncation, or what it raised.
+
+    States are named by the frozenset keys of their materialised
+    `MacroAssembly`s, whatever the exploration keys them by.
+    """
     try:
         result = explore(cs, bound)
     except WorkbenchError as exc:
         return type(exc), str(exc)
+    name = {}
     for key, macro in result.states.items():
-        assert key == macro.key == frozenset(macro.blocks.items())
+        assert macro.key == frozenset(macro.blocks.items())
+        name[key] = macro.key
+    assert len(set(name.values())) == len(name)
     check_breadth_first_edges(result.states, result.edges)
-    edges = [(e.parent, e.child, e.event) for e in result.edges]
-    return list(result.states), edges, result.truncated, result.seed_key
+    edges = [(name[e.parent], name[e.child], e.event) for e in result.edges]
+    return list(name.values()), edges, result.truncated, name[result.seed_key]
 
 
 def _decode_outcome(decode_all, cs, result):
@@ -563,26 +584,33 @@ def test_macro_explore_matches_reference_loop(name, bound, systems, lone_seed):
         assert got[0] is ThreeProbeError
         return
     result = macro_explore(cs, bound)
+    assert list(result.states) == list(range(len(result.states)))
     assert all(isinstance(m, MacroAssembly) for m in result.states.values())
+    # the edge walk against a whole decode of every materialised state
     expected = _decode_outcome(
-        lambda cs, r: {k: decode_assembly(m, cs).key for k, m in r.states.items()},
-        cs,
-        result,
+        lambda cs, r: [decode_assembly(m, cs).key for m in r.states.values()], cs, result
     )
-    assert _decode_outcome(_decode_all, cs, result) == expected
+    got = _decode_outcome(_decode_all, cs, result)
+    assert got == expected
+    if isinstance(got, list):  # equal images are one object
+        assert len({id(image) for image in got}) == len(set(got))
 
 
 def test_decode_all_reports_the_first_bad_block(compiled):
     cs = compiled["elbow"]
     result = macro_explore(cs, 6)
     tile = cs.source.tile_index("tR")
-    for key, macro in list(result.states.items()):
-        for coord, state in macro.blocks.items():
-            if state.committed_tile == cs.source.tile_index("tD"):
-                bad = dataclasses.replace(state, committed_tile=tile)
-                result.states[key] = macro.with_block(coord, bad)
+    # corrupt the interned committed tD block, which every state holding it shares
+    alphabet = result.states.alphabet
+    (code,) = [
+        i for i, state in enumerate(alphabet)
+        if state is not None
+        and state.phase is BlockPhase.COMMITTED
+        and state.committed_tile == cs.source.tile_index("tD")
+    ]
+    alphabet[code] = dataclasses.replace(alphabet[code], committed_tile=tile)
     with pytest.raises(RepresentationError) as want:
-        {k: decode_assembly(m, cs) for k, m in result.states.items()}
+        [decode_assembly(m, cs) for m in result.states.values()]
     with pytest.raises(RepresentationError) as got:
         _decode_all(cs, result)
     assert str(got.value) == str(want.value)

@@ -114,6 +114,28 @@ def test_suppressed_branch_fails_overall_report(systems):
     assert report.to_text().rstrip().endswith("overall: FAIL")
 
 
+def test_coverage_names_a_decode_the_source_never_produced(compiled):
+    # the source explored one tile short of the macro, so the four-tile
+    # decodes are extra; the witness is the smallest, first in macro state
+    # order, with the block count of the first state decoding to it
+    cs = compiled["sierpinski"]
+    macro = macro_explore(cs, 4)
+    decoded = verifier._decode_all(cs, macro)
+    report = verifier._coverage(cs, explore(cs.source, 3), macro, decoded)
+    assert report == verifier.ConditionReport(
+        "block coverage",
+        False,
+        "5 decoded assemblies are not source-producible",
+        witness=(
+            "decoded but not producible: [((0, 0), 0), ((0, 1), 2), ((1, 0), 1), "
+            "((2, 0), 1)] (macro state 4 blocks)"
+        ),
+        rows=("source assemblies: 6, macro states: 97, distinct decoded images: 11",),
+    )
+    first = decoded.index(frozenset({((0, 0), 0), ((0, 1), 2), ((1, 0), 1), ((2, 0), 1)}))
+    assert len(macro.states.packed[first]) != 4  # an empty slot sits inside its key
+
+
 def test_dynamics_soundness_flags_impossible_jump():
     # white box: feed the checker a macro step whose decode jumps to an
     # assembly the source cannot reach in one attachment
@@ -127,13 +149,13 @@ def test_dynamics_soundness_flags_impossible_jump():
     macro = SimpleNamespace(
         edges=(
             SimpleNamespace(
-                parent="m0",
-                child="m1",
+                parent=0,
+                child=1,
                 event=SimpleNamespace(describe=lambda: "synthetic step"),
             ),
         ),
     )
-    decoded = {"m0": a, "m1": c}
+    decoded = [a, c]
     report = verifier._dynamics(None, source, macro, decoded)
     assert not report.passed
     assert "synthetic step" in report.witness
@@ -181,7 +203,7 @@ def test_dynamics_witness_tie_break(first):
         edges=tuple(SimpleNamespace(parent=a, child=k) for k in later),
     )
     macro = SimpleNamespace(edges=())
-    decoded = {"m0": a}
+    decoded = [a]
     report = verifier._dynamics(None, source, macro, decoded)
     assert report == ref_dynamics(source, macro, decoded)
     assert report.witness.endswith(f"a decode of {sorted(later[0])}")
