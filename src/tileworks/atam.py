@@ -14,10 +14,12 @@ always seeded with a single designated tile at the origin.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping, NamedTuple
+from functools import cached_property
+from operator import itemgetter
+from typing import Iterator, NamedTuple
 
 TEMPERATURE = 2
 
@@ -278,25 +280,14 @@ def seed_assembly(tas: TileSystem) -> Assembly:
     return Assembly({(0, 0): tas.seed})
 
 
-def _bond(match, cells: Mapping[Coord, int], pos: Coord, tile: int) -> int:
-    """Total strength `tile` would bind with at `pos`."""
-    x, y = pos
-    strength = 0
-    for k, (dx, dy) in enumerate(OFFSETS):
-        other = cells.get((x + dx, y + dy))
-        if other is not None:
-            strength += match[k][other].get(tile, 0)
-    return strength
+def around(coord: Coord) -> tuple[Coord, ...]:
+    """`coord` and its four neighbours, in N, E, S, W order."""
+    x, y = coord
+    return (coord, (x, y + 1), (x + 1, y), (x, y - 1), (x - 1, y))
 
 
-def binding_strength(tas: TileSystem, asm: Assembly, pos: Coord, tile: int) -> int:
-    """Total matching glue strength `tile` would bind with at `pos`."""
-    if pos in asm:
-        raise OccupiedPositionError(f"position {pos} already holds a tile")
-    return _bond(tas.glue_tables.match, asm._cells, pos, tile)
-
-
-def _frontier_at(match, cells: Mapping[Coord, int], pos: Coord) -> list[tuple[Coord, int]]:
+def _bonds_at(match, cells: Mapping[Coord, int], pos: Coord) -> dict[int, int]:
+    """Each tile that bonds at `pos`, with its total strength there."""
     x, y = pos
     totals: dict[int, int] = {}
     for k, (dx, dy) in enumerate(OFFSETS):
@@ -304,29 +295,32 @@ def _frontier_at(match, cells: Mapping[Coord, int], pos: Coord) -> list[tuple[Co
         if other is not None:
             for tile, s in match[k][other].items():
                 totals[tile] = totals.get(tile, 0) + s
-    return [(pos, tile) for tile, s in totals.items() if s >= TEMPERATURE]
+    return totals
+
+
+def binding_strength(tas: TileSystem, asm: Assembly, pos: Coord, tile: int) -> int:
+    """Total matching glue strength `tile` would bind with at `pos`."""
+    if pos in asm:
+        raise OccupiedPositionError(f"position {pos} already holds a tile")
+    return _bonds_at(tas.glue_tables.match, asm._cells, pos).get(tile, 0)
+
+
+def _frontier(match, cells: Mapping[Coord, int], near) -> set[tuple[Coord, int]]:
+    """The (position, tile) pairs that may attach at the empty positions of `near`."""
+    bonds = ((q, _bonds_at(match, cells, q)) for q in set(near) - cells.keys())
+    return {(q, tile) for q, b in bonds for tile, s in b.items() if s >= TEMPERATURE}
 
 
 def frontier(tas: TileSystem, asm: Assembly) -> frozenset[tuple[Coord, int]]:
     """All (position, tile) pairs that may legally attach to `asm`."""
     cells = asm._cells
-    empty = {(x + dx, y + dy) for x, y in cells for dx, dy in OFFSETS} - cells.keys()
-    return frozenset(pt for q in empty for pt in _frontier_at(tas.glue_tables.match, cells, q))
+    near = (q for p in cells for q in around(p))
+    return frozenset(_frontier(tas.glue_tables.match, cells, near))
 
 
 def _front_key(item: tuple[Coord, int]):
     (x, y), tile = item
     return (y, x, tile)
-
-
-def _advance_frontier(match, cells: Mapping[Coord, int], parent_front: frozenset, pos: Coord):
-    # Strengths only grow when a neighbour appears, so surviving pairs stay
-    # valid; only the four positions around the new tile need a fresh look.
-    keep = {pt for pt in parent_front if pt[0] != pos}
-    x, y = pos
-    empty = {(x + dx, y + dy) for dx, dy in OFFSETS} - cells.keys()
-    keep.update(pt for q in empty for pt in _frontier_at(match, cells, q))
-    return frozenset(keep)
 
 
 def attach(tas: TileSystem, asm: Assembly, pos: Coord, tile: int) -> Assembly:
@@ -370,35 +364,199 @@ class AssemblySequence:
         return self._assemblies[-1]
 
 
-@dataclass(frozen=True, slots=True)
-class AttachmentEdge:
-    """One legal attachment between two explored assemblies."""
+class AttachmentEdge(NamedTuple):
+    """One legal attachment, between the ids of the assemblies it leaves and reaches."""
 
-    parent: frozenset
-    child: frozenset
+    parent: int
+    child: int
     pos: Coord
     tile: int
     strength: int
 
 
+class PackedStates(Mapping):
+    """An exploration's states by id, stored packed and materialised on read.
+
+    Each distinct cell value has a code, its index in `alphabet` (code 0 is
+    an empty cell), and each coordinate a slot, its index in `coords`.  A
+    state's packed key, `packed[id]`, holds `chr(code)` for each slot,
+    `'\\0'` where the slot is empty, and no trailing empty slots, so equal
+    states have equal keys.  `states[id]` builds that state as a `view`
+    (`Assembly` or `blocks.MacroAssembly`) and keeps nothing.
+    """
+
+    def __init__(self, packed: list[str], coords: list[Coord], alphabet: list, view: type):
+        self.packed = packed
+        self.coords = coords
+        self.alphabet = alphabet
+        self.view = view
+        self._slots = {coord: s for s, coord in enumerate(coords)}
+
+    def __len__(self) -> int:
+        return len(self.packed)
+
+    def __iter__(self):
+        return iter(range(len(self.packed)))
+
+    def _pairs(self, state_id: int):
+        coords, alphabet = self.coords, self.alphabet
+        key = self.packed[state_id]
+        return ((coords[s], alphabet[ord(ch)]) for s, ch in enumerate(key) if ch != "\0")
+
+    def __getitem__(self, state_id: int) -> Assembly:
+        if not (isinstance(state_id, int) and 0 <= state_id < len(self.packed)):
+            raise KeyError(state_id)
+        return self.view(dict(self._pairs(state_id)))
+
+    def key(self, state_id: int) -> frozenset:
+        """The frozenset key of `self[state_id]`, without building it."""
+        return frozenset(self._pairs(state_id))
+
+    def cell(self, state_id: int, coord: Coord):
+        """The value at `coord` in state `state_id`, read off its packed key."""
+        key = self.packed[state_id]
+        s = self._slots.get(coord, len(key))
+        return self.alphabet[ord(key[s])] if s < len(key) else None
+
+
+class KeyedStates(Mapping):
+    """`PackedStates` keyed by each state's frozenset key, in id order; keys
+    and values are built when read, and the first lookup indexes the keys."""
+
+    def __init__(self, states: PackedStates):
+        self.states = states
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __iter__(self):
+        return map(self.states.key, range(len(self.states)))
+
+    @cached_property
+    def _ids(self) -> dict[frozenset, int]:
+        return {k: i for i, k in enumerate(self)}
+
+    def __contains__(self, key) -> bool:
+        return key in self._ids
+
+    def __getitem__(self, key: frozenset) -> Assembly:
+        return self.states[self._ids[key]]
+
+
 @dataclass
 class ExplorationResult:
-    assemblies: dict[frozenset, Assembly]
+    """`assemblies` is a `KeyedStates` view of `states`; edges and `seed_key` name ids."""
+
+    assemblies: Mapping[frozenset, Assembly]
     edges: tuple[AttachmentEdge, ...]
-    seed_key: frozenset
+    seed_key: int
     truncated: bool
     bound: int
 
-    def terminal_keys(self, tas: TileSystem) -> list[frozenset]:
-        reachable_parents = {e.parent for e in self.edges}
-        out = []
-        for key, asm in self.assemblies.items():
-            if key in reachable_parents:
+    @property
+    def states(self) -> PackedStates:
+        return self.assemblies.states
+
+    def terminal_keys(self, tas: TileSystem) -> list[int]:
+        """Ids of the terminal assemblies, fewest tiles first, then by sorted cells."""
+        out = {}
+        for state_id in set(self.states) - {e.parent for e in self.edges}:
+            asm = self.states[state_id]
+            # a full assembly's expansion may have been cut off by the bound
+            if len(asm) < self.bound or is_terminal(tas, asm):
+                out[state_id] = asm.key
+        return sorted(out, key=lambda i: (len(out[i]), sorted(out[i])))
+
+
+def explore_packed(start: Assembly, bound: int, first, events_at, successors, touched, edge):
+    """Breadth-first closure of the states reachable from `start` within `bound` cells.
+
+    `explore` runs it over tiles and `macro.macro_explore` over block states.
+    Each supplies `first`, the (coordinate, sort key, payload) of every event
+    enabled in `start`; `events_at(cells, coord)`, the (sort key, payload) of
+    every event at `coord`, given the cells at it and its four neighbours;
+    `successors(value, payload)`, the distinct values an event leaves where
+    `value` was (None if empty); `touched(coord, value)`, where events can
+    change when `coord` takes `value`; and `edge(parent, child, payload)`.
+
+    States are packed keys (see `PackedStates`): a child's key is its
+    parent's with one character replaced.  A new child gets its parent's
+    enabled events, redone at the touched coordinates.  Events are computed
+    once per (slot, neighbourhood), and their outcomes once per event.  Once a
+    state holds `bound` cells, its events at empty coordinates are dropped
+    and the exploration is truncated.  A transition that raises stops the
+    exploration.  Returns the states, the edges in order and truncation.
+    """
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
+    coords: list[Coord] = []
+    slots: dict[Coord, int] = {}
+    alphabet: list = [None]
+    codes: dict = {None: 0}
+    # slot -> (slot, getter of the characters at it and its four neighbours,
+    # those characters -> the enabled events there, as front entries)
+    nearby: dict[int, tuple] = {}
+
+    def intern(index: dict, items: list, item) -> int:
+        if item not in index:
+            index[item] = len(items)
+            items.append(item)
+        return index[item]
+
+    def near_of(coord: Coord) -> tuple:
+        s = intern(slots, coords, coord)
+        if s not in nearby:
+            nearby[s] = (s, itemgetter(*[intern(slots, coords, c) for c in around(coord)]), {})
+        return nearby[s]
+
+    def entries_at(s: int, near: tuple[str, ...]) -> list[list]:
+        cells = {c: alphabet[ord(ch)] for c, ch in zip(around(coords[s]), near) if ch != "\0"}
+        return [[k, payload, s, near[0], None] for k, payload in events_at(cells, coords[s])]
+
+    def outcome(s: int, value) -> tuple:
+        """`value`'s character, and the `nearby` entries and slots it touches at slot `s`."""
+        hit = tuple(near_of(c) for c in touched(coords[s], value))
+        return chr(intern(codes, alphabet, value)), hit, tuple(t[0] for t in hit)
+
+    chars = {intern(slots, coords, c): chr(intern(codes, alphabet, v)) for c, v in start.items()}
+    start_key = "".join(chars.get(s, "\0") for s in range(max(chars) + 1))
+    first = [(k, payload, intern(slots, coords, c)) for c, k, payload in first]
+    # enabled events, carried from parent to child and dropped once expanded;
+    # an entry is [sort key, payload, slot, character there, outcomes once applied]
+    fronts = {0: sorted([k, payload, s, chars.get(s, "\0"), None] for k, payload, s in first)}
+    packed = [start_key]
+    ids = {start_key: 0}
+    edges: list = []
+    truncated = False
+    for parent, key in enumerate(packed):
+        front = fronts.pop(parent)
+        full = len(key) - key.count("\0") >= bound
+        for entry in front:
+            if full and entry[3] == "\0":
+                truncated = True
                 continue
-            if len(asm) >= self.bound and not is_terminal(tas, asm):
-                continue  # expansion was cut off by the bound, not by the system
-            out.append(key)
-        return sorted(out, key=lambda k: (len(k), sorted(k)))
+            _, payload, s, here, outs = entry
+            if outs is None:
+                outs = entry[4] = [outcome(s, v) for v in successors(alphabet[ord(here)], payload)]
+            head, tail = key[:s].ljust(s, "\0"), key[s + 1 :]
+            for ch, hit, gone in outs:
+                child_key = head + ch + tail
+                child = ids.get(child_key)
+                if child is None:
+                    child = ids[child_key] = len(packed)
+                    packed.append(child_key)
+                    padded = child_key.ljust(len(coords), "\0")
+                    events = [e for e in front if e[2] not in gone]
+                    for t, getter, memo in hit:
+                        near = getter(padded)
+                        found = memo.get(near)
+                        if found is None:
+                            found = memo[near] = entries_at(t, near)
+                        events += found
+                    events.sort()
+                    fronts[child] = events
+                edges.append(edge(parent, child, payload))
+    return PackedStates(packed, coords, alphabet, type(start)), edges, truncated
 
 
 def explore(tas: TileSystem, bound: int) -> ExplorationResult:
@@ -407,34 +565,22 @@ def explore(tas: TileSystem, bound: int) -> ExplorationResult:
     `truncated` is set when some assembly at the bound still had a nonempty
     frontier, i.e. the producible set continues past what was enumerated.
     """
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
-    match = tas.glue_tables.match
+
+    def events_at(cells: Mapping[Coord, int], pos: Coord) -> list[tuple]:
+        """Each attachment at `pos` as ((y, x, tile), (pos, tile, strength))."""
+        x, y = pos
+        bonds = () if pos in cells else _bonds_at(tas.glue_tables.match, cells, pos).items()
+        return [((y, x, tile), (pos, tile, s)) for tile, s in bonds if s >= TEMPERATURE]
+
     seed = seed_assembly(tas)
-    assemblies: dict[frozenset, Assembly] = {seed.key: seed}
-    # frontiers are dropped once expanded, so only the queue's stay alive
-    fronts: dict[frozenset, frozenset] = {seed.key: frontier(tas, seed)}
-    edges: list[AttachmentEdge] = []
-    queue: deque[frozenset] = deque([seed.key])
-    truncated = False
-    while queue:
-        key = queue.popleft()
-        cells = assemblies[key]._cells
-        front = fronts.pop(key)
-        if len(cells) >= bound:
-            truncated = truncated or bool(front)
-            continue
-        for pos, tile in sorted(front, key=_front_key):
-            strength = _bond(match, cells, pos, tile)
-            ckey = key | {(pos, tile)}
-            if ckey not in assemblies:
-                child = dict(cells)
-                child[pos] = tile
-                assemblies[ckey] = Assembly._trusted(child, ckey)
-                fronts[ckey] = _advance_frontier(match, child, front, pos)
-                queue.append(ckey)
-            edges.append(AttachmentEdge(key, ckey, pos, tile, strength))
-    return ExplorationResult(assemblies, tuple(edges), seed.key, truncated, bound)
+    first = [(c, *ev) for c in around((0, 0)) for ev in events_at(seed._cells, c)]
+    states, edges, truncated = explore_packed(
+        seed, bound, first, events_at,
+        lambda _, attachment: (attachment[1],),  # the attached tile
+        lambda pos, _: around(pos),
+        lambda parent, child, attachment: AttachmentEdge(parent, child, *attachment),
+    )
+    return ExplorationResult(KeyedStates(states), tuple(edges), 0, truncated, bound)
 
 
 def sample_sequence(tas: TileSystem, rng_seed: int, max_steps: int) -> AssemblySequence:
@@ -449,5 +595,7 @@ def sample_sequence(tas: TileSystem, rng_seed: int, max_steps: int) -> AssemblyS
         pos, tile = ordered[rng.randrange(len(ordered))]
         steps.append((pos, tile))
         cells[pos] = tile
-        front = _advance_frontier(match, cells, front, pos)
+        # strengths only grow when a neighbour appears, so surviving pairs
+        # stay valid; only the empty neighbours of the new tile need a look
+        front = {pt for pt in front if pt[0] != pos} | _frontier(match, cells, around(pos))
     return AssemblySequence(tas, tuple(steps))

@@ -6,7 +6,7 @@ committed to a tile type after the table lookup, and finally complete, at
 which point its output pads become visible to the neighbouring blocks.
 `macro_explore` stores a macro state as a packed key: one character per
 coordinate slot, holding the interned code of the block state there (see
-`macro.MacroStates`).  `MacroAssembly` is that key's materialised view, and
+`atam.PackedStates`).  `MacroAssembly` is that key's materialised view, and
 the form `run_macro`, the frontier and the decoder work on: an `Assembly` of
 block states, the same immutable cell map, keyed by its (coordinate, block
 state) pairs.
@@ -62,7 +62,8 @@ class BlockState:
     output_pads: tuple[Pad, ...] = ()
 
     def __hash__(self) -> int:
-        # the dataclass hash, computed once: macro keys rehash the same few states
+        # the dataclass hash, computed once: `cs.block_tiles` and the transition
+        # memo of `macro_explore` look the same few states up again and again
         try:
             return self.__dict__["_hash"]
         except KeyError:

@@ -56,10 +56,22 @@ def _compile(args, tas: TileSystem) -> CompiledSystem:
         ) from exc
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _add_compile_options(parser: argparse.ArgumentParser, with_bits: bool = True) -> None:
     parser.add_argument(
         "--cprime",
-        type=int,
+        type=_at_least(0),
         default=None,
         metavar="N",
         help="spacer zeros between the two pad fields of an edge (default: pad width)",
@@ -80,7 +92,7 @@ def _add_compile_options(parser: argparse.ArgumentParser, with_bits: bool = True
     )
     parser.add_argument(
         "--lc-bound",
-        type=int,
+        type=_at_least(1),
         default=12,
         metavar="N",
         help="assembly size bound for the consistency precheck (default: 12)",
@@ -120,8 +132,8 @@ def _cmd_explore(args) -> int:
     print(f"attachments: {len(result.edges)}")
     print(f"terminal assemblies: {len(terminals)}")
     print(f"truncated at bound {args.bound}: {'yes' if result.truncated else 'no'}")
-    for key in terminals:
-        asm = result.assemblies[key]
+    for state_id in terminals:
+        asm = result.states[state_id]
         cells = ", ".join(
             f"{tas.tiles[t].name}@{pos}" for pos, t in asm.sorted_items()
         )
@@ -236,10 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, default=100, help="attachment cap (default: 100)")
 
     p = add("explore", _cmd_explore, "enumerate producible assemblies up to a bound")
-    p.add_argument("--bound", type=int, default=8, help="max assembly size (default: 8)")
+    p.add_argument("--bound", type=_at_least(1), default=8, help="max assembly size (default: 8)")
 
     p = add("check-lc", _cmd_check_lc, "check membership in the locally consistent class")
-    p.add_argument("--bound", type=int, default=25, help="exploration bound (default: 25)")
+    p.add_argument(
+        "--bound", type=_at_least(1), default=25, help="exploration bound (default: 25)"
+    )
 
     p = add("compile", _cmd_compile, "encode a system into its lookup-table artifact")
     p.add_argument("--out", default=None, metavar="PATH", help="artifact path (default: stdout)")
@@ -266,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_compile_options(p)
 
     p = add("verify", _cmd_verify, "check the three simulation conditions")
-    p.add_argument("--bound", type=int, default=6, help="exploration bound (default: 6)")
+    p.add_argument("--bound", type=_at_least(1), default=6, help="exploration bound (default: 6)")
     p.add_argument("--report", default=None, metavar="PATH", help="also write the report here")
     _add_compile_options(p)
 

@@ -97,10 +97,11 @@ def verify_locally_consistent(tas: TileSystem, bound: int) -> Verdict:
     which covers every pair of every producible assembly exactly once.
     """
     result = explore(tas, bound)
+    states = result.states
     clash = tas.glue_tables.clash
     for edge in result.edges:
         if edge.strength != 2:
-            parent = result.assemblies[edge.parent]
+            parent = states[edge.parent]
             witness = Witness(
                 kind="strength-sum",
                 assembly=parent,
@@ -112,11 +113,10 @@ def verify_locally_consistent(tas: TileSystem, bound: int) -> Verdict:
                 ),
             )
             return Verdict(False, witness, result.truncated, _note(bound, result.truncated))
-        child = result.assemblies[edge.child]
         x, y = edge.pos
         for k, (dx, dy) in enumerate(OFFSETS):
-            if child.get((x + dx, y + dy)) in clash[k][edge.tile]:
-                witness = _pair_mismatch(tas, child, edge.pos, DIRECTIONS[k])
+            if states.cell(edge.child, (x + dx, y + dy)) in clash[k][edge.tile]:
+                witness = _pair_mismatch(tas, states[edge.child], edge.pos, DIRECTIONS[k])
                 return Verdict(False, witness, result.truncated, _note(bound, result.truncated))
     return Verdict(True, None, result.truncated, _note(bound, result.truncated))
 

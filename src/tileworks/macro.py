@@ -7,12 +7,11 @@ to a tile by running the table lookup on its input address, and finally
 exposes the committed tile's output pads.  Decoding a block back to a tile is
 defined from the committed phase onward.
 
-`macro_explore` keeps no cells per state.  It interns each distinct block
-state as a small code and gives each coordinate a slot, so a state is a
-packed key with one character per slot, and a child's key is its parent's
-with one character spliced in.  Its `MacroStates` materialise a
-`MacroAssembly` per key only when one is read, and its edges name states by
-id.
+`macro_explore` runs the breadth-first skeleton it shares with
+`atam.explore`, over block states: a state is a packed key with one
+character per coordinate slot, naming that slot's interned block state, and
+its `atam.PackedStates` materialise a `MacroAssembly` only when one is read.
+Its edges name states by id.
 """
 
 from __future__ import annotations
@@ -22,17 +21,18 @@ from bisect import bisect_left, insort
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import IntEnum
-from operator import itemgetter
 from typing import NamedTuple
 
 from .atam import (
     DIRECTIONS,
-    OFFSETS,
     Assembly,
     Coord,
+    PackedStates,
     Pad,
     WorkbenchError,
+    around,
     direction_order,
+    explore_packed,
 )
 from .blocks import (
     BlockPhase,
@@ -135,10 +135,7 @@ def _events_at(
 
 def _touched(coord: Coord, state: BlockState) -> tuple[Coord, ...]:
     """Where events can change when `coord` becomes `state`: its neighbours once complete."""
-    if state.phase is not BlockPhase.COMPLETE:
-        return (coord,)
-    x, y = coord
-    return (coord, *[(x + dx, y + dy) for dx, dy in OFFSETS])
+    return around(coord) if state.phase is BlockPhase.COMPLETE else (coord,)
 
 
 def macro_frontier(cs: CompiledSystem, macro: MacroAssembly) -> tuple[MacroEvent, ...]:
@@ -335,53 +332,9 @@ class MacroEdge(NamedTuple):
     event: MacroEvent
 
 
-class MacroStates(Mapping):
-    """An exploration's states by id, stored packed and materialised on read.
-
-    Each distinct block state has a code, its index in `alphabet` (code 0 is
-    no block), and each coordinate a slot, its index in `coords`.  A state's
-    packed key, `packed[id]`, holds `chr(code)` for each slot, `'\\0'` where
-    the slot is empty, and no trailing empty slots, so equal states have
-    equal keys.  `states[id]` builds that state's `MacroAssembly`, its
-    materialised view, and keeps nothing.
-    """
-
-    def __init__(
-        self, packed: list[str], coords: list[Coord], alphabet: list[BlockState | None]
-    ):
-        self.packed = packed
-        self.coords = coords
-        self.alphabet = alphabet
-        self._slots = {coord: s for s, coord in enumerate(coords)}
-
-    def __len__(self) -> int:
-        return len(self.packed)
-
-    def __iter__(self):
-        return iter(range(len(self.packed)))
-
-    def __getitem__(self, state_id: int) -> MacroAssembly:
-        if not (isinstance(state_id, int) and 0 <= state_id < len(self.packed)):
-            raise KeyError(state_id)
-        coords, alphabet = self.coords, self.alphabet
-        return MacroAssembly(
-            {
-                coords[s]: alphabet[ord(ch)]
-                for s, ch in enumerate(self.packed[state_id])
-                if ch != "\0"
-            }
-        )
-
-    def block(self, state_id: int, coord: Coord) -> BlockState | None:
-        """The block at `coord` in state `state_id`, read off its packed key."""
-        key = self.packed[state_id]
-        s = self._slots.get(coord, len(key))
-        return self.alphabet[ord(key[s])] if s < len(key) else None
-
-
 @dataclass
 class MacroExplorationResult:
-    states: MacroStates
+    states: PackedStates
     edges: tuple[MacroEdge, ...]
     seed_key: int
     truncated: bool
@@ -389,133 +342,35 @@ class MacroExplorationResult:
 
 
 def macro_explore(cs: CompiledSystem, bound: int) -> MacroExplorationResult:
-    """Closure of macro states reachable within `bound` blocks.
+    """Closure of macro states reachable within `bound` blocks, by `atam.explore_packed`.
 
-    Commits branch over every possible random-bit value; a committed block
-    keeps no bits, so commit children collapse to one state per distinct
-    outcome.  States are packed keys (see `MacroStates`): a child's key is
-    its parent's with one character replaced, and no cells are built.  A
-    child seen for the first time gets its parent's enabled events, redone
-    at the `_touched` coordinates.  The events at a coordinate depend only on
-    the codes at it and at its four neighbours, and a block's next states
-    only on its own state and the event's kind and pad, so each is computed
-    once per call; an enabled event then carries its outcomes from state to
-    state.  A transition that raises is not stored: the exploration stops
-    where it first meets it, with that block's coordinate.
+    Commits branch over every random-bit value; a committed block keeps no
+    bits, so commit children collapse to one state per distinct outcome.  A
+    block's next states depend only on its state and the event's kind and
+    pad, so each is computed once per call.
     """
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
-    start = seed_macro(cs)
-    alphabet: list[BlockState | None] = [None]
-    chars: dict[BlockState, str] = {}
-    coords: list[Coord] = []
-    slots: dict[Coord, int] = {}
-    # slot -> (getter of the characters at it and its four neighbours,
-    # those characters -> the enabled events there, as front entries)
-    nearby: dict[int, tuple] = {}
-
-    def char_of(state: BlockState) -> str:
-        ch = chars.get(state)
-        if ch is None:
-            ch = chars[state] = chr(len(alphabet))
-            alphabet.append(state)
-        return ch
-
-    def slot_of(coord: Coord) -> int:
-        s = slots.get(coord)
-        if s is None:
-            s = slots[coord] = len(coords)
-            coords.append(coord)
-        return s
-
-    def touched_slots(coord: Coord, state: BlockState) -> tuple:
-        out = []
-        for c in _touched(coord, state):
-            s = slot_of(c)
-            near = nearby.get(s)
-            if near is None:
-                x, y = c
-                around = [slot_of((x + dx, y + dy)) for dx, dy in OFFSETS]
-                near = nearby[s] = (itemgetter(s, *around), {})
-            out.append((s, *near))
-        return tuple(out)
-
-    def entries_at(s: int, near: tuple[str, ...]) -> list[list]:
-        x, y = coord = coords[s]
-        cells = zip((coord, *((x + dx, y + dy) for dx, dy in OFFSETS)), near)
-        blocks = {c: alphabet[ord(ch)] for c, ch in cells if ch != "\0"}
-        return [[e.sort_key(), e, s, near[0], None] for e in _events_at(cs, blocks, coord)]
-
-    bit_values = [
-        format(b, f"0{cs.random_width}b") for b in range(2**cs.random_width)
-    ]
-    # (character, kind, pad) -> the distinct next states, in bit order for a commit
+    bit_values = [format(b, f"0{cs.random_width}b") for b in range(2**cs.random_width)]
+    # (state, kind, pad) -> the distinct next states, in bit order for a commit
     next_states: dict[tuple, tuple[BlockState, ...]] = {}
 
-    def outcomes(entry: list) -> tuple:
-        """Per next state: its character, and (slot, getter, events memo) and
-        the bare slot of each coordinate it touches."""
-        _, event, _, here, _ = entry
-        rule = (here, event.kind, event.pad)
-        states = next_states.get(rule)
-        if states is None:
-            state = alphabet[ord(here)]
-            if event.kind is EventKind.COMMIT:
-                states = tuple(
-                    dict.fromkeys(
-                        _next_state(cs, state, event, bits=bits) for bits in bit_values
-                    )
-                )
-            else:
-                states = (_next_state(cs, state, event),)
-            next_states[rule] = states
-        out = []
-        for state in states:
-            touched = touched_slots(event.coord, state)
-            out.append((char_of(state), touched, tuple(t[0] for t in touched)))
-        return tuple(out)
+    def successors(state: BlockState | None, event: MacroEvent) -> tuple[BlockState, ...]:
+        rule = (state, event.kind, event.pad)
+        if rule not in next_states:
+            draws = bit_values if event.kind is EventKind.COMMIT else (None,)
+            after = (_next_state(cs, state, event, bits=bits) for bits in draws)
+            next_states[rule] = tuple(dict.fromkeys(after))
+        return next_states[rule]
 
-    slot_of((0, 0))
-    first = [(e, slot_of(e.coord)) for e in macro_frontier(cs, start)]
-    start_key = char_of(start[(0, 0)])
-    padded = start_key.ljust(len(coords), "\0")
-    # enabled events, carried from parent to child and dropped once expanded;
-    # an entry is [sort key, event, slot, character there, outcomes once applied]
-    fronts = {0: [[e.sort_key(), e, s, padded[s], None] for e, s in first]}
-    packed = [start_key]
-    ids = {start_key: 0}
-    edges: list[MacroEdge] = []
-    truncated = False
-    for parent, key in enumerate(packed):
-        front = fronts.pop(parent)
-        full = len(key) - key.count("\0") >= bound
-        for entry in front:
-            if full and entry[3] == "\0":
-                truncated = True  # every event at an empty coordinate is an arrival
-                continue
-            outs = entry[4]
-            if outs is None:
-                outs = entry[4] = outcomes(entry)
-            event, s = entry[1], entry[2]
-            head, tail = key[:s].ljust(s, "\0"), key[s + 1 :]
-            for ch, touched, gone in outs:
-                child_key = head + ch + tail
-                child = ids.get(child_key)
-                if child is None:
-                    child = ids[child_key] = len(packed)
-                    packed.append(child_key)
-                    padded = child_key.ljust(len(coords), "\0")
-                    events = [e for e in front if e[2] not in gone]
-                    for t, near_of, memo in touched:
-                        near = near_of(padded)
-                        found = memo.get(near)
-                        if found is None:
-                            found = memo[near] = entries_at(t, near)
-                        events += found
-                    events.sort()
-                    fronts[child] = events
-                edges.append(MacroEdge(parent, child, event))
-    states = MacroStates(packed, coords, alphabet)
+    start = seed_macro(cs)
+    states, edges, truncated = explore_packed(
+        start,
+        bound,
+        [(e.coord, e.sort_key(), e) for e in macro_frontier(cs, start)],
+        lambda blocks, coord: [(e.sort_key(), e) for e in _events_at(cs, blocks, coord)],
+        successors,
+        _touched,
+        MacroEdge,
+    )
     return MacroExplorationResult(states, tuple(edges), 0, truncated, bound)
 
 

@@ -123,7 +123,7 @@ def _decode_all(cs: CompiledSystem, macro_result: MacroExplorationResult) -> lis
         image = images[parent]
         if event.kind is EventKind.COMMIT:
             coord = event.coord
-            tile = _decode_at(cs, coord, states.block(child, coord))
+            tile = _decode_at(cs, coord, states.cell(child, coord))
             image = image | {(coord, tile)}
             image = interned.setdefault(image, image)
         images[child] = image
@@ -172,11 +172,17 @@ def _coverage(cs, source_result, macro_result, decoded) -> ConditionReport:
 
 
 def _dynamics(cs, source_result, macro_result, decoded) -> ConditionReport:
-    source_edges = {(e.parent, e.child) for e in source_result.edges}
+    order = list(source_result.assemblies)
+    source_edges = {(order[e.parent], order[e.child]) for e in source_result.edges}
 
-    # soundness: each macro step decodes to equality or one legal attachment
-    for edge in macro_result.edges:
-        pa, ca = decoded[edge.parent], decoded[edge.child]
+    # soundness: each macro step decodes to equality or one legal attachment;
+    # `_decode_all` gives a child its parent's image unless the step is a
+    # commit, so only commit steps can change an image
+    commit = EventKind.COMMIT  # read once: enum member lookups are slow per edge
+    for parent, child, event in macro_result.edges:
+        if event.kind is not commit:
+            continue
+        pa, ca = decoded[parent], decoded[child]
         if pa == ca:
             continue
         if (pa, ca) not in source_edges:
@@ -185,7 +191,7 @@ def _dynamics(cs, source_result, macro_result, decoded) -> ConditionReport:
                 False,
                 "a macro step decoded to a jump the source cannot make",
                 witness=(
-                    f"{edge.event.describe()}: decode changed "
+                    f"{event.describe()}: decode changed "
                     f"{_sorted_cells(pa)} -> {_sorted_cells(ca)} "
                     f"with no matching source attachment"
                 ),
@@ -193,16 +199,15 @@ def _dynamics(cs, source_result, macro_result, decoded) -> ConditionReport:
 
     # completeness: one bit per source assembly, in exploration order; a macro
     # state owns the bit of its decoded image, if that is a source assembly
-    order = list(source_result.assemblies)
     bit = {akey: 1 << i for i, akey in enumerate(order)}
-    src_reach = _reach(bit, source_result.edges)
+    src_reach = _reach(list(bit.values()), source_result.edges)
     mac_reach = _reach([bit.get(akey, 0) for akey in decoded], macro_result.edges)
     followed = dict.fromkeys(order, 0)
     for state_id, akey in enumerate(decoded):
         if akey in followed:
             followed[akey] |= mac_reach[state_id]
-    for akey in order:
-        if missing := src_reach[akey] & ~followed[akey]:
+    for akey, reach in zip(order, src_reach):
+        if missing := reach & ~followed[akey]:
             # the fewest tiles, then the first in source exploration order
             target = min((k for i, k in enumerate(order) if missing >> i & 1), key=len)
             return ConditionReport(
@@ -214,7 +219,7 @@ def _dynamics(cs, source_result, macro_result, decoded) -> ConditionReport:
                     f"a decode of {_sorted_cells(target)}"
                 ),
             )
-    mimicked = sum(mask.bit_count() for mask in src_reach.values())
+    mimicked = sum(mask.bit_count() for mask in src_reach)
     return ConditionReport(
         "dynamics",
         True,
@@ -223,9 +228,8 @@ def _dynamics(cs, source_result, macro_result, decoded) -> ConditionReport:
     )
 
 
-def _reach(own, edges):
-    """`own`, each node's bits (a dict by source assembly or a list by macro
-    state id), with those of every node it reaches ORed in."""
+def _reach(own: list[int], edges) -> list[int]:
+    """`own`, each node's bits by id, with those of every node it reaches ORed in."""
     # One reverse pass suffices: every path to a node has the same length (a
     # source edge adds one tile; a macro event adds one to the sum, over
     # non-seed blocks, of received pads plus phase steps), so a breadth-first

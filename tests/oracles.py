@@ -6,9 +6,11 @@ from-scratch neighbour scan for strengths, binomials via math.comb, a
 character-level reference for the pad and splice encoders, and the table
 sweep walked one column at a time, and `ref_replay`, which replays a
 seeded macro run's commits as source attachments in one linear pass.
-`ref_dynamics` is the exception: it is the breadth-first closure per source
-assembly that the verifier's single reverse pass replaced, kept as the
-oracle that pass must match.
+Two are exceptions, each the slow path a fast one replaced, kept as the
+oracle it must match: `ref_explore`, the breadth-first exploration keyed by
+frozensets that `atam.explore`'s packed skeleton replaced, and
+`ref_dynamics`, the breadth-first closure per source assembly that the
+verifier's single reverse pass replaced.
 """
 
 from __future__ import annotations
@@ -16,7 +18,15 @@ from __future__ import annotations
 import math
 from collections import deque
 
-from tileworks.atam import DIRECTIONS, AssemblySequence, TileSystem
+from tileworks.atam import (
+    DIRECTIONS,
+    AssemblySequence,
+    TileSystem,
+    _front_key,
+    binding_strength,
+    frontier,
+    seed_assembly,
+)
 from tileworks.kernels import E_ADDR_RANGE, E_EMPTY_ENTRY, E_MALFORMED, OK, SweepRecord
 from tileworks.macro import EventKind
 from tileworks.verifier import ConditionReport
@@ -331,6 +341,35 @@ def ref_sweep(table: str, addr: int, b: int) -> SweepRecord:
     )
 
 
+def ref_explore(tas: TileSystem, bound: int):
+    """`atam.explore` as it was before the packed skeleton: states keyed by
+    their frozensets, each expanded by its whole frontier.
+
+    Returns the assemblies by key in exploration order, the edges as
+    (parent key, child key, position, tile, strength) and the truncation.
+    """
+    seed = seed_assembly(tas)
+    assemblies = {seed.key: seed}
+    edges = []
+    queue = deque([seed.key])
+    truncated = False
+    while queue:
+        key = queue.popleft()
+        asm = assemblies[key]
+        front = frontier(tas, asm)
+        if len(asm) >= bound:
+            truncated = truncated or bool(front)
+            continue
+        for pos, tile in sorted(front, key=_front_key):
+            strength = binding_strength(tas, asm, pos, tile)
+            ckey = key | {(pos, tile)}
+            if ckey not in assemblies:
+                assemblies[ckey] = asm.with_tile(pos, tile)
+                queue.append(ckey)
+            edges.append((key, ckey, pos, tile, strength))
+    return assemblies, edges, truncated
+
+
 def _cells(key: frozenset) -> str:
     return str(sorted(key))
 
@@ -355,7 +394,8 @@ def ref_dynamics(source_result, macro_result, decoded: list) -> ConditionReport:
     witness target is the unmatched assembly with the fewest tiles, then the
     first in source exploration order.
     """
-    source_edges = {(e.parent, e.child) for e in source_result.edges}
+    keys = list(source_result.assemblies)
+    source_edges = {(keys[e.parent], keys[e.child]) for e in source_result.edges}
     for edge in macro_result.edges:
         pa, ca = decoded[edge.parent], decoded[edge.child]
         if pa != ca and (pa, ca) not in source_edges:

@@ -173,7 +173,8 @@ def test_criterion_08_nondeterminism_fidelity(compiled):
             decode_assembly(result.states[key], cs).key
             for key in terminal_macro_keys(cs, result)
         }
-        source_terminals = set(explore(cs.source, 6).terminal_keys(cs.source))
+        source = explore(cs.source, 6)
+        source_terminals = {source.states.key(i) for i in source.terminal_keys(cs.source)}
         assert len(source_terminals) == 2
         assert decoded_terminals == source_terminals
 

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import tracemalloc
 
 import pytest
 
+from tileworks import corpus
 from tileworks.atam import (
     Assembly,
     AssemblySequence,
@@ -32,7 +34,9 @@ from .oracles import (
     brute_attachments,
     brute_producibles,
     naive_frontier,
+    ref_explore,
 )
+from .test_macro import check_breadth_first_edges
 
 
 def test_side_pad_rejects_inconsistent_null():
@@ -104,14 +108,50 @@ def test_mismatching_glue_contributes_nothing():
     assert asm2[(1, 0)] == 2
 
 
+def keyed_outcome(result):
+    """An exploration's assemblies in order, its edges with their ids replaced
+    by the frozenset keys they name, and its truncation."""
+    keys = list(result.assemblies)
+    edges = [(keys[e.parent], keys[e.child], e.pos, e.tile, e.strength) for e in result.edges]
+    return keys, edges, result.truncated
+
+
+def check_explore_matches_reference(tas, bound):
+    """`explore` equals the frozenset oracle exactly, and its id edges keep
+    the breadth-first order `verifier._reach` relies on."""
+    result = explore(tas, bound)
+    assemblies, edges, truncated = ref_explore(tas, bound)
+    assert keyed_outcome(result) == (list(assemblies), edges, truncated)
+    check_breadth_first_edges(result.states, result.edges)
+    return result
+
+
+@pytest.mark.parametrize("name", sorted(corpus.GENERATORS))
+def test_explore_matches_reference_exploration(systems, name):
+    for bound in range(1, 13):
+        check_explore_matches_reference(systems[name], bound)
+
+
+def test_explore_memory_at_bound_25(systems):
+    # packed keys and id edges: the frozenset store held about 50 MB here
+    tracemalloc.start()
+    try:
+        result = explore(systems["sierpinski"], 25)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(result.assemblies), len(result.edges)) == (9295, 32094)
+    assert held < 15 * 2**20
+
+
 @pytest.mark.parametrize("name,bound", [("elbow", 6), ("nondet_elbow", 6), ("sierpinski", 8)])
 def test_explore_matches_brute_force(systems, name, bound):
     tas = systems[name]
     result = explore(tas, bound)
     assert set(result.assemblies) == brute_producibles(tas, bound)
-    edges = {(e.parent, e.child, e.pos, e.tile, e.strength) for e in result.edges}
-    assert len(edges) == len(result.edges)
-    assert edges == brute_attachments(tas, bound)
+    _, edges, _ = keyed_outcome(result)
+    assert len(set(edges)) == len(edges)
+    assert set(edges) == brute_attachments(tas, bound)
 
 
 def test_elbow_exploration_counts(systems):
@@ -121,7 +161,7 @@ def test_elbow_exploration_counts(systems):
     assert not result.truncated
     terminals = result.terminal_keys(tas)
     assert len(terminals) == 1
-    assert len(result.assemblies[terminals[0]]) == 4
+    assert len(result.states[terminals[0]]) == 4
 
 
 def test_nondet_elbow_exploration_counts(systems):
@@ -130,7 +170,7 @@ def test_nondet_elbow_exploration_counts(systems):
     assert len(result.assemblies) == 6
     terminals = result.terminal_keys(tas)
     assert len(terminals) == 2
-    assert sorted(len(result.assemblies[k]) for k in terminals) == [4, 4]
+    assert sorted(len(result.states[i]) for i in terminals) == [4, 4]
 
 
 def test_explore_truncation_flag(systems):

@@ -35,6 +35,23 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate", "elbow"]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    (
+        ("explore elbow --bound 0", "--bound: must be at least 1, got 0"),
+        ("check-lc elbow --bound 0", "--bound: must be at least 1, got 0"),
+        ("verify elbow --bound 0", "--bound: must be at least 1, got 0"),
+        ("verify elbow --lc-bound 0", "--lc-bound: must be at least 1, got 0"),
+        ("compile elbow --lc-bound -3", "--lc-bound: must be at least 1, got -3"),
+        ("compile elbow --cprime -40", "--cprime: must be at least 0, got -40"),
+        ("explore elbow --bound x", "--bound: invalid int value: 'x'"),
+    ),
+)
+def test_bad_bounds_are_usage_errors(command, message, capsys):
+    assert main(command.split()) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_explore_builtin_name(capsys):
     assert main(["explore", "elbow", "--bound", "6"]) == 0
     out = capsys.readouterr().out

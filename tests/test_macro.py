@@ -165,7 +165,8 @@ def test_macro_explore_nondet_terminals(compiled):
     terms = terminal_macro_keys(cs, result)
     assert len(terms) == 2
     decoded = {decode_assembly(result.states[k], cs).key for k in terms}
-    src_terms = set(explore(cs.source, 6).terminal_keys(cs.source))
+    src = explore(cs.source, 6)
+    src_terms = {src.states.key(i) for i in src.terminal_keys(cs.source)}
     assert decoded == src_terms
 
 

@@ -2,7 +2,8 @@
 
 Small tile systems are drawn at random and every answer of `explore`,
 `frontier` and `verify_locally_consistent` is compared with the brute-force
-oracles, which share no code with the package's glue tables.  Every system
+oracles, which share no code with the package's glue tables; `explore` is
+also compared with the frozenset exploration `ref_explore`.  Every system
 that passes the check is compiled: every lookup through the table sweep is
 compared with the direct parse of the entries string and with the
 column-by-column reference sweep, seeded runs are replayed by `ref_replay`,
@@ -35,7 +36,8 @@ from .oracles import (
     ref_replay,
     ref_sweep,
 )
-from .test_macro import _explore_outcome, _reference_explore, check_breadth_first_edges
+from .test_atam import check_explore_matches_reference, keyed_outcome
+from .test_macro import _explore_outcome, _reference_explore
 
 # Systems whose every tile binds everywhere have millions of assemblies at
 # bound 6; the bound is lowered until the oracles stay cheap.
@@ -80,10 +82,11 @@ def _first_failure(tas: TileSystem, result):
     """The failure the classifier must report: the first edge, in exploration
     order, that binds with strength other than 2 or creates a clash (sides in
     N, E, S, W order), judged by the oracles."""
+    keys = list(result.assemblies)
     for e in result.edges:
         if e.strength != 2:
             return ("strength-sum", e.pos, e.tile, None)
-        cells = dict(e.child)
+        cells = dict(keys[e.child])
         for d in DIRECTIONS:
             if naive_clash(tas, cells, e.pos, d.name):
                 return ("label-mismatch", e.pos, None, d)
@@ -94,13 +97,12 @@ def _first_failure(tas: TileSystem, result):
 @given(tas=_systems())
 def test_random_systems_match_oracles(tas):
     bound = _workable_bound(tas, 6)
-    result = explore(tas, bound)
+    result = check_explore_matches_reference(tas, bound)
 
     assert set(result.assemblies) == brute_producibles(tas, bound)
-    edges = {(e.parent, e.child, e.pos, e.tile, e.strength) for e in result.edges}
-    assert len(edges) == len(result.edges)
-    assert edges == brute_attachments(tas, bound)
-    check_breadth_first_edges(result.assemblies, result.edges)
+    _, edges, _ = keyed_outcome(result)
+    assert len(set(edges)) == len(edges)
+    assert set(edges) == brute_attachments(tas, bound)
     for asm in result.assemblies.values():
         assert frontier(tas, asm) == naive_frontier(tas, dict(asm.items()))
 

@@ -8,7 +8,7 @@ def _terminal_elbow(systems):
     tas = systems["elbow"]
     result = explore(tas, 6)
     (tkey,) = result.terminal_keys(tas)
-    return tas, result.assemblies[tkey]
+    return tas, result.states[tkey]
 
 
 def test_render_is_byte_stable(systems):

@@ -9,7 +9,7 @@ from tileworks import corpus, verifier
 from tileworks.atam import explore
 from tileworks.blocks import BlockPhase, BlockState
 from tileworks.encoding import AddressEntry, build_entries, build_table, compile_system
-from tileworks.macro import macro_explore
+from tileworks.macro import EventKind, MacroEdge, macro_explore
 from tileworks.verifier import check_seed_representation, simulation_report
 
 from .oracles import ref_dynamics
@@ -144,17 +144,10 @@ def test_dynamics_soundness_flags_impossible_jump():
     c = frozenset({((0, 0), 0), ((0, 1), 2)})
     source = SimpleNamespace(
         assemblies={a: None, b: None},
-        edges=(SimpleNamespace(parent=a, child=b),),
+        edges=(SimpleNamespace(parent=0, child=1),),
     )
-    macro = SimpleNamespace(
-        edges=(
-            SimpleNamespace(
-                parent=0,
-                child=1,
-                event=SimpleNamespace(describe=lambda: "synthetic step"),
-            ),
-        ),
-    )
+    event = SimpleNamespace(kind=EventKind.COMMIT, describe=lambda: "synthetic step")
+    macro = SimpleNamespace(edges=(MacroEdge(0, 1, event),))
     decoded = [a, c]
     report = verifier._dynamics(None, source, macro, decoded)
     assert not report.passed
@@ -200,7 +193,7 @@ def test_dynamics_witness_tie_break(first):
     later = (b, c) if first == 0 else (c, b)
     source = SimpleNamespace(
         assemblies=dict.fromkeys((a, *later)),
-        edges=tuple(SimpleNamespace(parent=a, child=k) for k in later),
+        edges=tuple(SimpleNamespace(parent=0, child=i) for i in (1, 2)),
     )
     macro = SimpleNamespace(edges=())
     decoded = [a]
