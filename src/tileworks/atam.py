@@ -365,13 +365,20 @@ class AssemblySequence:
 
 
 class AttachmentEdge(NamedTuple):
-    """One legal attachment, between the ids of the assemblies it leaves and reaches."""
+    """One legal attachment, between the ids of the assemblies it leaves and reaches.
+
+    `strength` is the total strength the tile binds with, and `clash` the
+    first side k (as in DIRECTIONS, N, E, S, W) where it disagrees with its
+    neighbour in the child (see `GlueTables`), or None.  Both are computed
+    when the attachment is, once per distinct neighbourhood.
+    """
 
     parent: int
     child: int
     pos: Coord
     tile: int
     strength: int
+    clash: int | None = None
 
 
 class PackedStates(Mapping):
@@ -477,7 +484,8 @@ def explore_packed(start: Assembly, bound: int, first, events_at, successors, to
     every event at `coord`, given the cells at it and its four neighbours;
     `successors(value, payload)`, the distinct values an event leaves where
     `value` was (None if empty); `touched(coord, value)`, where events can
-    change when `coord` takes `value`; and `edge(parent, child, payload)`.
+    change when `coord` takes `value`; and `edge`, a `NamedTuple` type whose
+    fields are the parent id, the child id and then the payload's items.
 
     States are packed keys (see `PackedStates`): a child's key is its
     parent's with one character replaced.  A new child gets its parent's
@@ -527,6 +535,8 @@ def explore_packed(start: Assembly, bound: int, first, events_at, successors, to
     packed = [start_key]
     ids = {start_key: 0}
     edges: list = []
+    # builds an `edge` from its fields without a Python-level call per edge
+    new_edge = tuple.__new__
     truncated = False
     for parent, key in enumerate(packed):
         front = fronts.pop(parent)
@@ -555,7 +565,7 @@ def explore_packed(start: Assembly, bound: int, first, events_at, successors, to
                         events += found
                     events.sort()
                     fronts[child] = events
-                edges.append(edge(parent, child, payload))
+                edges.append(new_edge(edge, (parent, child, *payload)))
     return PackedStates(packed, coords, alphabet, type(start)), edges, truncated
 
 
@@ -566,11 +576,24 @@ def explore(tas: TileSystem, bound: int) -> ExplorationResult:
     frontier, i.e. the producible set continues past what was enumerated.
     """
 
-    def events_at(cells: Mapping[Coord, int], pos: Coord) -> list[tuple]:
-        """Each attachment at `pos` as ((y, x, tile), (pos, tile, strength))."""
+    match, clash = tas.glue_tables
+
+    def first_clash(cells: Mapping[Coord, int], pos: Coord, tile: int) -> int | None:
         x, y = pos
-        bonds = () if pos in cells else _bonds_at(tas.glue_tables.match, cells, pos).items()
-        return [((y, x, tile), (pos, tile, s)) for tile, s in bonds if s >= TEMPERATURE]
+        for k, (dx, dy) in enumerate(OFFSETS):
+            if cells.get((x + dx, y + dy)) in clash[k][tile]:
+                return k
+        return None
+
+    def events_at(cells: Mapping[Coord, int], pos: Coord) -> list[tuple]:
+        """Each attachment at `pos` as ((y, x, tile), (pos, tile, strength, clash))."""
+        x, y = pos
+        bonds = () if pos in cells else _bonds_at(match, cells, pos).items()
+        return [
+            ((y, x, tile), (pos, tile, s, first_clash(cells, pos, tile)))
+            for tile, s in bonds
+            if s >= TEMPERATURE
+        ]
 
     seed = seed_assembly(tas)
     first = [(c, *ev) for c in around((0, 0)) for ev in events_at(seed._cells, c)]
@@ -578,7 +601,7 @@ def explore(tas: TileSystem, bound: int) -> ExplorationResult:
         seed, bound, first, events_at,
         lambda _, attachment: (attachment[1],),  # the attached tile
         lambda pos, _: around(pos),
-        lambda parent, child, attachment: AttachmentEdge(parent, child, *attachment),
+        AttachmentEdge,
     )
     return ExplorationResult(KeyedStates(states), tuple(edges), 0, truncated, bound)
 

@@ -80,10 +80,12 @@ def _add_compile_options(parser: argparse.ArgumentParser, with_bits: bool = True
         parser.add_argument(
             "--bits",
             dest="bits_width",
-            type=int,
+            type=_at_least(1),
             default=None,
             metavar="N",
-            help="random bits drawn per probe (default: derived from entry multiplicity)",
+            help="random bits drawn per probe (default: derived from entry multiplicity); "
+            "verify branches over all 2**N values, so its time and memory double with "
+            "each extra bit",
         )
     parser.add_argument(
         "--force",
@@ -245,7 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("run", _cmd_run, "grow one random attachment sequence")
     p.add_argument("--seed", type=int, default=0, help="rng seed (default: 0)")
-    p.add_argument("--max-steps", type=int, default=100, help="attachment cap (default: 100)")
+    p.add_argument(
+        "--max-steps", type=_at_least(0), default=100, help="attachment cap (default: 100)"
+    )
 
     p = add("explore", _cmd_explore, "enumerate producible assemblies up to a bound")
     p.add_argument("--bound", type=_at_least(1), default=8, help="max assembly size (default: 8)")
@@ -264,19 +268,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", required=True, help="random bit string, e.g. 0110")
     p.add_argument("--trace", action="store_true", help="print the column-level sweep")
     p.add_argument(
-        "--limit", type=int, default=None, metavar="N",
+        "--limit", type=_at_least(0), default=None, metavar="N",
         help="cap trace output at N columns",
     )
     _add_compile_options(p, with_bits=False)
 
     p = add("simulate", _cmd_simulate, "run the block-level simulation")
     p.add_argument("--seed", type=int, default=0, help="rng seed (default: 0)")
-    p.add_argument("--bound", type=int, default=None, help="max block count (default: none)")
     p.add_argument(
-        "--max-events", type=int, default=100_000, help="event cap (default: 100000)"
+        "--bound", type=_at_least(1), default=None, help="max block count (default: none)"
+    )
+    p.add_argument(
+        "--max-events", type=_at_least(0), default=100_000, help="event cap (default: 100000)"
     )
     p.add_argument("--svg", default=None, metavar="PATH", help="write the decoded assembly as SVG")
-    p.add_argument("--scale", type=int, default=48, help="SVG pixels per cell (default: 48)")
+    p.add_argument(
+        "--scale", type=_at_least(1), default=48, help="SVG pixels per cell (default: 48)"
+    )
     _add_compile_options(p)
 
     p = add("verify", _cmd_verify, "check the three simulation conditions")
@@ -287,8 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("render", _cmd_render, "draw one sampled assembly as SVG")
     p.add_argument("--svg", required=True, metavar="PATH", help="output path")
     p.add_argument("--seed", type=int, default=0, help="rng seed (default: 0)")
-    p.add_argument("--max-steps", type=int, default=100, help="attachment cap (default: 100)")
-    p.add_argument("--scale", type=int, default=48, help="SVG pixels per cell (default: 48)")
+    p.add_argument(
+        "--max-steps", type=_at_least(0), default=100, help="attachment cap (default: 100)"
+    )
+    p.add_argument(
+        "--scale", type=_at_least(1), default=48, help="SVG pixels per cell (default: 48)"
+    )
 
     return parser
 

@@ -9,8 +9,10 @@ A system is locally consistent when, over everything it can produce:
    labels and equal strengths.
 
 Both conditions are checked over a bounded exploration of the producible
-set, so a passing verdict is always relative to the bound and carries a
-coverage note.
+set, once per distinct attachment, on the strength and the clashing side
+that the exploration records on each edge when it computes the attachment.
+A passing verdict is always relative to the bound and carries a coverage
+note.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 
 from .atam import (
     DIRECTIONS,
-    OFFSETS,
     Assembly,
     Coord,
     Direction,
@@ -92,33 +93,33 @@ def replay_witness(tas: TileSystem, witness: Witness) -> bool:
 def verify_locally_consistent(tas: TileSystem, bound: int) -> Verdict:
     """Check both conditions over every attachment reachable within `bound` tiles.
 
-    Condition 1 is checked at each exploration edge (the strength recorded at
-    attachment time); condition 2 on the abutting pairs that edge creates,
-    which covers every pair of every producible assembly exactly once.
+    Both are checked once per distinct attachment, on what `explore` records
+    on each edge when it computes the attachment: condition 1 on the strength,
+    condition 2 on the first side where the new tile clashes with a
+    neighbour.  The pairs an edge creates are those around its tile, so this
+    covers every pair of every producible assembly.
     """
     result = explore(tas, bound)
-    states = result.states
-    clash = tas.glue_tables.clash
-    for edge in result.edges:
-        if edge.strength != 2:
-            parent = states[edge.parent]
-            witness = Witness(
-                kind="strength-sum",
-                assembly=parent,
-                pos=edge.pos,
-                tile=edge.tile,
-                detail=(
-                    f"tile {tas.tiles[edge.tile].name} attaches at {edge.pos} "
-                    f"with strength {edge.strength}, not 2"
-                ),
-            )
-            return Verdict(False, witness, result.truncated, _note(bound, result.truncated))
-        x, y = edge.pos
-        for k, (dx, dy) in enumerate(OFFSETS):
-            if states.cell(edge.child, (x + dx, y + dy)) in clash[k][edge.tile]:
-                witness = _pair_mismatch(tas, states[edge.child], edge.pos, DIRECTIONS[k])
-                return Verdict(False, witness, result.truncated, _note(bound, result.truncated))
-    return Verdict(True, None, result.truncated, _note(bound, result.truncated))
+    note = _note(bound, result.truncated)
+    edge = next((e for e in result.edges if e.strength != 2 or e.clash is not None), None)
+    if edge is None:
+        return Verdict(True, None, result.truncated, note)
+    if edge.strength != 2:
+        witness = Witness(
+            kind="strength-sum",
+            assembly=result.states[edge.parent],
+            pos=edge.pos,
+            tile=edge.tile,
+            detail=(
+                f"tile {tas.tiles[edge.tile].name} attaches at {edge.pos} "
+                f"with strength {edge.strength}, not 2"
+            ),
+        )
+    else:
+        witness = _pair_mismatch(
+            tas, result.states[edge.child], edge.pos, DIRECTIONS[edge.clash]
+        )
+    return Verdict(False, witness, result.truncated, note)
 
 
 def _note(bound: int, truncated: bool) -> str:

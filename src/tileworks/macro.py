@@ -353,7 +353,8 @@ def macro_explore(cs: CompiledSystem, bound: int) -> MacroExplorationResult:
     # (state, kind, pad) -> the distinct next states, in bit order for a commit
     next_states: dict[tuple, tuple[BlockState, ...]] = {}
 
-    def successors(state: BlockState | None, event: MacroEvent) -> tuple[BlockState, ...]:
+    def successors(state: BlockState | None, payload: tuple[MacroEvent]) -> tuple:
+        (event,) = payload
         rule = (state, event.kind, event.pad)
         if rule not in next_states:
             draws = bit_values if event.kind is EventKind.COMMIT else (None,)
@@ -362,11 +363,12 @@ def macro_explore(cs: CompiledSystem, bound: int) -> MacroExplorationResult:
         return next_states[rule]
 
     start = seed_macro(cs)
+    # each payload is a `MacroEdge`'s tail: the event
     states, edges, truncated = explore_packed(
         start,
         bound,
-        [(e.coord, e.sort_key(), e) for e in macro_frontier(cs, start)],
-        lambda blocks, coord: [(e.sort_key(), e) for e in _events_at(cs, blocks, coord)],
+        [(e.coord, e.sort_key(), (e,)) for e in macro_frontier(cs, start)],
+        lambda blocks, coord: [(e.sort_key(), (e,)) for e in _events_at(cs, blocks, coord)],
         successors,
         _touched,
         MacroEdge,

@@ -6,11 +6,13 @@ from-scratch neighbour scan for strengths, binomials via math.comb, a
 character-level reference for the pad and splice encoders, and the table
 sweep walked one column at a time, and `ref_replay`, which replays a
 seeded macro run's commits as source attachments in one linear pass.
-Two are exceptions, each the slow path a fast one replaced, kept as the
+Three are exceptions, each the slow path a fast one replaced, kept as the
 oracle it must match: `ref_explore`, the breadth-first exploration keyed by
-frozensets that `atam.explore`'s packed skeleton replaced, and
-`ref_dynamics`, the breadth-first closure per source assembly that the
-verifier's single reverse pass replaced.
+frozensets that `atam.explore`'s packed skeleton replaced,
+`ref_locally_consistent`, the per-edge neighbour scan that the clash side
+recorded on each `AttachmentEdge` replaced, and `ref_dynamics`, the
+breadth-first closure per source assembly that the verifier's single
+reverse pass replaced.
 """
 
 from __future__ import annotations
@@ -20,13 +22,16 @@ from collections import deque
 
 from tileworks.atam import (
     DIRECTIONS,
+    OFFSETS,
     AssemblySequence,
     TileSystem,
     _front_key,
     binding_strength,
+    explore,
     frontier,
     seed_assembly,
 )
+from tileworks.consistency import Verdict, Witness, _note, _pair_mismatch
 from tileworks.kernels import E_ADDR_RANGE, E_EMPTY_ENTRY, E_MALFORMED, OK, SweepRecord
 from tileworks.macro import EventKind
 from tileworks.verifier import ConditionReport
@@ -368,6 +373,43 @@ def ref_explore(tas: TileSystem, bound: int):
                 queue.append(ckey)
             edges.append((key, ckey, pos, tile, strength))
     return assemblies, edges, truncated
+
+
+def ref_locally_consistent(tas: TileSystem, bound: int) -> Verdict:
+    """`consistency.verify_locally_consistent` as it was before the clash side
+    was recorded on each edge: condition 1 on each edge's strength, condition 2
+    by reading the child's four neighbours of the new tile off the store.
+    """
+    result = explore(tas, bound)
+    states = result.states
+    clash = tas.glue_tables.clash
+    note = _note(bound, result.truncated)
+    for edge in result.edges:
+        if edge.strength != 2:
+            witness = Witness(
+                kind="strength-sum",
+                assembly=states[edge.parent],
+                pos=edge.pos,
+                tile=edge.tile,
+                detail=(
+                    f"tile {tas.tiles[edge.tile].name} attaches at {edge.pos} "
+                    f"with strength {edge.strength}, not 2"
+                ),
+            )
+            return Verdict(False, witness, result.truncated, note)
+        x, y = edge.pos
+        for k, (dx, dy) in enumerate(OFFSETS):
+            if states.cell(edge.child, (x + dx, y + dy)) in clash[k][edge.tile]:
+                witness = _pair_mismatch(tas, states[edge.child], edge.pos, DIRECTIONS[k])
+                return Verdict(False, witness, result.truncated, note)
+    return Verdict(True, None, result.truncated, note)
+
+
+def first_clash_side(tas: TileSystem, cells: dict, pos: tuple) -> int | None:
+    """The first side k (N, E, S, W) where the tile at `pos` clashes, by `naive_clash`."""
+    return next(
+        (k for k, (dname, _) in enumerate(_DIRS) if naive_clash(tas, cells, pos, dname)), None
+    )
 
 
 def _cells(key: frozenset) -> str:

@@ -33,6 +33,7 @@ from .oracles import (
     attachment_sides,
     brute_attachments,
     brute_producibles,
+    first_clash_side,
     naive_frontier,
     ref_explore,
 )
@@ -124,6 +125,20 @@ def check_explore_matches_reference(tas, bound):
     assert keyed_outcome(result) == (list(assemblies), edges, truncated)
     check_breadth_first_edges(result.states, result.edges)
     return result
+
+
+def check_edge_clashes(tas, result):
+    """Each edge's `clash` is the first side, N, E, S, W, where the attached
+    tile clashes with a neighbour in the child, by `naive_clash`, or None."""
+    keys = list(result.assemblies)
+    for e in result.edges:
+        assert e.clash == first_clash_side(tas, dict(keys[e.child]), e.pos), e
+
+
+@pytest.mark.parametrize("name", sorted(corpus.GENERATORS))
+def test_edge_clash_matches_naive_clash(systems, name):
+    for bound in range(1, 9):
+        check_edge_clashes(systems[name], explore(systems[name], bound))
 
 
 @pytest.mark.parametrize("name", sorted(corpus.GENERATORS))

@@ -45,6 +45,15 @@ def test_unknown_subcommand_is_usage_error(capsys):
         ("compile elbow --lc-bound -3", "--lc-bound: must be at least 1, got -3"),
         ("compile elbow --cprime -40", "--cprime: must be at least 0, got -40"),
         ("explore elbow --bound x", "--bound: invalid int value: 'x'"),
+        ("compile elbow --bits 0", "--bits: must be at least 1, got 0"),
+        ("compile elbow --bits -1", "--bits: must be at least 1, got -1"),
+        ("simulate elbow --bound 0", "--bound: must be at least 1, got 0"),
+        ("simulate elbow --max-events -1", "--max-events: must be at least 0, got -1"),
+        ("run elbow --max-steps -3", "--max-steps: must be at least 0, got -3"),
+        ("render elbow --svg x.svg --max-steps -1", "--max-steps: must be at least 0, got -1"),
+        ("render elbow --svg x.svg --scale 0", "--scale: must be at least 1, got 0"),
+        ("simulate elbow --scale -4", "--scale: must be at least 1, got -4"),
+        ("lookup elbow --addr 15 --bits 0 --limit -5", "--limit: must be at least 0, got -5"),
     ),
 )
 def test_bad_bounds_are_usage_errors(command, message, capsys):

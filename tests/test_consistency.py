@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import pytest
 
+from tileworks import consistency, corpus
 from tileworks.atam import (
     Assembly,
     AssemblySequence,
     Direction,
+    PackedStates,
     TileSystem,
     binding_strength,
     explore,
@@ -18,6 +20,8 @@ from tileworks.consistency import (
     replay_witness,
     verify_locally_consistent,
 )
+
+from .oracles import ref_locally_consistent
 
 
 # --- test helpers --------------------------------------------------------
@@ -58,6 +62,36 @@ def test_corpus_members_pass(systems, name):
     assert verdict.passed
     assert verdict.witness is None
     assert "25" in verdict.note
+
+
+@pytest.mark.parametrize("name", sorted(corpus.GENERATORS))
+def test_verdict_matches_reference_check(systems, name):
+    # the corpus includes elbow_bad_sum and elbow_mismatch, so both witness
+    # kinds are compared as well as passing and truncated verdicts
+    tas = systems[name]
+    for bound in (*range(1, 13), 25):
+        assert verify_locally_consistent(tas, bound) == ref_locally_consistent(tas, bound)
+
+
+def test_check_reads_no_cells_and_explores_once(systems, monkeypatch):
+    calls = {"cell": 0, "explore": 0}
+    cell, explore_once = PackedStates.cell, consistency.explore
+
+    def counted_cell(self, state_id, coord):
+        calls["cell"] += 1
+        return cell(self, state_id, coord)
+
+    def counted_explore(tas, bound):
+        calls["explore"] += 1
+        return explore_once(tas, bound)
+
+    monkeypatch.setattr(PackedStates, "cell", counted_cell)
+    monkeypatch.setattr(consistency, "explore", counted_explore)
+    assert verify_locally_consistent(systems["sierpinski"], 25).passed
+    assert calls == {"cell": 0, "explore": 1}
+    # the counter counts: the reference check reads four cells per edge
+    ref_locally_consistent(systems["elbow"], 25)
+    assert calls["cell"] > 0
 
 
 def test_bad_sum_fails_with_replayable_witness(systems):

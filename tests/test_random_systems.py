@@ -3,7 +3,9 @@
 Small tile systems are drawn at random and every answer of `explore`,
 `frontier` and `verify_locally_consistent` is compared with the brute-force
 oracles, which share no code with the package's glue tables; `explore` is
-also compared with the frozenset exploration `ref_explore`.  Every system
+also compared with the frozenset exploration `ref_explore`, the clash side
+on each of its edges with `naive_clash`, and every verdict with the
+per-edge reference check `ref_locally_consistent`.  Every system
 that passes the check is compiled: every lookup through the table sweep is
 compared with the direct parse of the entries string and with the
 column-by-column reference sweep, seeded runs are replayed by `ref_replay`,
@@ -33,10 +35,11 @@ from .oracles import (
     naive_frontier,
     naive_locally_consistent,
     ref_dynamics,
+    ref_locally_consistent,
     ref_replay,
     ref_sweep,
 )
-from .test_atam import check_explore_matches_reference, keyed_outcome
+from .test_atam import check_edge_clashes, check_explore_matches_reference, keyed_outcome
 from .test_macro import _explore_outcome, _reference_explore
 
 # Systems whose every tile binds everywhere have millions of assemblies at
@@ -106,7 +109,9 @@ def test_random_systems_match_oracles(tas):
     for asm in result.assemblies.values():
         assert frontier(tas, asm) == naive_frontier(tas, dict(asm.items()))
 
+    check_edge_clashes(tas, result)
     verdict = verify_locally_consistent(tas, bound)
+    assert verdict == ref_locally_consistent(tas, bound)
     assert verdict.passed == naive_locally_consistent(tas, bound)
     witness = verdict.witness
     assert _first_failure(tas, result) == (
