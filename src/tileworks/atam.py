@@ -307,7 +307,7 @@ def binding_strength(tas: TileSystem, asm: Assembly, pos: Coord, tile: int) -> i
 
 def _frontier(match, cells: Mapping[Coord, int], near) -> set[tuple[Coord, int]]:
     """The (position, tile) pairs that may attach at the empty positions of `near`."""
-    bonds = ((q, _bonds_at(match, cells, q)) for q in set(near) - cells.keys())
+    bonds = ((q, _bonds_at(match, cells, q)) for q in set(near) if q not in cells)
     return {(q, tile) for q, b in bonds for tile, s in b.items() if s >= TEMPERATURE}
 
 
@@ -337,31 +337,40 @@ def is_terminal(tas: TileSystem, asm: Assembly) -> bool:
 
 @dataclass(frozen=True)
 class AssemblySequence:
-    """A legal attachment history starting from the seed assembly."""
+    """A legal attachment history starting from the seed assembly.
+
+    The steps are checked as `attach` checks them, on one growing cell map,
+    and only the final assembly is kept: linear time and memory in the steps.
+    """
 
     system: TileSystem
     steps: tuple[tuple[Coord, int], ...]
-    _assemblies: tuple[Assembly, ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
+    _result: Assembly = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        asm = seed_assembly(self.system)
-        states = [asm]
+        match = self.system.glue_tables.match
+        cells = {(0, 0): self.system.seed}
         for pos, tile in self.steps:
-            asm = attach(self.system, asm, pos, tile)
-            states.append(asm)
-        object.__setattr__(self, "_assemblies", tuple(states))
+            if pos in cells:
+                raise OccupiedPositionError(f"position {pos} already holds a tile")
+            strength = _bonds_at(match, cells, pos).get(tile, 0)
+            if strength < TEMPERATURE:
+                raise IllegalAttachmentError(pos, tile, strength)
+            cells[pos] = tile
+        object.__setattr__(self, "_result", Assembly(cells))
 
     def __len__(self) -> int:
         return len(self.steps)
 
     def assemblies(self) -> tuple[Assembly, ...]:
-        """Seed assembly followed by the state after each step."""
-        return self._assemblies
+        """Seed assembly followed by the state after each step, rebuilt on each call."""
+        states = [seed_assembly(self.system)]
+        for pos, tile in self.steps:
+            states.append(states[-1].with_tile(pos, tile))
+        return tuple(states)
 
     def result(self) -> Assembly:
-        return self._assemblies[-1]
+        return self._result
 
 
 class AttachmentEdge(NamedTuple):

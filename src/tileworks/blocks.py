@@ -3,7 +3,9 @@
 A block is one scaled-up grid cell of the macro simulation.  It moves through
 a fixed lifecycle: collecting input pads, input type detected by the probe,
 committed to a tile type after the table lookup, and finally complete, at
-which point its output pads become visible to the neighbouring blocks.
+which point its output pads become visible to the neighbouring blocks.  A
+`BlockState` holds only what its transitions read: the probe's input kind is
+`detect_kind` of its input pads, and a probe's random bits stay with the run.
 `macro_explore` stores a macro state as a packed key: one character per
 coordinate slot, holding the interned code of the block state there (see
 `atam.PackedStates`).  `MacroAssembly` is that key's materialised view, and
@@ -50,25 +52,22 @@ class BlockState:
 
     `input_pads` hold received pads keyed by the side they arrived on;
     `output_pads` are only the non-null pads the committed tile presents on
-    its non-input sides.  `random_bits` is the bit string a probe drew;
-    the commit consumes it, so committed and complete blocks hold none.
+    its non-input sides.  Nothing else is kept: a block's next state depends
+    only on these fields and the event (with, for a commit, the bits drawn).
     """
 
     phase: BlockPhase
     input_pads: tuple[Pad, ...] = ()
-    input_kind: InputKind | None = None
-    random_bits: str | None = None
     committed_tile: int | None = None
     output_pads: tuple[Pad, ...] = ()
 
     def __hash__(self) -> int:
         # the dataclass hash, computed once: `cs.block_tiles` and the transition
-        # memo of `macro_explore` look the same few states up again and again
+        # memo `cs.transitions` look the same few states up again and again
         try:
             return self.__dict__["_hash"]
         except KeyError:
-            head = (self.phase, self.input_pads, self.input_kind, self.random_bits)
-            value = hash(head + (self.committed_tile, self.output_pads))
+            value = hash((self.phase, self.input_pads, self.committed_tile, self.output_pads))
             object.__setattr__(self, "_hash", value)
             return value
 
@@ -83,10 +82,6 @@ class BlockState:
     @property
     def received_strength(self) -> int:
         return sum(p.strength for p in self.input_pads)
-
-
-def sort_pads(pads) -> tuple[Pad, ...]:
-    return tuple(sorted(pads, key=Pad.sort_key))
 
 
 def seed_block(tas: TileSystem) -> BlockState:

@@ -218,11 +218,9 @@ def _sub_entry(tile, address: Address, ordering: GlueOrdering) -> str:
 
 
 def build_entries(
-    tas: TileSystem, ordering: GlueOrdering, amap: dict[int, AddressEntry] | None = None
+    tas: TileSystem, ordering: GlueOrdering, amap: dict[int, AddressEntry]
 ) -> str:
-    """The entries string: one '#'-marked entry for every address value 0..max."""
-    if amap is None:
-        amap = address_map(tas, ordering)
+    """The entries string: one '#'-marked entry for every address value 0..max of `amap`."""
     parts = []
     top = max(amap, default=-1)
     for value in range(top + 1):
@@ -252,10 +250,6 @@ class LookupTable:
     @cached_property
     def index(self) -> TableIndex:
         return TableIndex(self.symbols)
-
-    @cached_property
-    def sweep_cache(self) -> dict:
-        return {}
 
 
 def build_table(entries: str) -> LookupTable:
@@ -321,6 +315,9 @@ class CompiledSystem:
     )
     # committed block state -> the tile it represents, filled by `macro.decode_block`
     block_tiles: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    # the block automaton's memo, filled by `macro._transition`: (block state,
+    # event kind, pad, bits) -> the next block state, and each next state -> itself
+    transitions: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def entry_payloads(self) -> tuple[str, ...]:
         """Raw entry bodies (text after each '#'), indexed by address value."""

@@ -158,13 +158,7 @@ def trace_lookup(
     """Kernel route: sweep the spliced table and decode the selected mirror span."""
     if bits == "" or any(c not in "01" for c in bits):
         raise SelectionError(f"not a bit string: {bits!r}")
-    b = int(bits, 2)
-    cache = cs.table.sweep_cache
-    key = (addr, b)
-    rec = cache.get(key)
-    if rec is None:
-        rec = kernels.sweep(cs.table.index, addr, b)
-        cache[key] = rec
+    rec = kernels.sweep(cs.table.index, addr, int(bits, 2))
     if rec.status == kernels.E_ADDR_RANGE:
         raise AddressRangeError(
             f"address {addr} out of range; table has {cs.entry_count} entries"

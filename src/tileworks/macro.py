@@ -7,6 +7,10 @@ to a tile by running the table lookup on its input address, and finally
 exposes the committed tile's output pads.  Decoding a block back to a tile is
 defined from the committed phase onward.
 
+That per-block automaton is `_next_state`.  `run_macro` and `macro_explore`
+step blocks through `_transition`, its one memo, kept on the compiled system,
+so each distinct transition and table lookup is worked out once per system.
+
 `macro_explore` runs the breadth-first skeleton it shares with
 `atam.explore`, over block states: a state is a packed key with one
 character per coordinate slot, naming that slot's interned block state, and
@@ -16,6 +20,7 @@ Its edges name states by id.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from bisect import bisect_left, insort
 from collections.abc import Mapping
@@ -34,13 +39,7 @@ from .atam import (
     direction_order,
     explore_packed,
 )
-from .blocks import (
-    BlockPhase,
-    BlockState,
-    MacroAssembly,
-    detect_kind,
-    sort_pads,
-)
+from .blocks import BlockPhase, BlockState, MacroAssembly, detect_kind
 from .encoding import CompiledSystem, address_of
 from .lookup import AddressRangeError, EmptyEntryError, trace_lookup
 
@@ -156,8 +155,10 @@ def _next_state(
 ) -> BlockState:
     """The state of the block at `event.coord` after `event`; `state` is the one before.
 
-    A probe stores `bits`; a commit looks up with `bits` in place of the stored
-    ones, and the committed block keeps none.
+    A probe only marks the input type detected; a commit looks its tile up
+    with `bits`, the random bits drawn at that block's probe, and raises
+    without them.  The outcome does not depend on `event.coord` or
+    `event.source`, which only name the block in errors.
     """
     coord = event.coord
 
@@ -178,9 +179,8 @@ def _next_state(
                 f"block {coord} would receive a third input pad; "
                 f"three-sided inputs are outside the supported class"
             )
-        return BlockState(
-            BlockPhase.INPUTS_PARTIAL, sort_pads(state.input_pads + (event.pad,))
-        )
+        pads = sorted(state.input_pads + (event.pad,), key=Pad.sort_key)
+        return BlockState(BlockPhase.INPUTS_PARTIAL, tuple(pads))
 
     if state is None:
         raise MacroEventError(f"no block at {coord}")
@@ -191,16 +191,13 @@ def _next_state(
                 f"probe needs a collecting block with received strength exactly 2, "
                 f"got phase {state.phase.name} strength {state.received_strength} at {coord}"
             )
-        kind = detect_kind(state.input_pads)
-        return BlockState(BlockPhase.TYPE_DETECTED, state.input_pads, kind, bits)
+        return BlockState(BlockPhase.TYPE_DETECTED, state.input_pads)
 
     if event.kind is EventKind.COMMIT:
         if state.phase is not BlockPhase.TYPE_DETECTED:
             raise MacroEventError(
                 f"commit needs a type-detected block, got {state.phase.name} at {coord}"
             )
-        if bits is None:
-            bits = state.random_bits
         if bits is None:
             raise MacroEventError(f"block {coord} has no random bits to commit with")
         address = address_of(state.input_pads, cs.glues)
@@ -210,14 +207,8 @@ def _next_state(
             raise MacroEventError(
                 f"no tile attaches at {coord} for address {address.value}: {exc}"
             ) from exc
-        committed = BlockState(
-            BlockPhase.COMMITTED,
-            state.input_pads,
-            state.input_kind,
-            None,
-            outcome.tile_candidates[outcome.selected_index],
-            outcome.sub_entry.pads,
-        )
+        tile, pads = outcome.tile_candidates[outcome.selected_index], outcome.sub_entry.pads
+        committed = BlockState(BlockPhase.COMMITTED, state.input_pads, tile, pads)
         _decode_at(cs, coord, committed)  # the block must represent the looked-up tile
         return committed
 
@@ -226,16 +217,26 @@ def _next_state(
             raise MacroEventError(
                 f"completion needs a committed block, got {state.phase.name} at {coord}"
             )
-        return BlockState(
-            BlockPhase.COMPLETE,
-            state.input_pads,
-            state.input_kind,
-            state.random_bits,
-            state.committed_tile,
-            state.output_pads,
-        )
+        return dataclasses.replace(state, phase=BlockPhase.COMPLETE)
 
     raise MacroEventError(f"unknown event kind {event.kind!r}")
+
+
+def _transition(
+    cs: CompiledSystem, state: BlockState | None, event: MacroEvent, bits: str | None = None
+) -> BlockState:
+    """`_next_state`, memoised in `cs.transitions` by (state, kind, pad, bits).
+
+    A transition that raises is not stored.  The memo also maps each outcome
+    to itself, so equal outcomes (a commit's, over many bit values) are one object.
+    """
+    memo = cs.transitions
+    key = (state, event.kind, event.pad, bits)
+    after = memo.get(key)
+    if after is None:
+        after = _next_state(cs, state, event, bits=bits)
+        after = memo[key] = memo.setdefault(after, after)
+    return after
 
 
 def seed_macro(cs: CompiledSystem) -> MacroAssembly:
@@ -266,7 +267,9 @@ def run_macro(
     a step recomputes only the events at its `_touched` coordinates, so it
     costs the same however large the assembly has grown.  Once `bound`
     blocks exist, arrivals at empty coordinates are held back, and the run
-    is truncated if any was.
+    is truncated if any was.  A probe draws its block's random bits, and the
+    run holds them until that block commits; block steps go through the
+    `_transition` memo, so a repeated commit costs one dict lookup.
     """
     rng = random.Random(rng_seed)
     blocks: dict[Coord, BlockState] = dict(seed_macro(cs).blocks)
@@ -274,6 +277,7 @@ def run_macro(
     by_key: dict[tuple, MacroEvent] = {}
     keys_at: dict[Coord, list[tuple]] = {}
     held_back = False
+    bits_at: dict[Coord, str] = {}  # bits drawn at each probed, uncommitted block
 
     def refresh(coord: Coord) -> None:
         nonlocal held_back
@@ -301,12 +305,12 @@ def run_macro(
         if not enabled:
             break
         event = by_key[enabled[rng.randrange(len(enabled))]]
-        bits = None
-        if event.kind is EventKind.PROBE:
-            bits = format(rng.getrandbits(cs.random_width), f"0{cs.random_width}b")
         coord = event.coord
+        if event.kind is EventKind.PROBE:
+            bits_at[coord] = format(rng.getrandbits(cs.random_width), f"0{cs.random_width}b")
+        bits = bits_at.pop(coord) if event.kind is EventKind.COMMIT else None
         grew = coord not in blocks
-        state = blocks[coord] = _next_state(cs, blocks.get(coord), event, bits=bits)
+        state = blocks[coord] = _transition(cs, blocks.get(coord), event, bits)
         for touched in _touched(coord, state):
             refresh(touched)
         if grew and len(blocks) == bound:  # hold back the arrivals enabled so far
@@ -315,8 +319,7 @@ def run_macro(
         applied.append(event)
         note = event.describe()
         if event.kind is EventKind.PROBE:
-            assert state.input_kind is not None
-            note += f" [{state.input_kind.value}, bits={state.random_bits}]"
+            note += f" [{detect_kind(state.input_pads).value}, bits={bits_at[coord]}]"
         elif event.kind is EventKind.COMMIT:
             assert state.committed_tile is not None
             note += f" -> {cs.source.tiles[state.committed_tile].name}"
@@ -344,23 +347,17 @@ class MacroExplorationResult:
 def macro_explore(cs: CompiledSystem, bound: int) -> MacroExplorationResult:
     """Closure of macro states reachable within `bound` blocks, by `atam.explore_packed`.
 
-    Commits branch over every random-bit value; a committed block keeps no
-    bits, so commit children collapse to one state per distinct outcome.  A
-    block's next states depend only on its state and the event's kind and
-    pad, so each is computed once per call.
+    Commits branch over every random-bit value; a block keeps no bits, so
+    commit children collapse to one state per distinct outcome, in bit order.
+    Each block step goes through the `_transition` memo, shared with
+    `run_macro` and with every other exploration of `cs`.
     """
     bit_values = [format(b, f"0{cs.random_width}b") for b in range(2**cs.random_width)]
-    # (state, kind, pad) -> the distinct next states, in bit order for a commit
-    next_states: dict[tuple, tuple[BlockState, ...]] = {}
 
     def successors(state: BlockState | None, payload: tuple[MacroEvent]) -> tuple:
         (event,) = payload
-        rule = (state, event.kind, event.pad)
-        if rule not in next_states:
-            draws = bit_values if event.kind is EventKind.COMMIT else (None,)
-            after = (_next_state(cs, state, event, bits=bits) for bits in draws)
-            next_states[rule] = tuple(dict.fromkeys(after))
-        return next_states[rule]
+        draws = bit_values if event.kind is EventKind.COMMIT else (None,)
+        return tuple(dict.fromkeys(_transition(cs, state, event, bits) for bits in draws))
 
     start = seed_macro(cs)
     # each payload is a `MacroEdge`'s tail: the event

@@ -21,6 +21,7 @@ from .atam import TEMPERATURE, SidePad, TileSystem, TileType, WorkbenchError
 
 _NAME = re.compile(r"[A-Za-z0-9_]+\Z")
 _SIDE_KEYS = ("N", "E", "S", "W")
+_TOKEN = re.compile(r"\S+")
 
 
 class TasParseError(WorkbenchError):
@@ -72,12 +73,12 @@ def parse_tas(text: str, name: str = "") -> TasDocument:
     temperature: int | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        tokens = line.split()
-        if not tokens:
+        # each token with its 1-based column
+        found = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(raw.split("#", 1)[0])]
+        if not found:
             continue
-        head = tokens[0]
-        col = raw.index(head) + 1
+        tokens = [token for token, _ in found]
+        head, col = found[0]
 
         if head == "temperature":
             if len(tokens) != 2:
@@ -105,8 +106,7 @@ def parse_tas(text: str, name: str = "") -> TasDocument:
             if tname in tile_lines:
                 raise TasParseError(f"duplicate tile name {tname!r}", lineno, col)
             sides: dict[str, SidePad] = {}
-            for token in tokens[2:]:
-                tcol = raw.index(token) + 1
+            for token, tcol in found[2:]:
                 key, pad = _parse_side(token, lineno, tcol)
                 if key in sides:
                     raise TasParseError(f"duplicate side {key}", lineno, tcol)

@@ -234,6 +234,25 @@ def test_sequence_replays_and_reports_sides(systems):
         attachment_sides(seq, (5, 5))
     with pytest.raises(IllegalAttachmentError):
         AssemblySequence(tas, (((1, 1), 3),))
+    with pytest.raises(OccupiedPositionError):
+        AssemblySequence(tas, (((1, 0), 1), ((1, 0), 1)))
+    # the chain is rebuilt on demand, each step on top of the one before
+    chain = seq.assemblies()
+    assert chain[0] == seed_assembly(tas) and chain[-1] == seq.result()
+    assert all(chain[i + 1] == attach(tas, chain[i], *seq.steps[i]) for i in range(3))
+
+
+def test_sample_sequence_memory_at_4000_steps(systems):
+    # only the final assembly is kept: a sequence holding every intermediate
+    # assembly peaked at about 640 MB here
+    tracemalloc.start()
+    try:
+        seq = sample_sequence(systems["counter4"], 1, 4000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(seq) == 4000 and len(seq.result()) == 4001
+    assert peak < 8 * 2**20
 
 
 def test_counter_growth_is_sequential(systems):

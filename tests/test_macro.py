@@ -4,7 +4,7 @@ import dataclasses
 import pickle
 import random
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -47,11 +47,9 @@ def _apply_event(cs, macro, event, **kwargs):
 
 
 def macro_step(cs, macro, event, rng_seed=None):
-    """Apply one event; probes draw their random bits from `rng_seed`."""
+    """Apply one event; a commit draws its random bits from `rng_seed`, if given."""
     bits = None
-    if event.kind is EventKind.PROBE:
-        if rng_seed is None:
-            raise MacroEventError("a probe event needs an rng seed to draw bits")
+    if event.kind is EventKind.COMMIT and rng_seed is not None:
         rng = random.Random(rng_seed)
         bits = format(rng.getrandbits(cs.random_width), f"0{cs.random_width}b")
     return _apply_event(cs, macro, event, bits=bits)
@@ -115,8 +113,10 @@ def test_probe_detects_adjacent_pair(compiled):
     cs = compiled["elbow"]
     run = run_macro(cs, rng_seed=3)
     corner = run.final.get((1, 1))
-    assert corner.input_kind is InputKind.ADJACENT_PAIR
+    assert detect_kind(corner.input_pads) is InputKind.ADJACENT_PAIR
     assert corner.phase is BlockPhase.COMPLETE
+    (probe,) = [line for line in run.log if line.startswith("probe at (1, 1)")]
+    assert "[adjacent-pair, bits=" in probe
 
 
 def test_run_macro_reaches_elbow_terminal(compiled):
@@ -233,8 +233,10 @@ def test_illegal_events_raise(compiled):
     partial = macro_step(cs, macro, arrival)
     with pytest.raises(MacroEventError):
         macro_step(cs, partial, arrival)  # same side twice
-    with pytest.raises(MacroEventError):
-        macro_step(cs, partial, MacroEvent(EventKind.PROBE, arrival.coord))  # no seed given
+    detected = macro_step(cs, partial, MacroEvent(EventKind.PROBE, arrival.coord))
+    assert detected.get(arrival.coord).phase is BlockPhase.TYPE_DETECTED
+    with pytest.raises(MacroEventError, match="no random bits"):
+        macro_step(cs, detected, MacroEvent(EventKind.COMMIT, arrival.coord))  # no seed given
 
 
 def _three_input_system() -> TileSystem:
@@ -267,8 +269,6 @@ def test_decode_block_integrity(compiled):
     bad = BlockState(
         BlockPhase.COMPLETE,
         corner.input_pads,
-        corner.input_kind,
-        None,
         cs.source.tile_index("tR"),  # wrong tile for these pads
         corner.output_pads,
     )
@@ -288,8 +288,6 @@ def test_decode_assembly_reports_block(compiled):
         BlockState(
             BlockPhase.COMPLETE,
             run.final.get((1, 1)).input_pads,
-            InputKind.ADJACENT_PAIR,
-            None,
             cs.source.tile_index("tU"),
             run.final.get((1, 1)).output_pads,
         ),
@@ -400,6 +398,7 @@ def _rescan_run(cs, rng_seed, *, max_events=100_000, bound=None):
     applied = []
     log = []
     truncated = False
+    bits_at = {}  # the bits each probe drew, kept for its block's commit
     while len(applied) < max_events:
         events = list(_scan_frontier(cs, macro))
         if bound is not None:
@@ -417,15 +416,17 @@ def _rescan_run(cs, rng_seed, *, max_events=100_000, bound=None):
         if not events:
             break
         event = events[rng.randrange(len(events))]
-        bits = None
         if event.kind is EventKind.PROBE:
-            bits = format(rng.getrandbits(cs.random_width), f"0{cs.random_width}b")
+            bits_at[event.coord] = format(
+                rng.getrandbits(cs.random_width), f"0{cs.random_width}b"
+            )
+        bits = bits_at.get(event.coord) if event.kind is EventKind.COMMIT else None
         macro = _apply_event(cs, macro, event, bits=bits)
         applied.append(event)
         note = event.describe()
         if event.kind is EventKind.PROBE:
             state = macro.get(event.coord)
-            note += f" [{state.input_kind.value}, bits={state.random_bits}]"
+            note += f" [{detect_kind(state.input_pads).value}, bits={bits_at[event.coord]}]"
         elif event.kind is EventKind.COMMIT:
             state = macro.get(event.coord)
             note += f" -> {cs.source.tiles[state.committed_tile].name}"
@@ -618,14 +619,61 @@ def test_decode_all_reports_the_first_bad_block(compiled):
     assert str(got.value).startswith("block (1, 1): block output pads")
 
 
+# --- the transition memo ------------------------------------------------
+# `cs.transitions` outlives every call that fills it, so a later call on the
+# same compiled system must see exactly what a fresh one would.
+
+
+def test_failed_transition_is_not_kept():
+    cs = compile_system(_five_tile_system())
+    raised = []
+    for _ in range(2):
+        with pytest.raises(ThreeProbeError) as err:
+            macro_explore(cs, 6)
+        raised.append(str(err.value))
+    assert raised[0] == raised[1]
+
+
+def test_run_looks_each_address_and_bits_up_once(systems, monkeypatch):
+    cs = compile_system(systems["counter4"])
+    calls = Counter()
+
+    def counting(cs, addr, bits):
+        calls[addr, bits] += 1
+        return lookup(cs, addr, bits)
+
+    lookup = macro_module.trace_lookup
+    monkeypatch.setattr(macro_module, "trace_lookup", counting)
+    for seed in range(2):
+        run = run_macro(cs, seed, max_events=16000)
+        assert len(run.events) == 16000
+    assert calls and max(calls.values()) == 1
+
+
+def _packed_outcome(result):
+    states = result.states
+    return [states.key(i) for i in states], states.packed, result.edges, result.truncated
+
+
+@pytest.mark.parametrize("name", ("nondet_elbow", "counter3", "sierpinski"))
+def test_explore_after_run_matches_fresh_compile(name, systems):
+    used = compile_system(systems[name])
+    for seed in range(3):
+        run_macro(used, seed, max_events=2000)
+    assert used.transitions
+    got = macro_explore(used, 6)
+    assert _packed_outcome(got) == _packed_outcome(macro_explore(compile_system(systems[name]), 6))
+    # equal outcomes are one object, whichever call stored them
+    values = list(used.transitions.values())
+    assert len({id(v) for v in values}) == len(set(values))
+
+
 def test_block_state_hash_cache_is_invisible():
     pads = (Pad("a", Direction.S, 1), Pad("b", Direction.W, 1))
     outputs = (Pad("c", Direction.N, 2),)
 
     def build():
-        return BlockState(
-            BlockPhase.COMPLETE, tuple(pads), InputKind.ADJACENT_PAIR, None, 3, outputs
-        )
+        return BlockState(BlockPhase.COMPLETE, tuple(pads), 3, outputs)
 
     hashed, fresh = build(), build()
     text, names = repr(fresh), [f.name for f in dataclasses.fields(fresh)]
@@ -637,9 +685,7 @@ def test_block_state_hash_cache_is_invisible():
     assert hash(fresh) == hash(tuple(getattr(fresh, n) for n in names))
     assert repr(hashed) == text == repr(fresh)
     assert [f.name for f in dataclasses.fields(hashed)] == names
-    assert names == [
-        "phase", "input_pads", "input_kind", "random_bits", "committed_tile", "output_pads"
-    ]
+    assert names == ["phase", "input_pads", "committed_tile", "output_pads"]
     assert pickle.dumps(hashed) == pickle.dumps(fresh) == pickled
     assert pickle.loads(pickle.dumps(hashed)) == fresh
     moved = dataclasses.replace(hashed, committed_tile=4)

@@ -85,6 +85,16 @@ def test_error_column_points_at_bad_token():
     assert "col 14" in str(err)
 
 
+def test_error_column_points_at_repeated_token():
+    # the duplicate is the second of two equal tokens, not the first
+    err = _error("tile s N=a:2 N=a:2 S=-:0 W=-:0\nseed s\n")
+    assert "duplicate side N" in str(err)
+    assert err.col == len("tile s N=a:2 ") + 1
+    assert "col 14" in str(err)
+    err = _error("tile   t   N=g:1  E=-:0 S=-:0   E=-:0\nseed t\n")
+    assert err.col == len("tile   t   N=g:1  E=-:0 S=-:0   ") + 1
+
+
 def test_format_is_stable():
     text = format_tas(parse_tas(GOOD, name="demo").system)
     assert text == format_tas(parse_tas(text, name="demo").system)
