@@ -14,6 +14,7 @@ always seeded with a single designated tile at the origin.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
@@ -305,22 +306,46 @@ def binding_strength(tas: TileSystem, asm: Assembly, pos: Coord, tile: int) -> i
     return _bonds_at(tas.glue_tables.match, asm._cells, pos).get(tile, 0)
 
 
-def _frontier(match, cells: Mapping[Coord, int], near) -> set[tuple[Coord, int]]:
-    """The (position, tile) pairs that may attach at the empty positions of `near`."""
-    bonds = ((q, _bonds_at(match, cells, q)) for q in set(near) if q not in cells)
-    return {(q, tile) for q, b in bonds for tile, s in b.items() if s >= TEMPERATURE}
+def _attachments(tas: TileSystem):
+    """The source event rule, as `events_at(cells, pos)`: each tile that may attach
+    at `pos` as ((y, x, tile), (pos, tile, strength, clash)), clash being the first
+    side k where it disagrees with a neighbour (see `GlueTables`) or None."""
+    match, clash = tas.glue_tables
+
+    def first_clash(cells: Mapping[Coord, int], pos: Coord, tile: int) -> int | None:
+        x, y = pos
+        for k, (dx, dy) in enumerate(OFFSETS):
+            if cells.get((x + dx, y + dy)) in clash[k][tile]:
+                return k
+        return None
+
+    def events_at(cells: Mapping[Coord, int], pos: Coord) -> list[tuple]:
+        x, y = pos
+        bonds = () if pos in cells else _bonds_at(match, cells, pos).items()
+        return [
+            ((y, x, tile), (pos, tile, s, first_clash(cells, pos, tile)))
+            for tile, s in bonds
+            if s >= TEMPERATURE
+        ]
+
+    return events_at
+
+
+def _around(pos: Coord, _) -> tuple[Coord, ...]:
+    """Where attachments can change when a tile lands at `pos`: there and next to it."""
+    return around(pos)
+
+
+def enabled(cells: Mapping, events_at, touched) -> list[tuple]:
+    """Every (sort key, payload, coordinate) enabled in `cells`, sorted: the
+    `events_at` of each coordinate some cell is `touched` by (see `explore_packed`)."""
+    coords = {c for coord, value in cells.items() for c in touched(coord, value)}
+    return sorted((k, payload, c) for c in coords for k, payload in events_at(cells, c))
 
 
 def frontier(tas: TileSystem, asm: Assembly) -> frozenset[tuple[Coord, int]]:
     """All (position, tile) pairs that may legally attach to `asm`."""
-    cells = asm._cells
-    near = (q for p in cells for q in around(p))
-    return frozenset(_frontier(tas.glue_tables.match, cells, near))
-
-
-def _front_key(item: tuple[Coord, int]):
-    (x, y), tile = item
-    return (y, x, tile)
+    return frozenset(a[:2] for _, a, _ in enabled(asm._cells, _attachments(tas), _around))
 
 
 def attach(tas: TileSystem, asm: Assembly, pos: Coord, tile: int) -> Assembly:
@@ -461,48 +486,49 @@ class KeyedStates(Mapping):
 
 @dataclass
 class ExplorationResult:
-    """`assemblies` is a `KeyedStates` view of `states`; edges and `seed_key` name ids."""
+    """`assemblies` is a `KeyedStates` view of `states`; edges, `seed_key` and `cut`
+    (the assemblies at the bound whose frontier was dropped) name ids."""
 
     assemblies: Mapping[frozenset, Assembly]
     edges: tuple[AttachmentEdge, ...]
     seed_key: int
-    truncated: bool
+    cut: tuple[int, ...]
     bound: int
 
     @property
     def states(self) -> PackedStates:
         return self.assemblies.states
 
+    @property
+    def truncated(self) -> bool:  # the producible set continues past the bound
+        return bool(self.cut)
+
     def terminal_keys(self, tas: TileSystem) -> list[int]:
-        """Ids of the terminal assemblies, fewest tiles first, then by sorted cells."""
-        out = {}
-        for state_id in set(self.states) - {e.parent for e in self.edges}:
-            asm = self.states[state_id]
-            # a full assembly's expansion may have been cut off by the bound
-            if len(asm) < self.bound or is_terminal(tas, asm):
-                out[state_id] = asm.key
-        return sorted(out, key=lambda i: (len(out[i]), sorted(out[i])))
+        """Ids of the assemblies with no out-edge that were not cut (`tas` is not
+        read), fewest tiles first, then by sorted cells."""
+        ends = set(self.states).difference((e.parent for e in self.edges), self.cut)
+        keys = {i: self.states.key(i) for i in ends}
+        return sorted(keys, key=lambda i: (len(keys[i]), sorted(keys[i])))
 
 
-def explore_packed(start: Assembly, bound: int, first, events_at, successors, touched, edge):
+def explore_packed(start: Assembly, bound: int, events_at, successors, touched, edge):
     """Breadth-first closure of the states reachable from `start` within `bound` cells.
 
     `explore` runs it over tiles and `macro.macro_explore` over block states.
-    Each supplies `first`, the (coordinate, sort key, payload) of every event
-    enabled in `start`; `events_at(cells, coord)`, the (sort key, payload) of
-    every event at `coord`, given the cells at it and its four neighbours;
+    Each supplies `events_at(cells, coord)`, the (sort key, payload) of every
+    event at `coord`, given the cells at it and its four neighbours;
     `successors(value, payload)`, the distinct values an event leaves where
     `value` was (None if empty); `touched(coord, value)`, where events can
     change when `coord` takes `value`; and `edge`, a `NamedTuple` type whose
     fields are the parent id, the child id and then the payload's items.
 
-    States are packed keys (see `PackedStates`): a child's key is its
-    parent's with one character replaced.  A new child gets its parent's
-    enabled events, redone at the touched coordinates.  Events are computed
-    once per (slot, neighbourhood), and their outcomes once per event.  Once a
-    state holds `bound` cells, its events at empty coordinates are dropped
-    and the exploration is truncated.  A transition that raises stops the
-    exploration.  Returns the states, the edges in order and truncation.
+    States are packed keys (see `PackedStates`): a child's key is its parent's
+    with one character replaced.  The start's events come from one `enabled`
+    scan; a new child gets its parent's, redone at the touched coordinates.
+    Events are computed once per (slot, neighbourhood), and their outcomes once
+    per event.  A state at the bound is cut if it had events at empty
+    coordinates, which are dropped.  A transition that raises stops the
+    exploration.  Returns the states, the edges and the cut ids, in order.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -536,24 +562,26 @@ def explore_packed(start: Assembly, bound: int, first, events_at, successors, to
         return chr(intern(codes, alphabet, value)), hit, tuple(t[0] for t in hit)
 
     chars = {intern(slots, coords, c): chr(intern(codes, alphabet, v)) for c, v in start.items()}
-    start_key = "".join(chars.get(s, "\0") for s in range(max(chars) + 1))
-    first = [(k, payload, intern(slots, coords, c)) for c, k, payload in first]
     # enabled events, carried from parent to child and dropped once expanded;
     # an entry is [sort key, payload, slot, character there, outcomes once applied]
-    fronts = {0: sorted([k, payload, s, chars.get(s, "\0"), None] for k, payload, s in first)}
+    fronts = {0: [
+        [k, p, intern(slots, coords, c), chr(codes[start.get(c)]), None]
+        for k, p, c in enabled(start._cells, events_at, touched)
+    ]}
+    start_key = "".join(chars.get(s, "\0") for s in range(max(chars) + 1))
     packed = [start_key]
     ids = {start_key: 0}
     edges: list = []
     # builds an `edge` from its fields without a Python-level call per edge
     new_edge = tuple.__new__
-    truncated = False
+    cut: list[int] = []
     for parent, key in enumerate(packed):
-        front = fronts.pop(parent)
-        full = len(key) - key.count("\0") >= bound
-        for entry in front:
-            if full and entry[3] == "\0":
-                truncated = True
-                continue
+        front = expand = fronts.pop(parent)
+        if len(key) - key.count("\0") >= bound:
+            expand = [entry for entry in front if entry[3] != "\0"]
+            if len(expand) < len(front):
+                cut.append(parent)
+        for entry in expand:
             _, payload, s, here, outs = entry
             if outs is None:
                 outs = entry[4] = [outcome(s, v) for v in successors(alphabet[ord(here)], payload)]
@@ -575,59 +603,79 @@ def explore_packed(start: Assembly, bound: int, first, events_at, successors, to
                     events.sort()
                     fronts[child] = events
                 edges.append(new_edge(edge, (parent, child, *payload)))
-    return PackedStates(packed, coords, alphabet, type(start)), edges, truncated
+    return PackedStates(packed, coords, alphabet, type(start)), edges, cut
+
+
+def walk(start: Assembly, bound: int | None, max_steps: int, rng, events_at, step, touched):
+    """A random run from `start` of up to `max_steps` events, each drawn by `rng`
+    uniformly among the enabled ones in sort-key order.
+
+    `events_at` and `touched` are as in `explore_packed`; `step(value, payload)`
+    is the value an event leaves where `value` was.  The sort keys (unique per
+    event) stay sorted, and a step redoes only its touched coordinates, so it
+    costs the same however large the cells grow.  Once `bound` cells exist,
+    events at empty coordinates, which stay enabled, are held back and the run
+    is truncated.  Returns the cells, the payloads drawn and truncation.
+    """
+    cells = dict(start._cells)
+    keys: list[tuple] = []
+    drawn: dict[tuple, tuple] = {}  # sort key -> (coordinate, payload)
+    at: dict[Coord, list] = {}  # coordinate -> its enabled (sort key, payload) pairs
+    held_back = False
+
+    def refresh(coord: Coord) -> None:
+        nonlocal held_back
+        for k, _ in at.pop(coord, ()):
+            del keys[bisect_left(keys, k)]
+            del drawn[k]
+        events = events_at(cells, coord)
+        if not events:
+            return
+        if bound is not None and len(cells) >= bound and coord not in cells:
+            held_back = True
+            return
+        at[coord] = events
+        for k, payload in events:
+            insort(keys, k)
+            drawn[k] = (coord, payload)
+
+    for coord in {c for coord, value in cells.items() for c in touched(coord, value)}:
+        refresh(coord)
+    chosen: list = []
+    truncated = False
+    while len(chosen) < max_steps:
+        truncated = held_back
+        if not keys:
+            break
+        coord, payload = drawn[keys[rng.randrange(len(keys))]]
+        grew = coord not in cells
+        value = cells[coord] = step(cells.get(coord), payload)
+        for c in touched(coord, value):
+            refresh(c)
+        if grew and len(cells) == bound:  # hold back the events enabled so far
+            for empty in [c for c in at if c not in cells]:
+                refresh(empty)
+        chosen.append(payload)
+    return cells, chosen, truncated
 
 
 def explore(tas: TileSystem, bound: int) -> ExplorationResult:
     """Breadth-first closure of all producible assemblies up to `bound` tiles.
 
-    `truncated` is set when some assembly at the bound still had a nonempty
-    frontier, i.e. the producible set continues past what was enumerated.
+    An assembly at the bound that still had a nonempty frontier is cut: the
+    producible set continues past what was enumerated.
     """
-
-    match, clash = tas.glue_tables
-
-    def first_clash(cells: Mapping[Coord, int], pos: Coord, tile: int) -> int | None:
-        x, y = pos
-        for k, (dx, dy) in enumerate(OFFSETS):
-            if cells.get((x + dx, y + dy)) in clash[k][tile]:
-                return k
-        return None
-
-    def events_at(cells: Mapping[Coord, int], pos: Coord) -> list[tuple]:
-        """Each attachment at `pos` as ((y, x, tile), (pos, tile, strength, clash))."""
-        x, y = pos
-        bonds = () if pos in cells else _bonds_at(match, cells, pos).items()
-        return [
-            ((y, x, tile), (pos, tile, s, first_clash(cells, pos, tile)))
-            for tile, s in bonds
-            if s >= TEMPERATURE
-        ]
-
-    seed = seed_assembly(tas)
-    first = [(c, *ev) for c in around((0, 0)) for ev in events_at(seed._cells, c)]
-    states, edges, truncated = explore_packed(
-        seed, bound, first, events_at,
-        lambda _, attachment: (attachment[1],),  # the attached tile
-        lambda pos, _: around(pos),
-        AttachmentEdge,
+    states, edges, cut = explore_packed(
+        seed_assembly(tas), bound, _attachments(tas),
+        lambda _, attachment: (attachment[1],), _around, AttachmentEdge,
     )
-    return ExplorationResult(KeyedStates(states), tuple(edges), 0, truncated, bound)
+    return ExplorationResult(KeyedStates(states), tuple(edges), 0, tuple(cut), bound)
 
 
 def sample_sequence(tas: TileSystem, rng_seed: int, max_steps: int) -> AssemblySequence:
     """One uniformly random attachment history, reproducible from `rng_seed`."""
-    rng = random.Random(rng_seed)
-    match = tas.glue_tables.match
-    cells = {(0, 0): tas.seed}
-    front = frontier(tas, seed_assembly(tas))
-    steps: list[tuple[Coord, int]] = []
-    while front and len(steps) < max_steps:
-        ordered = sorted(front, key=_front_key)
-        pos, tile = ordered[rng.randrange(len(ordered))]
-        steps.append((pos, tile))
-        cells[pos] = tile
-        # strengths only grow when a neighbour appears, so surviving pairs
-        # stay valid; only the empty neighbours of the new tile need a look
-        front = {pt for pt in front if pt[0] != pos} | _frontier(match, cells, around(pos))
-    return AssemblySequence(tas, tuple(steps))
+    _, chosen, _ = walk(
+        seed_assembly(tas), None, max_steps, random.Random(rng_seed),
+        _attachments(tas), lambda _, attachment: attachment[1], _around,
+    )
+    return AssemblySequence(tas, tuple(a[:2] for a in chosen))

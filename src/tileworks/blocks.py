@@ -8,10 +8,10 @@ which point its output pads become visible to the neighbouring blocks.  A
 `detect_kind` of its input pads, and a probe's random bits stay with the run.
 `macro_explore` stores a macro state as a packed key: one character per
 coordinate slot, holding the interned code of the block state there (see
-`atam.PackedStates`).  `MacroAssembly` is that key's materialised view, and
-the form `run_macro`, the frontier and the decoder work on: an `Assembly` of
-block states, the same immutable cell map, keyed by its (coordinate, block
-state) pairs.
+`atam.PackedStates`); `run_macro`'s `atam.walk` keeps a plain dict of block
+states.  `MacroAssembly`, the form both hand out and the decoder reads, is an
+`Assembly` of block states, the same immutable cell map, keyed by its
+(coordinate, block state) pairs.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ def _load_system(path_text: str) -> TileSystem:
         return corpus.GENERATORS[path_text]()
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}", USAGE_ERROR) from exc
     try:
         doc = tasio.parse_tas(text, name=path.stem)

@@ -7,25 +7,24 @@ to a tile by running the table lookup on its input address, and finally
 exposes the committed tile's output pads.  Decoding a block back to a tile is
 defined from the committed phase onward.
 
-That per-block automaton is `_next_state`.  `run_macro` and `macro_explore`
-step blocks through `_transition`, its one memo, kept on the compiled system,
-so each distinct transition and table lookup is worked out once per system.
-
-`macro_explore` runs the breadth-first skeleton it shares with
-`atam.explore`, over block states: a state is a packed key with one
-character per coordinate slot, naming that slot's interned block state, and
-its `atam.PackedStates` materialise a `MacroAssembly` only when one is read.
-Its edges name states by id.
+That per-block automaton is `_next_state`, and `_events_at` the one event
+rule, the events enabled at a coordinate.  `run_macro` runs it in the random
+walk `atam.walk` and `macro_explore` in the breadth-first skeleton
+`atam.explore_packed`, both shared with the source level; both step blocks
+through `_transition`, the automaton's one memo, kept on the compiled system.
+`macro_explore` keys a state by one character per coordinate slot, naming
+its interned block state; its `atam.PackedStates` build a `MacroAssembly`
+only when one is read, and its edges name states by id.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
-from bisect import bisect_left, insort
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import partial
 from typing import NamedTuple
 
 from .atam import (
@@ -37,7 +36,9 @@ from .atam import (
     WorkbenchError,
     around,
     direction_order,
+    enabled,
     explore_packed,
+    walk,
 )
 from .blocks import BlockPhase, BlockState, MacroAssembly, detect_kind
 from .encoding import CompiledSystem, address_of
@@ -89,25 +90,26 @@ def _addressable(cs: CompiledSystem, state: BlockState) -> bool:
     return value in cs.addresses
 
 
-# each receiving side, the neighbour's side that faces it, and the neighbour's offset
-_SIDES = tuple((d, d.opposite, d.vector) for d in DIRECTIONS)
+# each receiving side's `direction_order`, the side, the side facing it, its offset
+_SIDES = tuple((k, d, d.opposite, d.vector) for k, d in enumerate(DIRECTIONS))
 
 
 def _events_at(
     cs: CompiledSystem, blocks: Mapping[Coord, BlockState], coord: Coord
-) -> list[MacroEvent]:
-    """The enabled events at `coord`, in no particular order.
+) -> list[tuple]:
+    """The enabled events at `coord`, as (sort key, (event,)) pairs in no
+    particular order; each sort key is `event.sort_key()`, built in place.
 
     They read only the block at `coord` and the complete neighbours whose
     output pads point at it, so applying an event can change only the events
     at its own coordinate and at its four neighbours.
     """
     state = blocks.get(coord)
-    events: list[MacroEvent] = []
+    x, y = coord
     if state is None or state.phase is BlockPhase.INPUTS_PARTIAL:
+        events: list[tuple] = []
         taken = state.input_directions if state is not None else ()
-        x, y = coord
-        for side, facing, (dx, dy) in _SIDES:
+        for k, side, facing, (dx, dy) in _SIDES:
             source = (x + dx, y + dy)
             neighbour = blocks.get(source)
             if (
@@ -119,17 +121,16 @@ def _events_at(
             for pad in neighbour.output_pads:
                 if pad.direction is facing:
                     received = Pad(pad.glue, side, pad.strength)
-                    events.append(
-                        MacroEvent(EventKind.PAD_ARRIVAL, coord, received, source)
-                    )
+                    event = MacroEvent(EventKind.PAD_ARRIVAL, coord, received, source)
+                    events.append(((0, y, x, k), (event,)))
         if state is not None and state.received_strength == 2:
-            events.append(MacroEvent(EventKind.PROBE, coord))
-    elif state.phase is BlockPhase.TYPE_DETECTED:
-        if _addressable(cs, state):
-            events.append(MacroEvent(EventKind.COMMIT, coord))
-    elif state.phase is BlockPhase.COMMITTED:
-        events.append(MacroEvent(EventKind.COMPLETION, coord))
-    return events
+            events.append(((1, y, x, -1), (MacroEvent(EventKind.PROBE, coord),)))
+        return events
+    if state.phase is BlockPhase.TYPE_DETECTED and _addressable(cs, state):
+        return [((2, y, x, -1), (MacroEvent(EventKind.COMMIT, coord),))]
+    if state.phase is BlockPhase.COMMITTED:
+        return [((3, y, x, -1), (MacroEvent(EventKind.COMPLETION, coord),))]
+    return []
 
 
 def _touched(coord: Coord, state: BlockState) -> tuple[Coord, ...]:
@@ -139,11 +140,8 @@ def _touched(coord: Coord, state: BlockState) -> tuple[Coord, ...]:
 
 def macro_frontier(cs: CompiledSystem, macro: MacroAssembly) -> tuple[MacroEvent, ...]:
     """Every event currently enabled, in deterministic order."""
-    blocks = macro.blocks
-    coords = {c for coord, state in blocks.items() for c in _touched(coord, state)}
-    events = [event for coord in coords for event in _events_at(cs, blocks, coord)]
-    events.sort(key=MacroEvent.sort_key)
-    return tuple(events)
+    events = enabled(macro.blocks, partial(_events_at, cs), _touched)
+    return tuple(payload[0] for _, payload, _ in events)
 
 
 def _next_state(
@@ -262,61 +260,22 @@ def run_macro(
 ) -> MacroRun:
     """Apply uniformly chosen enabled events until quiescence, reproducibly.
 
-    Each step draws from the enabled events in `macro_frontier` order.  The
-    enabled set is kept as a sorted list of sort keys (unique per event), and
-    a step recomputes only the events at its `_touched` coordinates, so it
-    costs the same however large the assembly has grown.  Once `bound`
-    blocks exist, arrivals at empty coordinates are held back, and the run
-    is truncated if any was.  A probe draws its block's random bits, and the
-    run holds them until that block commits; block steps go through the
-    `_transition` memo, so a repeated commit costs one dict lookup.
+    An `atam.walk` over block states: it draws in `macro_frontier` order and
+    holds back arrivals at empty coordinates once `bound` blocks exist.  A
+    probe draws its block's random bits, held until that block commits; block
+    steps go through the `_transition` memo, so a repeated one costs a lookup.
     """
     rng = random.Random(rng_seed)
-    blocks: dict[Coord, BlockState] = dict(seed_macro(cs).blocks)
-    enabled: list[tuple] = []
-    by_key: dict[tuple, MacroEvent] = {}
-    keys_at: dict[Coord, list[tuple]] = {}
-    held_back = False
     bits_at: dict[Coord, str] = {}  # bits drawn at each probed, uncommitted block
-
-    def refresh(coord: Coord) -> None:
-        nonlocal held_back
-        for key in keys_at.pop(coord, ()):
-            del enabled[bisect_left(enabled, key)]
-            del by_key[key]
-        events = _events_at(cs, blocks, coord)
-        if not events:
-            return
-        if bound is not None and len(blocks) >= bound and coord not in blocks:
-            held_back = True  # every event at an empty coordinate is an arrival
-            return
-        keys_at[coord] = keys = [event.sort_key() for event in events]
-        for key, event in zip(keys, events):
-            insort(enabled, key)
-            by_key[key] = event
-
-    for coord in _touched((0, 0), blocks[(0, 0)]):
-        refresh(coord)
-    applied: list[MacroEvent] = []
     log: list[str] = []
-    truncated = False
-    while len(applied) < max_events:
-        truncated = held_back  # a held-back arrival stays enabled for good
-        if not enabled:
-            break
-        event = by_key[enabled[rng.randrange(len(enabled))]]
+
+    def step(state: BlockState | None, payload: tuple[MacroEvent]) -> BlockState:
+        (event,) = payload
         coord = event.coord
         if event.kind is EventKind.PROBE:
             bits_at[coord] = format(rng.getrandbits(cs.random_width), f"0{cs.random_width}b")
         bits = bits_at.pop(coord) if event.kind is EventKind.COMMIT else None
-        grew = coord not in blocks
-        state = blocks[coord] = _transition(cs, blocks.get(coord), event, bits)
-        for touched in _touched(coord, state):
-            refresh(touched)
-        if grew and len(blocks) == bound:  # hold back the arrivals enabled so far
-            for empty in [c for c in keys_at if c not in blocks]:
-                refresh(empty)
-        applied.append(event)
+        state = _transition(cs, state, event, bits)
         note = event.describe()
         if event.kind is EventKind.PROBE:
             note += f" [{detect_kind(state.input_pads).value}, bits={bits_at[coord]}]"
@@ -324,7 +283,12 @@ def run_macro(
             assert state.committed_tile is not None
             note += f" -> {cs.source.tiles[state.committed_tile].name}"
         log.append(note)
-    return MacroRun(tuple(applied), tuple(log), MacroAssembly(blocks), truncated)
+        return state
+
+    blocks, chosen, truncated = walk(
+        seed_macro(cs), bound, max_events, rng, partial(_events_at, cs), step, _touched
+    )
+    return MacroRun(tuple(e for (e,) in chosen), tuple(log), MacroAssembly(blocks), truncated)
 
 
 class MacroEdge(NamedTuple):
@@ -359,18 +323,11 @@ def macro_explore(cs: CompiledSystem, bound: int) -> MacroExplorationResult:
         draws = bit_values if event.kind is EventKind.COMMIT else (None,)
         return tuple(dict.fromkeys(_transition(cs, state, event, bits) for bits in draws))
 
-    start = seed_macro(cs)
     # each payload is a `MacroEdge`'s tail: the event
-    states, edges, truncated = explore_packed(
-        start,
-        bound,
-        [(e.coord, e.sort_key(), (e,)) for e in macro_frontier(cs, start)],
-        lambda blocks, coord: [(e.sort_key(), (e,)) for e in _events_at(cs, blocks, coord)],
-        successors,
-        _touched,
-        MacroEdge,
+    states, edges, cut = explore_packed(
+        seed_macro(cs), bound, partial(_events_at, cs), successors, _touched, MacroEdge
     )
-    return MacroExplorationResult(states, tuple(edges), 0, truncated, bound)
+    return MacroExplorationResult(states, tuple(edges), 0, bool(cut), bound)
 
 
 def decode_block(state: BlockState, cs: CompiledSystem) -> int | None:

@@ -6,18 +6,22 @@ from-scratch neighbour scan for strengths, binomials via math.comb, a
 character-level reference for the pad and splice encoders, and the table
 sweep walked one column at a time, and `ref_replay`, which replays a
 seeded macro run's commits as source attachments in one linear pass.
-Three are exceptions, each the slow path a fast one replaced, kept as the
+Five are exceptions, each the slow path a fast one replaced, kept as the
 oracle it must match: `ref_explore`, the breadth-first exploration keyed by
 frozensets that `atam.explore`'s packed skeleton replaced,
-`ref_locally_consistent`, the per-edge neighbour scan that the clash side
-recorded on each `AttachmentEdge` replaced, and `ref_dynamics`, the
-breadth-first closure per source assembly that the verifier's single
+`ref_terminal_keys`, the frontier test of every leaf that the cut states
+recorded by that skeleton replaced, `ref_sample_sequence`, the random
+attachment loop that sorts its whole front on every step, which `atam.walk`
+replaced, `ref_locally_consistent`, the per-edge neighbour scan that the
+clash side recorded on each `AttachmentEdge` replaced, and `ref_dynamics`,
+the breadth-first closure per source assembly that the verifier's single
 reverse pass replaced.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 
 from tileworks.atam import (
@@ -25,10 +29,10 @@ from tileworks.atam import (
     OFFSETS,
     AssemblySequence,
     TileSystem,
-    _front_key,
     binding_strength,
     explore,
     frontier,
+    is_terminal,
     seed_assembly,
 )
 from tileworks.consistency import Verdict, Witness, _note, _pair_mismatch
@@ -346,6 +350,12 @@ def ref_sweep(table: str, addr: int, b: int) -> SweepRecord:
     )
 
 
+def _front_key(item: tuple) -> tuple:
+    """The order attachments are explored and drawn in: by row, column, then tile."""
+    (x, y), tile = item
+    return (y, x, tile)
+
+
 def ref_explore(tas: TileSystem, bound: int):
     """`atam.explore` as it was before the packed skeleton: states keyed by
     their frozensets, each expanded by its whole frontier.
@@ -373,6 +383,42 @@ def ref_explore(tas: TileSystem, bound: int):
                 queue.append(ckey)
             edges.append((key, ckey, pos, tile, strength))
     return assemblies, edges, truncated
+
+
+def ref_terminal_keys(tas: TileSystem, result) -> list[int]:
+    """`ExplorationResult.terminal_keys` as it was before the skeleton
+    recorded its cut states: every leaf below the bound, and every leaf at
+    it whose whole frontier is empty."""
+    out = {}
+    for state_id in set(result.states) - {e.parent for e in result.edges}:
+        asm = result.states[state_id]
+        if len(asm) < result.bound or is_terminal(tas, asm):
+            out[state_id] = asm.key
+    return sorted(out, key=lambda i: (len(out[i]), sorted(out[i])))
+
+
+def ref_sample_sequence(tas: TileSystem, rng_seed: int, max_steps: int) -> AssemblySequence:
+    """`atam.sample_sequence` as it was before `atam.walk`: the whole front
+    sorted on every step, the new tile's empty neighbours rescanned with
+    `naive_strength`."""
+    rng = random.Random(rng_seed)
+    cells = {(0, 0): tas.seed}
+    front = naive_frontier(tas, cells)
+    steps = []
+    while front and len(steps) < max_steps:
+        ordered = sorted(front, key=_front_key)
+        pos, tile = ordered[rng.randrange(len(ordered))]
+        steps.append((pos, tile))
+        cells[pos] = tile
+        near = [(pos[0] + dx, pos[1] + dy) for _, (dx, dy) in _DIRS]
+        front = {pt for pt in front if pt[0] != pos} | {
+            (q, t)
+            for q in near
+            if q not in cells
+            for t in range(len(tas.tiles))
+            if naive_strength(tas, cells, q, t) >= 2
+        }
+    return AssemblySequence(tas, tuple(steps))
 
 
 def ref_locally_consistent(tas: TileSystem, bound: int) -> Verdict:

@@ -36,6 +36,8 @@ from .oracles import (
     first_clash_side,
     naive_frontier,
     ref_explore,
+    ref_sample_sequence,
+    ref_terminal_keys,
 )
 from .test_macro import check_breadth_first_edges
 
@@ -145,6 +147,35 @@ def test_edge_clash_matches_naive_clash(systems, name):
 def test_explore_matches_reference_exploration(systems, name):
     for bound in range(1, 13):
         check_explore_matches_reference(systems[name], bound)
+
+
+def check_terminals_match_reference(tas, result):
+    """Terminals by the cut states equal terminals by each leaf's frontier,
+    and the cut states are exactly the full ones with a nonempty frontier."""
+    assert result.terminal_keys(tas) == ref_terminal_keys(tas, result)
+    states = result.states.items()
+    assert list(result.cut) == [
+        i for i, asm in states if len(asm) >= result.bound and frontier(tas, asm)
+    ]
+    assert result.truncated == bool(result.cut)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.GENERATORS))
+def test_terminal_keys_match_reference(systems, name):
+    for bound in range(1, 13):
+        check_terminals_match_reference(systems[name], explore(systems[name], bound))
+
+
+def check_sample_sequence_matches_reference(tas, seeds, lengths):
+    for seed in seeds:
+        for max_steps in lengths:
+            got = sample_sequence(tas, seed, max_steps)
+            assert got.steps == ref_sample_sequence(tas, seed, max_steps).steps, (seed, max_steps)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.GENERATORS))
+def test_sample_sequence_matches_sorting_oracle(systems, name):
+    check_sample_sequence_matches_reference(systems[name], range(20), (0, 1, 50, 400))
 
 
 def test_explore_memory_at_bound_25(systems):

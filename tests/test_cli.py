@@ -126,6 +126,13 @@ def test_missing_file_is_usage_error(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_undecodable_file_is_usage_error(tmp_path, capsys):
+    binary = tmp_path / "bin.tas"
+    binary.write_bytes(bytes(range(128, 256)))  # no valid UTF-8 sequence
+    assert main(["explore", str(binary)]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
 def test_parse_error_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.tas"
     bad.write_text("tile t N=g:9 E=-:0 S=-:0 W=-:0\nseed t\n")

@@ -8,6 +8,7 @@ from collections import Counter, deque
 
 import pytest
 
+from tileworks import atam as atam_module
 from tileworks import corpus
 from tileworks import macro as macro_module
 from tileworks.atam import Direction, Pad, TileSystem, TileType, WorkbenchError, explore
@@ -173,14 +174,14 @@ def test_macro_explore_nondet_terminals(compiled):
 def test_macro_explore_scans_only_the_start_state(compiled, monkeypatch):
     scanned = []
 
-    def counting(cs, macro):
-        scanned.append(macro)
-        return scan(cs, macro)
+    def counting(cells, events_at, touched):
+        scanned.append(dict(cells))
+        return scan(cells, events_at, touched)
 
-    scan = macro_module.macro_frontier
-    monkeypatch.setattr(macro_module, "macro_frontier", counting)
+    scan = atam_module.enabled
+    monkeypatch.setattr(atam_module, "enabled", counting)
     result = macro_explore(compiled["sierpinski"], 6)
-    assert scanned == [result.states[result.seed_key]]
+    assert scanned == [result.states[result.seed_key].blocks]
 
 
 def test_commit_branches_split_on_entry(compiled):
@@ -514,6 +515,18 @@ def test_run_macro_matches_rescanning_oracle(name, systems, lone_seed):
         raised = [o[0] for o in outcomes if isinstance(o[0], type)]
         assert set(raised) == {ThreeProbeError}
         assert 0 < len(raised) < len(outcomes)
+
+
+@pytest.mark.parametrize("name", ("elbow", "nondet_elbow", "sierpinski"))
+def test_run_macro_truncation_at_every_event_cap(compiled, name):
+    # a run is truncated when an arrival was held back as its last step began,
+    # not when its last step only just filled the bound
+    cs = compiled[name]
+    for seed in range(4):
+        for cap in range(40):
+            got = run_macro(cs, seed, max_events=cap, bound=4)
+            want = _rescan_run(cs, seed, max_events=cap, bound=4)
+            assert (got.events, got.truncated) == (want.events, want.truncated), (seed, cap)
 
 
 @pytest.mark.parametrize("name", ("sierpinski", "nondet_elbow"))

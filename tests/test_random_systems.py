@@ -3,9 +3,11 @@
 Small tile systems are drawn at random and every answer of `explore`,
 `frontier` and `verify_locally_consistent` is compared with the brute-force
 oracles, which share no code with the package's glue tables; `explore` is
-also compared with the frozenset exploration `ref_explore`, the clash side
-on each of its edges with `naive_clash`, and every verdict with the
-per-edge reference check `ref_locally_consistent`.  Every system
+also compared with the frozenset exploration `ref_explore`, its terminals
+with `ref_terminal_keys`, the clash side on each of its edges with
+`naive_clash`, `sample_sequence` with the sorting loop
+`ref_sample_sequence`, and every verdict with the per-edge reference check
+`ref_locally_consistent`.  Every system
 that passes the check is compiled: every lookup through the table sweep is
 compared with the direct parse of the entries string and with the
 column-by-column reference sweep, seeded runs are replayed by `ref_replay`,
@@ -39,7 +41,13 @@ from .oracles import (
     ref_replay,
     ref_sweep,
 )
-from .test_atam import check_edge_clashes, check_explore_matches_reference, keyed_outcome
+from .test_atam import (
+    check_edge_clashes,
+    check_explore_matches_reference,
+    check_sample_sequence_matches_reference,
+    check_terminals_match_reference,
+    keyed_outcome,
+)
 from .test_macro import _explore_outcome, _reference_explore
 
 # Systems whose every tile binds everywhere have millions of assemblies at
@@ -108,6 +116,8 @@ def test_random_systems_match_oracles(tas):
     assert set(edges) == brute_attachments(tas, bound)
     for asm in result.assemblies.values():
         assert frontier(tas, asm) == naive_frontier(tas, dict(asm.items()))
+    check_terminals_match_reference(tas, result)
+    check_sample_sequence_matches_reference(tas, range(3), (0, 1, 50))
 
     check_edge_clashes(tas, result)
     verdict = verify_locally_consistent(tas, bound)
