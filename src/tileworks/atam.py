@@ -14,8 +14,9 @@ always seeded with a single designated tile at the origin.
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_left, insort
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -308,9 +309,22 @@ def binding_strength(tas: TileSystem, asm: Assembly, pos: Coord, tile: int) -> i
 
 def _attachments(tas: TileSystem):
     """The source event rule, as `events_at(cells, pos)`: each tile that may attach
-    at `pos` as ((y, x, tile), (pos, tile, strength, clash)), clash being the first
-    side k where it disagrees with a neighbour (see `GlueTables`) or None."""
-    match, clash = tas.glue_tables
+    at `pos` as ((y, x, tile), (pos, tile, strength))."""
+    match = tas.glue_tables.match
+
+    def events_at(cells: Mapping[Coord, int], pos: Coord) -> list[tuple]:
+        x, y = pos
+        bonds = () if pos in cells else _bonds_at(match, cells, pos).items()
+        return [((y, x, tile), (pos, tile, s)) for tile, s in bonds if s >= TEMPERATURE]
+
+    return events_at
+
+
+def _recorded_attachments(tas: TileSystem):
+    """`_attachments`, each payload extended to an `AttachmentEdge`'s tail by its
+    clash: the first side k where the tile disagrees with a neighbour (see
+    `GlueTables`), or None."""
+    events_at, clash = _attachments(tas), tas.glue_tables.clash
 
     def first_clash(cells: Mapping[Coord, int], pos: Coord, tile: int) -> int | None:
         x, y = pos
@@ -319,16 +333,10 @@ def _attachments(tas: TileSystem):
                 return k
         return None
 
-    def events_at(cells: Mapping[Coord, int], pos: Coord) -> list[tuple]:
-        x, y = pos
-        bonds = () if pos in cells else _bonds_at(match, cells, pos).items()
-        return [
-            ((y, x, tile), (pos, tile, s, first_clash(cells, pos, tile)))
-            for tile, s in bonds
-            if s >= TEMPERATURE
-        ]
+    def recorded(cells: Mapping[Coord, int], pos: Coord) -> list[tuple]:
+        return [(k, (*a, first_clash(cells, pos, a[1]))) for k, a in events_at(cells, pos)]
 
-    return events_at
+    return recorded
 
 
 def _around(pos: Coord, _) -> tuple[Coord, ...]:
@@ -384,6 +392,15 @@ class AssemblySequence:
             cells[pos] = tile
         object.__setattr__(self, "_result", Assembly(cells))
 
+    @classmethod
+    def _trusted(cls, system: TileSystem, steps: tuple, cells: dict) -> "AssemblySequence":
+        """Wrap `steps`, already known legal, and the cells they leave, unchecked."""
+        seq = cls.__new__(cls)
+        object.__setattr__(seq, "system", system)
+        object.__setattr__(seq, "steps", steps)
+        object.__setattr__(seq, "_result", Assembly._trusted(cells, frozenset(cells.items())))
+        return seq
+
     def __len__(self) -> int:
         return len(self.steps)
 
@@ -404,7 +421,8 @@ class AttachmentEdge(NamedTuple):
     `strength` is the total strength the tile binds with, and `clash` the
     first side k (as in DIRECTIONS, N, E, S, W) where it disagrees with its
     neighbour in the child (see `GlueTables`), or None.  Both are computed
-    when the attachment is, once per distinct neighbourhood.
+    when the attachment is, once per distinct neighbourhood.  An exploration
+    stores its edges as `Edges` columns and builds one only when it is read.
     """
 
     parent: int
@@ -413,6 +431,47 @@ class AttachmentEdge(NamedTuple):
     tile: int
     strength: int
     clash: int | None = None
+
+
+class Edges(Sequence):
+    """An exploration's edges in order, stored as columns and materialised on read.
+
+    Edge i runs from `parents[i]` to `children[i]`, both state ids in an
+    `array('i')`, and `payloads[i]` is the rest of its fields: the payload
+    of the event it applies, one tuple shared by every edge of that event.
+    `edges[i]` (negative i too), iteration and `reversed` build `edge`
+    tuples, an `AttachmentEdge` or `macro.MacroEdge`, and keep none; a slice
+    is an `Edges` over sliced columns.  Hot loops read the columns instead.
+    """
+
+    def __init__(self, edge: type, parents: array, children: array, payloads: list):
+        self.edge = edge
+        self.parents = parents
+        self.children = children
+        self.payloads = payloads
+
+    def __len__(self) -> int:
+        return len(self.parents)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Edges(self.edge, self.parents[i], self.children[i], self.payloads[i])
+        return tuple.__new__(self.edge, (self.parents[i], self.children[i], *self.payloads[i]))
+
+    def __iter__(self) -> Iterator[tuple]:
+        new, edge = tuple.__new__, self.edge
+        columns = zip(self.parents, self.children, self.payloads)
+        return (new(edge, (p, c, *payload)) for p, c, payload in columns)
+
+    def __eq__(self, other) -> bool:  # defining it leaves the view unhashable, like a list
+        if not isinstance(other, Edges):
+            return NotImplemented
+        return (self.edge, self.parents, self.children, self.payloads) == (
+            other.edge, other.parents, other.children, other.payloads
+        )
+
+    def __repr__(self) -> str:
+        return f"<Edges: {len(self)} {self.edge.__name__}>"
 
 
 class PackedStates(Mapping):
@@ -486,11 +545,12 @@ class KeyedStates(Mapping):
 
 @dataclass
 class ExplorationResult:
-    """`assemblies` is a `KeyedStates` view of `states`; edges, `seed_key` and `cut`
-    (the assemblies at the bound whose frontier was dropped) name ids."""
+    """`assemblies` is a `KeyedStates` view of `states`; `edges` is an `Edges`
+    view of `AttachmentEdge`s; edges, `seed_key` and `cut` (the assemblies at
+    the bound whose frontier was dropped) name ids."""
 
     assemblies: Mapping[frozenset, Assembly]
-    edges: tuple[AttachmentEdge, ...]
+    edges: Edges
     seed_key: int
     cut: tuple[int, ...]
     bound: int
@@ -506,7 +566,7 @@ class ExplorationResult:
     def terminal_keys(self, tas: TileSystem) -> list[int]:
         """Ids of the assemblies with no out-edge that were not cut (`tas` is not
         read), fewest tiles first, then by sorted cells."""
-        ends = set(self.states).difference((e.parent for e in self.edges), self.cut)
+        ends = set(self.states).difference(self.edges.parents, self.cut)
         keys = {i: self.states.key(i) for i in ends}
         return sorted(keys, key=lambda i: (len(keys[i]), sorted(keys[i])))
 
@@ -528,7 +588,9 @@ def explore_packed(start: Assembly, bound: int, events_at, successors, touched, 
     Events are computed once per (slot, neighbourhood), and their outcomes once
     per event.  A state at the bound is cut if it had events at empty
     coordinates, which are dropped.  A transition that raises stops the
-    exploration.  Returns the states, the edges and the cut ids, in order.
+    exploration.  Returns the states, the edges and the cut ids, in order;
+    the edges are `Edges` columns, two id arrays and the shared payloads,
+    so no `edge` tuple exists until one is read.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
@@ -571,9 +633,9 @@ def explore_packed(start: Assembly, bound: int, events_at, successors, touched, 
     start_key = "".join(chars.get(s, "\0") for s in range(max(chars) + 1))
     packed = [start_key]
     ids = {start_key: 0}
-    edges: list = []
-    # builds an `edge` from its fields without a Python-level call per edge
-    new_edge = tuple.__new__
+    edges = Edges(edge, array("i"), array("i"), [])
+    add_parent, add_child = edges.parents.append, edges.children.append
+    add_payload = edges.payloads.append
     cut: list[int] = []
     for parent, key in enumerate(packed):
         front = expand = fronts.pop(parent)
@@ -602,7 +664,9 @@ def explore_packed(start: Assembly, bound: int, events_at, successors, touched, 
                         events += found
                     events.sort()
                     fronts[child] = events
-                edges.append(new_edge(edge, (parent, child, *payload)))
+                add_parent(parent)
+                add_child(child)
+                add_payload(payload)
     return PackedStates(packed, coords, alphabet, type(start)), edges, cut
 
 
@@ -666,16 +730,17 @@ def explore(tas: TileSystem, bound: int) -> ExplorationResult:
     producible set continues past what was enumerated.
     """
     states, edges, cut = explore_packed(
-        seed_assembly(tas), bound, _attachments(tas),
+        seed_assembly(tas), bound, _recorded_attachments(tas),
         lambda _, attachment: (attachment[1],), _around, AttachmentEdge,
     )
-    return ExplorationResult(KeyedStates(states), tuple(edges), 0, tuple(cut), bound)
+    return ExplorationResult(KeyedStates(states), edges, 0, tuple(cut), bound)
 
 
 def sample_sequence(tas: TileSystem, rng_seed: int, max_steps: int) -> AssemblySequence:
     """One uniformly random attachment history, reproducible from `rng_seed`."""
-    _, chosen, _ = walk(
+    cells, chosen, _ = walk(
         seed_assembly(tas), None, max_steps, random.Random(rng_seed),
         _attachments(tas), lambda _, attachment: attachment[1], _around,
     )
-    return AssemblySequence(tas, tuple(a[:2] for a in chosen))
+    # every step was enabled when drawn, so it needs no second check
+    return AssemblySequence._trusted(tas, tuple(a[:2] for a in chosen), cells)

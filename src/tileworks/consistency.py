@@ -101,9 +101,13 @@ def verify_locally_consistent(tas: TileSystem, bound: int) -> Verdict:
     """
     result = explore(tas, bound)
     note = _note(bound, result.truncated)
-    edge = next((e for e in result.edges if e.strength != 2 or e.clash is not None), None)
-    if edge is None:
+    # scan the payload column, (pos, tile, strength, clash) per edge, and
+    # build only the failing edge
+    payloads = enumerate(result.edges.payloads)
+    first = next((i for i, (_, _, s, clash) in payloads if s != 2 or clash is not None), None)
+    if first is None:
         return Verdict(True, None, result.truncated, note)
+    edge = result.edges[first]
     if edge.strength != 2:
         witness = Witness(
             kind="strength-sum",

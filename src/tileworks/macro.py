@@ -14,7 +14,8 @@ walk `atam.walk` and `macro_explore` in the breadth-first skeleton
 through `_transition`, the automaton's one memo, kept on the compiled system.
 `macro_explore` keys a state by one character per coordinate slot, naming
 its interned block state; its `atam.PackedStates` build a `MacroAssembly`
-only when one is read, and its edges name states by id.
+only when one is read, and its `atam.Edges` name states by id and build a
+`MacroEdge` only when one is read.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .atam import (
     DIRECTIONS,
     Assembly,
     Coord,
+    Edges,
     PackedStates,
     Pad,
     WorkbenchError,
@@ -301,8 +303,11 @@ class MacroEdge(NamedTuple):
 
 @dataclass
 class MacroExplorationResult:
+    """A `macro_explore`: `states` by id, `edges` an `Edges` view of `MacroEdge`s
+    between ids, whose payload column holds each edge's `(event,)`."""
+
     states: PackedStates
-    edges: tuple[MacroEdge, ...]
+    edges: Edges
     seed_key: int
     truncated: bool
     bound: int
@@ -327,7 +332,7 @@ def macro_explore(cs: CompiledSystem, bound: int) -> MacroExplorationResult:
     states, edges, cut = explore_packed(
         seed_macro(cs), bound, partial(_events_at, cs), successors, _touched, MacroEdge
     )
-    return MacroExplorationResult(states, tuple(edges), 0, bool(cut), bound)
+    return MacroExplorationResult(states, edges, 0, bool(cut), bound)
 
 
 def decode_block(state: BlockState, cs: CompiledSystem) -> int | None:

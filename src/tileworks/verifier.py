@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .atam import explore
+from .atam import Edges, explore
 from .blocks import BlockPhase
 from .encoding import CompiledSystem
 from .macro import (
@@ -117,7 +117,8 @@ def _decode_all(cs: CompiledSystem, macro_result: MacroExplorationResult) -> lis
     images: list = [None] * len(states)
     images[macro_result.seed_key] = start
     interned = {start: start}
-    for parent, child, event in macro_result.edges:
+    edges = macro_result.edges
+    for parent, child, (event,) in zip(edges.parents, edges.children, edges.payloads):
         if images[child] is not None:
             continue
         image = images[parent]
@@ -173,13 +174,15 @@ def _coverage(cs, source_result, macro_result, decoded) -> ConditionReport:
 
 def _dynamics(cs, source_result, macro_result, decoded) -> ConditionReport:
     order = list(source_result.assemblies)
-    source_edges = {(order[e.parent], order[e.child]) for e in source_result.edges}
+    src = source_result.edges
+    source_edges = {(order[p], order[c]) for p, c in zip(src.parents, src.children)}
 
     # soundness: each macro step decodes to equality or one legal attachment;
     # `_decode_all` gives a child its parent's image unless the step is a
     # commit, so only commit steps can change an image
     commit = EventKind.COMMIT  # read once: enum member lookups are slow per edge
-    for parent, child, event in macro_result.edges:
+    edges = macro_result.edges
+    for parent, child, (event,) in zip(edges.parents, edges.children, edges.payloads):
         if event.kind is not commit:
             continue
         pa, ca = decoded[parent], decoded[child]
@@ -228,15 +231,15 @@ def _dynamics(cs, source_result, macro_result, decoded) -> ConditionReport:
     )
 
 
-def _reach(own: list[int], edges) -> list[int]:
+def _reach(own: list[int], edges: Edges) -> list[int]:
     """`own`, each node's bits by id, with those of every node it reaches ORed in."""
     # One reverse pass suffices: every path to a node has the same length (a
     # source edge adds one tile; a macro event adds one to the sum, over
     # non-seed blocks, of received pads plus phase steps), so a breadth-first
     # exploration appends every edge into a node before any edge out of it.
     reach = own.copy()
-    for edge in reversed(edges):
-        reach[edge.parent] |= reach[edge.child]
+    for parent, child in zip(reversed(edges.parents), reversed(edges.children)):
+        reach[parent] |= reach[child]
     return reach
 
 

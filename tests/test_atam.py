@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -10,7 +11,10 @@ from tileworks import corpus
 from tileworks.atam import (
     Assembly,
     AssemblySequence,
+    AttachmentEdge,
     Direction,
+    Edges,
+    GlueTables,
     IllegalAttachmentError,
     OccupiedPositionError,
     SidePad,
@@ -39,7 +43,7 @@ from .oracles import (
     ref_sample_sequence,
     ref_terminal_keys,
 )
-from .test_macro import check_breadth_first_edges
+from .test_macro import check_breadth_first_edges, check_edges_view
 
 
 def test_side_pad_rejects_inconsistent_null():
@@ -126,7 +130,37 @@ def check_explore_matches_reference(tas, bound):
     assemblies, edges, truncated = ref_explore(tas, bound)
     assert keyed_outcome(result) == (list(assemblies), edges, truncated)
     check_breadth_first_edges(result.states, result.edges)
+    check_edges_view(result.edges)
     return result
+
+
+def test_edges_view_reads_its_columns():
+    payloads = [((1, 0), 1, 2, None), ((0, 1), 2, 2, 3), ((1, 1), 3, 2, None)]
+    edges = Edges(AttachmentEdge, array("i", [0, 0, 1]), array("i", [1, 2, 3]), payloads)
+    assert len(edges) == 3
+    assert edges[0] == AttachmentEdge(0, 1, (1, 0), 1, 2, None)
+    assert edges[-1] == edges[2] == AttachmentEdge(1, 3, (1, 1), 3, 2, None)
+    assert edges[-2].clash == 3
+    assert list(edges[1:]) == [edges[1], edges[2]]
+    assert list(edges[::-1]) == list(reversed(edges)) == [edges[2], edges[1], edges[0]]
+    assert edges[:0] == Edges(AttachmentEdge, array("i"), array("i"), [])
+    check_edges_view(edges)
+    # equal columns are equal views; anything else is not
+    same = Edges(AttachmentEdge, array("i", [0, 0, 1]), array("i", [1, 2, 3]), list(payloads))
+    assert edges == same and not edges != same
+    assert edges != edges[:-1]
+    assert edges != Edges(AttachmentEdge, array("i", [0, 0, 1]), array("i", [1, 2, 4]), payloads)
+    assert edges != Edges(tuple, edges.parents, edges.children, payloads)
+    assert edges != list(edges)
+    with pytest.raises(TypeError):
+        hash(edges)
+
+
+def test_explore_edges_view_equals_a_second_exploration(systems):
+    tas = systems["sierpinski"]
+    a, b = explore(tas, 8).edges, explore(tas, 8).edges
+    assert a is not b and a == b
+    assert a != explore(tas, 7).edges
 
 
 def check_edge_clashes(tas, result):
@@ -171,6 +205,8 @@ def check_sample_sequence_matches_reference(tas, seeds, lengths):
         for max_steps in lengths:
             got = sample_sequence(tas, seed, max_steps)
             assert got.steps == ref_sample_sequence(tas, seed, max_steps).steps, (seed, max_steps)
+            # built unchecked, it leaves what the checking constructor does
+            assert got.result() == AssemblySequence(tas, got.steps).result()
 
 
 @pytest.mark.parametrize("name", sorted(corpus.GENERATORS))
@@ -179,7 +215,7 @@ def test_sample_sequence_matches_sorting_oracle(systems, name):
 
 
 def test_explore_memory_at_bound_25(systems):
-    # packed keys and id edges: the frozenset store held about 50 MB here
+    # packed keys and columnar edges: the frozenset store held about 50 MB here
     tracemalloc.start()
     try:
         result = explore(systems["sierpinski"], 25)
@@ -187,7 +223,9 @@ def test_explore_memory_at_bound_25(systems):
     finally:
         tracemalloc.stop()
     assert (len(result.assemblies), len(result.edges)) == (9295, 32094)
-    assert held < 15 * 2**20
+    # about 2.0 MiB: edges are two id arrays and one list of shared payloads;
+    # one tuple per edge held about 5.1 MiB
+    assert held < 3 * 2**20
 
 
 @pytest.mark.parametrize("name,bound", [("elbow", 6), ("nondet_elbow", 6), ("sierpinski", 8)])
@@ -271,6 +309,37 @@ def test_sequence_replays_and_reports_sides(systems):
     chain = seq.assemblies()
     assert chain[0] == seed_assembly(tas) and chain[-1] == seq.result()
     assert all(chain[i + 1] == attach(tas, chain[i], *seq.steps[i]) for i in range(3))
+
+
+class _Unread:
+    """A glue table that fails on any read."""
+
+    def __getitem__(self, k):
+        raise AssertionError("read the clash table")
+
+    __iter__ = __contains__ = __getitem__
+
+
+class _NoClashTables(GlueTables):
+    @property
+    def clash(self):
+        raise AssertionError("read the clash table")
+
+
+@pytest.mark.parametrize("name", ("nondet_elbow", "sierpinski"))
+def test_sample_sequence_reads_no_clash(systems, name):
+    # the clash side is recorded on exploration edges only; a random run
+    # reads bond strengths alone
+    tas = systems[name]
+    blind = dataclasses.replace(tas)
+    tables = _NoClashTables(tas.glue_tables.match, _Unread())
+    object.__setattr__(blind, "glue_tables", tables)
+    for seed in range(3):
+        got = sample_sequence(blind, seed, 300)
+        want = sample_sequence(tas, seed, 300)
+        assert (got.steps, got.result()) == (want.steps, want.result())
+    with pytest.raises(AssertionError):
+        explore(blind, 4)
 
 
 def test_sample_sequence_memory_at_4000_steps(systems):

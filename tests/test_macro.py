@@ -11,7 +11,15 @@ import pytest
 from tileworks import atam as atam_module
 from tileworks import corpus
 from tileworks import macro as macro_module
-from tileworks.atam import Direction, Pad, TileSystem, TileType, WorkbenchError, explore
+from tileworks.atam import (
+    Direction,
+    Edges,
+    Pad,
+    TileSystem,
+    TileType,
+    WorkbenchError,
+    explore,
+)
 from tileworks.blocks import BlockPhase, BlockState, InputKind, MacroAssembly, detect_kind
 from tileworks.encoding import compile_system
 from tileworks.macro import (
@@ -200,7 +208,8 @@ def test_commit_branches_split_on_entry(compiled):
 
 
 def test_macro_explore_memory_at_bound_ten(compiled):
-    # packed keys, shared events and id edges: the frozenset store held 49 MB here
+    # packed keys, shared events and columnar edges: the frozenset store held
+    # 49 MB here, and one tuple per edge about 6.3 MiB; this holds about 2.5 MiB
     cs = compiled["sierpinski"]
     tracemalloc.start()
     try:
@@ -209,7 +218,7 @@ def test_macro_explore_memory_at_bound_ten(compiled):
     finally:
         tracemalloc.stop()
     assert (len(result.states), len(result.edges)) == (14975, 50400)
-    assert held < 15 * 2**20
+    assert held < 4 * 2**20
 
 
 def test_illegal_events_raise(compiled):
@@ -556,6 +565,23 @@ def check_breadth_first_edges(nodes, edges):
         last = parent
 
 
+def check_edges_view(edges):
+    """Every way of reading an `Edges` view builds the same `edge` tuples:
+    iteration, indexing from either end, `reversed` and slices."""
+    n = len(edges)
+    listed = list(edges)
+    assert len(listed) == n == len(edges.children) == len(edges.payloads)
+    assert all(type(e) is edges.edge for e in listed)
+    assert [edges[i] for i in range(n)] == listed == [edges[i - n] for i in range(n)]
+    assert list(reversed(edges)) == listed[::-1]
+    for cut in (slice(None), slice(1, -1), slice(None, None, -2), slice(n, None)):
+        assert list(edges[cut]) == listed[cut]
+        assert type(edges[cut]) is Edges
+    for outside in (n, -n - 1):
+        with pytest.raises(IndexError):
+            edges[outside]
+
+
 def _explore_outcome(explore, cs, bound):
     """An exploration's states, edges and truncation, or what it raised.
 
@@ -572,6 +598,8 @@ def _explore_outcome(explore, cs, bound):
         name[key] = macro.key
     assert len(set(name.values())) == len(name)
     check_breadth_first_edges(result.states, result.edges)
+    if isinstance(result.edges, Edges):  # the reference loop keeps a tuple
+        check_edges_view(result.edges)
     edges = [(name[e.parent], name[e.child], e.event) for e in result.edges]
     return list(name.values()), edges, result.truncated, name[result.seed_key]
 

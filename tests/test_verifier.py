@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import dataclasses
+from array import array
 from types import SimpleNamespace
 
 import pytest
 
 from tileworks import corpus, verifier
-from tileworks.atam import explore
+from tileworks.atam import AttachmentEdge, Edges, explore
 from tileworks.blocks import BlockPhase, BlockState
+from tileworks.consistency import verify_locally_consistent
 from tileworks.encoding import AddressEntry, build_entries, build_table, compile_system
 from tileworks.macro import EventKind, MacroEdge, macro_explore
 from tileworks.verifier import check_seed_representation, simulation_report
@@ -136,6 +138,12 @@ def test_coverage_names_a_decode_the_source_never_produced(compiled):
     assert len(macro.states.packed[first]) != 4  # an empty slot sits inside its key
 
 
+def _edges(edge, rows):
+    """An `Edges` view of `edge`s, from (parent, child, *payload) rows."""
+    parents, children = array("i", [r[0] for r in rows]), array("i", [r[1] for r in rows])
+    return Edges(edge, parents, children, [tuple(r[2:]) for r in rows])
+
+
 def test_dynamics_soundness_flags_impossible_jump():
     # white box: feed the checker a macro step whose decode jumps to an
     # assembly the source cannot reach in one attachment
@@ -144,10 +152,10 @@ def test_dynamics_soundness_flags_impossible_jump():
     c = frozenset({((0, 0), 0), ((0, 1), 2)})
     source = SimpleNamespace(
         assemblies={a: None, b: None},
-        edges=(SimpleNamespace(parent=0, child=1),),
+        edges=_edges(AttachmentEdge, [(0, 1, (1, 0), 1, 2, None)]),
     )
     event = SimpleNamespace(kind=EventKind.COMMIT, describe=lambda: "synthetic step")
-    macro = SimpleNamespace(edges=(MacroEdge(0, 1, event),))
+    macro = SimpleNamespace(edges=_edges(MacroEdge, [(0, 1, event)]))
     decoded = [a, c]
     report = verifier._dynamics(None, source, macro, decoded)
     assert not report.passed
@@ -193,10 +201,39 @@ def test_dynamics_witness_tie_break(first):
     later = (b, c) if first == 0 else (c, b)
     source = SimpleNamespace(
         assemblies=dict.fromkeys((a, *later)),
-        edges=tuple(SimpleNamespace(parent=0, child=i) for i in (1, 2)),
+        edges=_edges(
+            AttachmentEdge, [(0, i, *min(k - a), 2, None) for i, k in enumerate(later, 1)]
+        ),
     )
-    macro = SimpleNamespace(edges=())
+    macro = SimpleNamespace(edges=_edges(MacroEdge, []))
     decoded = [a]
     report = verifier._dynamics(None, source, macro, decoded)
     assert report == ref_dynamics(source, macro, decoded)
     assert report.witness.endswith(f"a decode of {sorted(later[0])}")
+
+
+def test_checks_read_edge_columns_only(systems, compiled, monkeypatch):
+    # the verifier and the consistency check zip the id and payload columns:
+    # building one tuple per edge there made `simulation_report(sierpinski, 8)`
+    # slower than keeping the tuples did
+    built = []
+
+    def counting(name):
+        read = getattr(Edges, name)
+
+        def counted(self, *args):
+            built.append(name)
+            return read(self, *args)
+
+        monkeypatch.setattr(Edges, name, counted)
+
+    for name in ("__getitem__", "__iter__"):
+        counting(name)
+    assert verify_locally_consistent(systems["sierpinski"], 25).passed
+    assert simulation_report(compiled["sierpinski"], 8).passed
+    assert built == []
+    # the counters count: a failing check builds its one failing edge
+    assert not verify_locally_consistent(systems["elbow_bad_sum"], 25).passed
+    assert built == ["__getitem__"]
+    assert list(explore(systems["elbow"], 3).edges)
+    assert built[1:] == ["__iter__"]
