@@ -95,9 +95,13 @@ class SidePad:
 NULL_PAD = SidePad(None, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pad:
-    """An oriented positive-strength glue: what one side of a placed tile offers."""
+    """An oriented positive-strength glue: what one side of a placed tile offers.
+
+    Slotted: a block state holds its pads and every arrival event builds one,
+    so a pad carries no per-instance `__dict__`.
+    """
 
     glue: str
     direction: Direction

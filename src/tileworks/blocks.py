@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import cached_property
 
 from .atam import Assembly, Coord, Direction, Pad, TileSystem
 
@@ -54,6 +55,8 @@ class BlockState:
     `output_pads` are only the non-null pads the committed tile presents on
     its non-input sides.  Nothing else is kept: a block's next state depends
     only on these fields and the event (with, for a commit, the bits drawn).
+    The hash, `input_directions` and `received_strength` are cached on first
+    read; they stay out of `repr`, the field list and the pickled state.
     """
 
     phase: BlockPhase
@@ -72,16 +75,22 @@ class BlockState:
             return value
 
     def __getstate__(self) -> dict:
-        # string hashes are seeded per process, so the cached one never travels
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        # string hashes are seeded per process, so the cached one never travels;
+        # the cached facts below follow from the fields, so they stay behind too
+        return {k: v for k, v in self.__dict__.items() if k not in _CACHED}
 
-    @property
+    # computed once per state: the event rule asks every collecting block on
+    # every refresh, and a run visits the same few states again and again
+    @cached_property
     def input_directions(self) -> frozenset[Direction]:
         return frozenset(p.direction for p in self.input_pads)
 
-    @property
+    @cached_property
     def received_strength(self) -> int:
         return sum(p.strength for p in self.input_pads)
+
+
+_CACHED = frozenset({"_hash", "input_directions", "received_strength"})
 
 
 def seed_block(tas: TileSystem) -> BlockState:

@@ -318,6 +318,9 @@ class CompiledSystem:
     # the block automaton's memo, filled by `macro._transition`: (block state,
     # event kind, pad, bits) -> the next block state, and each next state -> itself
     transitions: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    # type-detected block state -> whether its input address has a table entry,
+    # filled by `macro._addressable`
+    addressable: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def entry_payloads(self) -> tuple[str, ...]:
         """Raw entry bodies (text after each '#'), indexed by address value."""

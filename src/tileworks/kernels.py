@@ -7,13 +7,16 @@ middle, then count back down through the mirrored half and pick out the
 selected mirrored sub-entry span.
 
 `sweep` computes that answer by binary search over the marker columns that
-`TableIndex` collects once per table.  The column-by-column walk itself lives
-in the tests (`tests/oracles.py`), which check `sweep` against it.
+`TableIndex` collects once per table, as two `array('i')` columns filled
+straight from the regex scan, so an index holds no boxed int per marker.  The
+column-by-column walk itself lives in the tests (`tests/oracles.py`), which
+check `sweep` against it.
 """
 
 from __future__ import annotations
 
 import re
+from array import array
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
@@ -42,7 +45,12 @@ class SweepRecord(NamedTuple):
 
 
 class TableIndex:
-    """One table's marker columns: every '#' and ';', and the middle."""
+    """One table's marker columns: every '#' and ';', and the middle.
+
+    `hashes` and `semis` are `array('i')`s of ascending columns, appended one
+    match at a time, never through a list; `bisect` and slicing read them as
+    they would lists, at the cost of boxing each item `bisect` reads.
+    """
 
     def __init__(self, table: str):
         lt = table.find("<")
@@ -56,8 +64,8 @@ class TableIndex:
             and table[lt + 4] == "%"
         )
         self.middle = (lt, gt)
-        self.hashes = [found.start() for found in re.finditer("#", table)]
-        self.semis = [found.start() for found in re.finditer(";", table)]
+        self.hashes = array("i", map(re.Match.start, re.finditer("#", table)))
+        self.semis = array("i", map(re.Match.start, re.finditer(";", table)))
         # hashes[:entries] mark the entries, hashes[mirror:] their mirrored copies
         self.entries = bisect_left(self.hashes, lt)
         self.mirror = bisect_right(self.hashes, gt)

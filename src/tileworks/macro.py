@@ -66,8 +66,11 @@ class EventKind(IntEnum):
     COMPLETION = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MacroEvent:
+    """One block event at `coord`; slotted, since every refresh of the enabled
+    events builds one per event and `MacroRun.events` keeps one per step."""
+
     kind: EventKind
     coord: Coord
     pad: Pad | None = None  # for arrivals: the pad as received (direction = receiving side)
@@ -88,8 +91,12 @@ class MacroEvent:
 
 
 def _addressable(cs: CompiledSystem, state: BlockState) -> bool:
-    value = address_of(state.input_pads, cs.glues).value
-    return value in cs.addresses
+    """Whether `state`'s input address has an entry, memoised in `cs.addressable`."""
+    memo = cs.addressable
+    known = memo.get(state)
+    if known is None:
+        known = memo[state] = address_of(state.input_pads, cs.glues).value in cs.addresses
+    return known
 
 
 # each receiving side's `direction_order`, the side, the side facing it, its offset

@@ -3,9 +3,12 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import tileworks
+from tileworks.corpus import counter
 from tileworks.encoding import build_table, compile_system
 from tileworks.kernels import (
     E_ADDR_RANGE,
@@ -17,6 +20,13 @@ from tileworks.kernels import (
 )
 
 from .oracles import ref_sweep
+
+# "> # 1 < x" has a '<' but no '< % % >' middle after it; the last
+# table's mirrored half lost the copy of entry 0
+MALFORMED = (
+    "", "< wrong start", "< no leading marker", "> # no middle", "> # 1 < x",
+    "> # 1 # < % % > # <",
+)
 
 
 def _assert_matches_loop(idx, table, addr, b, label):
@@ -36,13 +46,35 @@ def test_sweep_matches_reference_loop_across_corpus(compiled, lone_seed):
 
 
 def test_sweep_matches_reference_loop_on_malformed_tables():
-    # "> # 1 < x" has a '<' but no '< % % >' middle after it; the last
-    # table's mirrored half lost the copy of entry 0
-    for bad in ("", "< wrong start", "> # no middle", "> # 1 < x", "> # 1 # < % % > # <"):
+    for bad in MALFORMED:
         idx = TableIndex(bad)
         for addr in (0, 1, 5, -1):
             for b in (0, 1):
                 _assert_matches_loop(idx, bad, addr, b, bad)
+
+
+def test_index_columns_are_arrays_of_a_character_scan(compiled, lone_seed):
+    tables = [cs.table.symbols for cs in (*compiled.values(), compile_system(lone_seed))]
+    for table in (*tables, *MALFORMED):
+        idx = TableIndex(table)
+        for column, mark in ((idx.hashes, "#"), (idx.semis, ";")):
+            assert type(column) is array and column.typecode == "i", table[:20]
+            assert column.tolist() == [i for i, c in enumerate(table) if c == mark], table[:20]
+
+
+def test_compiled_index_memory():
+    tas = counter(4)
+    tracemalloc.start()
+    try:
+        cs = compile_system(tas)
+        cs.table.index
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cs.table.index.hashes) + len(cs.table.index.semis) == 29814
+    # about 0.25 MiB: the marker columns are int arrays; one boxed int per
+    # marker held about 1.2 MiB
+    assert held < 2**19
 
 
 def test_sweep_statuses(compiled):
@@ -64,13 +96,7 @@ def test_selection_arithmetic(compiled):
 
 
 def test_malformed_tables_flagged():
-    for bad in (
-        "",
-        "< no leading marker",
-        "> # no middle",
-        "> # 1 < x",
-        "> # 1 # < % % > # <",
-    ):
+    for bad in MALFORMED:
         idx = TableIndex(bad)
         assert sweep(idx, 0, 0).status == E_MALFORMED
     # a well-formed tiny table for contrast

@@ -21,7 +21,7 @@ from tileworks.atam import (
     explore,
 )
 from tileworks.blocks import BlockPhase, BlockState, InputKind, MacroAssembly, detect_kind
-from tileworks.encoding import compile_system
+from tileworks.encoding import address_of, compile_system
 from tileworks.macro import (
     EventKind,
     MacroEdge,
@@ -31,7 +31,6 @@ from tileworks.macro import (
     MacroRun,
     RepresentationError,
     ThreeProbeError,
-    _addressable,
     _next_state,
     decode_assembly,
     decode_block,
@@ -394,7 +393,7 @@ def _scan_frontier(cs, macro):
             if state.received_strength == 2:
                 events.append(MacroEvent(EventKind.PROBE, coord))
         elif state.phase is BlockPhase.TYPE_DETECTED:
-            if _addressable(cs, state):
+            if address_of(state.input_pads, cs.glues).value in cs.addresses:
                 events.append(MacroEvent(EventKind.COMMIT, coord))
         elif state.phase is BlockPhase.COMMITTED:
             events.append(MacroEvent(EventKind.COMPLETION, coord))
@@ -721,6 +720,10 @@ def test_block_state_hash_cache_is_invisible():
     pickled = pickle.dumps(fresh)
     assert hashed is not fresh
     hash(hashed)
+    # the cached facts: computed once, then read back as the same object
+    assert hashed.input_directions == {Direction.S, Direction.W}
+    assert hashed.input_directions is hashed.input_directions
+    assert hashed.received_strength == 2
     assert hashed == fresh and hash(hashed) == hash(fresh)
     # the same value the dataclass's own field-tuple hash gives
     assert hash(fresh) == hash(tuple(getattr(fresh, n) for n in names))
@@ -733,3 +736,33 @@ def test_block_state_hash_cache_is_invisible():
     back = dataclasses.replace(moved, committed_tile=3)
     assert moved != hashed and back == hashed and hash(back) == hash(hashed)
     assert {hashed: 1}[fresh] == 1
+    loaded = pickle.loads(pickle.dumps(hashed))
+    assert loaded.input_directions == hashed.input_directions
+    assert loaded.received_strength == 2
+
+
+def test_pads_and_events_are_slotted_frozen_and_pickle():
+    pad = Pad("a", Direction.S, 2)
+    arrival = MacroEvent(EventKind.PAD_ARRIVAL, (1, 2), pad, (1, 3))
+    state = BlockState(BlockPhase.TYPE_DETECTED, (pad,))
+    for record in (pad, arrival, MacroEvent(EventKind.COMMIT, (0, 1))):
+        assert not hasattr(record, "__dict__")
+        for field in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field.name, getattr(record, field.name))
+        # a new name has no slot; the frozen `__setattr__` of a slotted class
+        # raises TypeError for it on some Python versions
+        with pytest.raises((AttributeError, TypeError)):
+            record.note = "x"
+    for value in (pad, arrival, MacroEvent(EventKind.COMMIT, (0, 1)), state):
+        back = pickle.loads(pickle.dumps(value))
+        assert back == value and hash(back) == hash(value) and back is not value
+
+
+def test_addressability_is_memoised_per_state(compiled):
+    cs = compile_system(compiled["counter3"].source)
+    run_macro(cs, 0, max_events=3000)
+    assert cs.addressable
+    for state, known in cs.addressable.items():
+        assert state.phase is BlockPhase.TYPE_DETECTED
+        assert known == (address_of(state.input_pads, cs.glues).value in cs.addresses)
