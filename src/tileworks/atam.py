@@ -440,38 +440,45 @@ class AttachmentEdge(NamedTuple):
 class Edges(Sequence):
     """An exploration's edges in order, stored as columns and materialised on read.
 
-    Edge i runs from `parents[i]` to `children[i]`, both state ids in an
-    `array('i')`, and `payloads[i]` is the rest of its fields: the payload
-    of the event it applies, one tuple shared by every edge of that event.
-    `edges[i]` (negative i too), iteration and `reversed` build `edge`
-    tuples, an `AttachmentEdge` or `macro.MacroEdge`, and keep none; a slice
-    is an `Edges` over sliced columns.  Hot loops read the columns instead.
+    Edge i runs from `parents[i]` to `children[i]`, both state ids, and
+    `codes[i]` names what it applies: `table[codes[i]]` is the rest of its
+    fields, the payload of its event, one tuple shared by every edge of that
+    event.  All three columns are `array('i')`s.  `edges[i]` (negative i
+    too), iteration and `reversed` build `edge` tuples, an `AttachmentEdge`
+    or `macro.MacroEdge`, and keep none; a slice is an `Edges` over sliced
+    columns and the same table.  Hot loops read the columns instead, and test
+    a payload once per code.
     """
 
-    def __init__(self, edge: type, parents: array, children: array, payloads: list):
+    def __init__(self, edge: type, parents: array, children: array, codes: array, table: list):
         self.edge = edge
         self.parents = parents
         self.children = children
-        self.payloads = payloads
+        self.codes = codes
+        self.table = table
 
     def __len__(self) -> int:
         return len(self.parents)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Edges(self.edge, self.parents[i], self.children[i], self.payloads[i])
-        return tuple.__new__(self.edge, (self.parents[i], self.children[i], *self.payloads[i]))
+            return Edges(self.edge, self.parents[i], self.children[i], self.codes[i], self.table)
+        payload = self.table[self.codes[i]]
+        return tuple.__new__(self.edge, (self.parents[i], self.children[i], *payload))
 
     def __iter__(self) -> Iterator[tuple]:
-        new, edge = tuple.__new__, self.edge
-        columns = zip(self.parents, self.children, self.payloads)
-        return (new(edge, (p, c, *payload)) for p, c, payload in columns)
+        new, edge, table = tuple.__new__, self.edge, self.table
+        columns = zip(self.parents, self.children, self.codes)
+        return (new(edge, (p, c, *table[code])) for p, c, code in columns)
+
+    def _payloads(self) -> list:
+        return list(map(self.table.__getitem__, self.codes))
 
     def __eq__(self, other) -> bool:  # defining it leaves the view unhashable, like a list
         if not isinstance(other, Edges):
             return NotImplemented
-        return (self.edge, self.parents, self.children, self.payloads) == (
-            other.edge, other.parents, other.children, other.payloads
+        return (self.edge, self.parents, self.children, self._payloads()) == (
+            other.edge, other.parents, other.children, other._payloads()
         )
 
     def __repr__(self) -> str:
@@ -479,37 +486,60 @@ class Edges(Sequence):
 
 
 class PackedStates(Mapping):
-    """An exploration's states by id, stored packed and materialised on read.
+    """An exploration's states by id, each stored as the edge that first reached it.
 
     Each distinct cell value has a code, its index in `alphabet` (code 0 is
-    an empty cell), and each coordinate a slot, its index in `coords`.  A
-    state's packed key, `packed[id]`, holds `chr(code)` for each slot,
-    `'\\0'` where the slot is empty, and no trailing empty slots, so equal
-    states have equal keys.  `states[id]` builds that state as a `view`
-    (`Assembly` or `blocks.MacroAssembly`) and keeps nothing.
+    an empty cell), and each coordinate a slot, its index in `coords`.  The
+    start state is kept whole, as `start`: `chr(code)` for each slot, `'\\0'`
+    where the slot is empty.  Every other state i is kept as `born[i]`, the
+    index in `edges` of its first in-edge (`born[0]` is -1).  That edge's
+    code c sets slot `slot_of[c]` to value code `value_of[c]` in its parent,
+    which was reached first by an earlier edge, and so on back to the start:
+    one step per event.  `states[id]` builds a state as a `view` (`Assembly`
+    or `blocks.MacroAssembly`) by that walk and keeps nothing; `cell` walks
+    only until it meets the slot it reads.
     """
 
-    def __init__(self, packed: list[str], coords: list[Coord], alphabet: list, view: type):
-        self.packed = packed
+    def __init__(self, start: str, born: array, edges: Edges, slot_of: array,
+                 value_of: array, coords: list[Coord], alphabet: list, view: type):
+        self.start = start
+        self.born = born
+        self.edges = edges
+        self.slot_of = slot_of
+        self.value_of = value_of
         self.coords = coords
         self.alphabet = alphabet
         self.view = view
         self._slots = {coord: s for s, coord in enumerate(coords)}
 
     def __len__(self) -> int:
-        return len(self.packed)
+        return len(self.born)
 
     def __iter__(self):
-        return iter(range(len(self.packed)))
+        return iter(range(len(self.born)))
+
+    def _walk(self, state_id: int) -> Iterator[int]:
+        """The codes of the `born` edges from `state_id` back to the start, latest first."""
+        born, parents, codes = self.born, self.edges.parents, self.edges.codes
+        while state_id:
+            e = born[state_id]
+            yield codes[e]
+            state_id = parents[e]
 
     def _pairs(self, state_id: int):
+        if not (isinstance(state_id, int) and 0 <= state_id < len(self.born)):
+            raise KeyError(state_id)
+        slot_of, value_of = self.slot_of, self.value_of
+        values: dict[int, int] = {}  # slot -> value code; the latest edge at a slot wins
+        for code in self._walk(state_id):
+            values.setdefault(slot_of[code], value_of[code])
+        for s, ch in enumerate(self.start):
+            if ch != "\0":
+                values.setdefault(s, ord(ch))
         coords, alphabet = self.coords, self.alphabet
-        key = self.packed[state_id]
-        return ((coords[s], alphabet[ord(ch)]) for s, ch in enumerate(key) if ch != "\0")
+        return ((coords[s], alphabet[values[s]]) for s in sorted(values))
 
     def __getitem__(self, state_id: int) -> Assembly:
-        if not (isinstance(state_id, int) and 0 <= state_id < len(self.packed)):
-            raise KeyError(state_id)
         return self.view(dict(self._pairs(state_id)))
 
     def key(self, state_id: int) -> frozenset:
@@ -517,10 +547,16 @@ class PackedStates(Mapping):
         return frozenset(self._pairs(state_id))
 
     def cell(self, state_id: int, coord: Coord):
-        """The value at `coord` in state `state_id`, read off its packed key."""
-        key = self.packed[state_id]
-        s = self._slots.get(coord, len(key))
-        return self.alphabet[ord(key[s])] if s < len(key) else None
+        """The value at `coord` in state `state_id`, from the latest `born` edge
+        back that set its slot: one step at a state's own `born` edge."""
+        s = self._slots.get(coord)
+        if s is None:
+            return None
+        for code in self._walk(state_id):
+            if self.slot_of[code] == s:
+                return self.alphabet[self.value_of[code]]
+        start = self.start
+        return self.alphabet[ord(start[s])] if s < len(start) else None
 
 
 class KeyedStates(Mapping):
@@ -586,25 +622,36 @@ def explore_packed(start: Assembly, bound: int, events_at, successors, touched, 
     change when `coord` takes `value`; and `edge`, a `NamedTuple` type whose
     fields are the parent id, the child id and then the payload's items.
 
-    States are packed keys (see `PackedStates`): a child's key is its parent's
-    with one character replaced.  The start's events come from one `enabled`
-    scan; a new child gets its parent's, redone at the touched coordinates.
-    Events are computed once per (slot, neighbourhood), and their outcomes once
-    per event.  A state at the bound is cut if it had events at empty
-    coordinates, which are dropped.  A transition that raises stops the
-    exploration.  Returns the states, the edges and the cut ids, in order;
-    the edges are `Edges` columns, two id arrays and the shared payloads,
-    so no `edge` tuple exists until one is read.
+    Precondition: the states are graded, and every event adds exactly one to
+    its state's grade (at the source level the tile count; at the macro level
+    the sum, over non-seed blocks, of received pads plus phase steps).  So
+    every child lies in the layer after its parent's, and a layer is deduped
+    on its own: only the packed keys of the layer being expanded and the ids
+    of the layer being built are held, and an older key is never looked up
+    again.  A packed key holds one character per coordinate slot (see
+    `PackedStates`), and a child's is its parent's with one character
+    replaced.  The start's events come from one `enabled` scan; a new child
+    gets its parent's, redone at the touched coordinates.  Events are
+    computed once per (slot, neighbourhood), and their outcomes once per
+    event, each outcome with a code that every edge applying it stores.  A
+    state at the bound is cut if it had events at empty coordinates, which
+    are dropped.  A transition that raises stops the exploration.  Returns
+    the states, kept as the edges that first reached them, the edges, as
+    `Edges` columns, and the cut ids, all in order: no state's key and no
+    `edge` tuple is kept.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     coords: list[Coord] = []
     slots: dict[Coord, int] = {}
     alphabet: list = [None]
-    codes: dict = {None: 0}
+    value_codes: dict = {None: 0}
     # slot -> (slot, getter of the characters at it and its four neighbours,
     # those characters -> the enabled events there, as front entries)
     nearby: dict[int, tuple] = {}
+    # by outcome code: the event's payload, the slot it sets and the value code there
+    table: list = []
+    slot_of, value_of = array("i"), array("i")
 
     def intern(index: dict, items: list, item) -> int:
         if item not in index:
@@ -622,56 +669,68 @@ def explore_packed(start: Assembly, bound: int, events_at, successors, touched, 
         cells = {c: alphabet[ord(ch)] for c, ch in zip(around(coords[s]), near) if ch != "\0"}
         return [[k, payload, s, near[0], None] for k, payload in events_at(cells, coords[s])]
 
-    def outcome(s: int, value) -> tuple:
-        """`value`'s character, and the `nearby` entries and slots it touches at slot `s`."""
+    def outcome(s: int, payload, value) -> tuple:
+        """The code of `payload` leaving `value` at slot `s`, `value`'s character,
+        and the `nearby` entries and slots it touches."""
         hit = tuple(near_of(c) for c in touched(coords[s], value))
-        return chr(intern(codes, alphabet, value)), hit, tuple(t[0] for t in hit)
+        table.append(payload)
+        slot_of.append(s)
+        value_of.append(intern(value_codes, alphabet, value))
+        return len(table) - 1, chr(value_of[-1]), hit, tuple(t[0] for t in hit)
 
-    chars = {intern(slots, coords, c): chr(intern(codes, alphabet, v)) for c, v in start.items()}
+    chars = {
+        intern(slots, coords, c): chr(intern(value_codes, alphabet, v)) for c, v in start.items()
+    }
     # enabled events, carried from parent to child and dropped once expanded;
     # an entry is [sort key, payload, slot, character there, outcomes once applied]
     fronts = {0: [
-        [k, p, intern(slots, coords, c), chr(codes[start.get(c)]), None]
+        [k, p, intern(slots, coords, c), chr(value_codes[start.get(c)]), None]
         for k, p, c in enabled(start._cells, events_at, touched)
     ]}
     start_key = "".join(chars.get(s, "\0") for s in range(max(chars) + 1))
-    packed = [start_key]
-    ids = {start_key: 0}
-    edges = Edges(edge, array("i"), array("i"), [])
-    add_parent, add_child = edges.parents.append, edges.children.append
-    add_payload = edges.payloads.append
+    parents, children, codes = array("i"), array("i"), array("i")
+    add_parent, add_child, add_code = parents.append, children.append, codes.append
+    born = array("i", [-1])
+    add_born = born.append
     cut: list[int] = []
-    for parent, key in enumerate(packed):
-        front = expand = fronts.pop(parent)
-        if len(key) - key.count("\0") >= bound:
-            expand = [entry for entry in front if entry[3] != "\0"]
-            if len(expand) < len(front):
-                cut.append(parent)
-        for entry in expand:
-            _, payload, s, here, outs = entry
-            if outs is None:
-                outs = entry[4] = [outcome(s, v) for v in successors(alphabet[ord(here)], payload)]
-            head, tail = key[:s].ljust(s, "\0"), key[s + 1 :]
-            for ch, hit, gone in outs:
-                child_key = head + ch + tail
-                child = ids.get(child_key)
-                if child is None:
-                    child = ids[child_key] = len(packed)
-                    packed.append(child_key)
-                    padded = child_key.ljust(len(coords), "\0")
-                    events = [e for e in front if e[2] not in gone]
-                    for t, getter, memo in hit:
-                        near = getter(padded)
-                        found = memo.get(near)
-                        if found is None:
-                            found = memo[near] = entries_at(t, near)
-                        events += found
-                    events.sort()
-                    fronts[child] = events
-                add_parent(parent)
-                add_child(child)
-                add_payload(payload)
-    return PackedStates(packed, coords, alphabet, type(start)), edges, cut
+    layer = {start_key: 0}  # the layer being expanded: its keys, in id order
+    while layer:
+        ids: dict[str, int] = {}  # the layer being built: key -> id
+        for parent, key in enumerate(layer, len(born) - len(layer)):
+            front = expand = fronts.pop(parent)
+            if len(key) - key.count("\0") >= bound:
+                expand = [entry for entry in front if entry[3] != "\0"]
+                if len(expand) < len(front):
+                    cut.append(parent)
+            for entry in expand:
+                _, payload, s, here, outs = entry
+                if outs is None:
+                    before = alphabet[ord(here)]
+                    outs = entry[4] = [outcome(s, payload, v) for v in successors(before, payload)]
+                head, tail = key[:s].ljust(s, "\0"), key[s + 1 :]
+                for code, ch, hit, gone in outs:
+                    child_key = head + ch + tail
+                    child = ids.get(child_key)
+                    if child is None:
+                        child = ids[child_key] = len(born)
+                        add_born(len(parents))
+                        padded = child_key.ljust(len(coords), "\0")
+                        events = [e for e in front if e[2] not in gone]
+                        for t, getter, memo in hit:
+                            near = getter(padded)
+                            found = memo.get(near)
+                            if found is None:
+                                found = memo[near] = entries_at(t, near)
+                            events += found
+                        events.sort()
+                        fronts[child] = events
+                    add_parent(parent)
+                    add_child(child)
+                    add_code(code)
+        layer = ids
+    edges = Edges(edge, parents, children, codes, table)
+    states = PackedStates(start_key, born, edges, slot_of, value_of, coords, alphabet, type(start))
+    return states, edges, cut
 
 
 def walk(start: Assembly, bound: int | None, max_steps: int, rng, events_at, step, touched):

@@ -6,12 +6,13 @@ committed to a tile type after the table lookup, and finally complete, at
 which point its output pads become visible to the neighbouring blocks.  A
 `BlockState` holds only what its transitions read: the probe's input kind is
 `detect_kind` of its input pads, and a probe's random bits stay with the run.
-`macro_explore` stores a macro state as a packed key: one character per
-coordinate slot, holding the interned code of the block state there (see
-`atam.PackedStates`); `run_macro`'s `atam.walk` keeps a plain dict of block
-states.  `MacroAssembly`, the form both hand out and the decoder reads, is an
-`Assembly` of block states, the same immutable cell map, keyed by its
-(coordinate, block state) pairs.
+`macro_explore` stores a macro state as the edge that first reached it, and
+dedupes one layer of states at a time by their packed keys: one character
+per coordinate slot, holding the interned code of the block state there (see
+`atam.explore_packed` and `atam.PackedStates`); `run_macro`'s `atam.walk`
+keeps a plain dict of block states.  `MacroAssembly`, the form both hand out
+and the decoder reads, is an `Assembly` of block states, the same immutable
+cell map, keyed by its (coordinate, block state) pairs.
 """
 
 from __future__ import annotations

@@ -101,13 +101,14 @@ def verify_locally_consistent(tas: TileSystem, bound: int) -> Verdict:
     """
     result = explore(tas, bound)
     note = _note(bound, result.truncated)
-    # scan the payload column, (pos, tile, strength, clash) per edge, and
-    # build only the failing edge
-    payloads = enumerate(result.edges.payloads)
-    first = next((i for i, (_, _, s, clash) in payloads if s != 2 or clash is not None), None)
-    if first is None:
+    # test each distinct payload, (pos, tile, strength, clash), once by its
+    # code; every code is on some edge, so the first edge with a failing code
+    # is the first failing edge, and it is the only one built
+    edges = result.edges
+    failing = {c for c, (_, _, s, clash) in enumerate(edges.table) if s != 2 or clash is not None}
+    if not failing:
         return Verdict(True, None, result.truncated, note)
-    edge = result.edges[first]
+    edge = edges[next(i for i, code in enumerate(edges.codes) if code in failing)]
     if edge.strength != 2:
         witness = Witness(
             kind="strength-sum",

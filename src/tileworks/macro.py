@@ -12,10 +12,11 @@ rule, the events enabled at a coordinate.  `run_macro` runs it in the random
 walk `atam.walk` and `macro_explore` in the breadth-first skeleton
 `atam.explore_packed`, both shared with the source level; both step blocks
 through `_transition`, the automaton's one memo, kept on the compiled system.
-`macro_explore` keys a state by one character per coordinate slot, naming
-its interned block state; its `atam.PackedStates` build a `MacroAssembly`
-only when one is read, and its `atam.Edges` name states by id and build a
-`MacroEdge` only when one is read.
+`macro_explore` dedupes one layer of states at a time, by a packed key of one
+character per coordinate slot naming its interned block state, and keeps
+each state only as the edge that first reached it; its `atam.PackedStates`
+build a `MacroAssembly` only when one is read, and its `atam.Edges` name
+states by id, events by code, and build a `MacroEdge` only when one is read.
 """
 
 from __future__ import annotations
@@ -311,7 +312,7 @@ class MacroEdge(NamedTuple):
 @dataclass
 class MacroExplorationResult:
     """A `macro_explore`: `states` by id, `edges` an `Edges` view of `MacroEdge`s
-    between ids, whose payload column holds each edge's `(event,)`."""
+    between ids, whose table holds each code's payload, `(event,)`."""
 
     states: PackedStates
     edges: Edges

@@ -13,6 +13,7 @@ Three conditions, each over bounded explorations of both levels:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .atam import Edges, explore
 from .blocks import BlockPhase
@@ -106,29 +107,35 @@ def _sorted_cells(key: frozenset) -> str:
 def _decode_all(cs: CompiledSystem, macro_result: MacroExplorationResult) -> list:
     """Every macro state's decoded image, by id, decoded along the edges.
 
-    The start state is decoded whole.  The first edge into a state comes from
-    its parent, whose image is then known; the child's image is the parent's,
-    except after a commit, which adds the one block it committed.  A
-    completion copies the committed fields, so it cannot change the image.
-    Equal images are one frozenset object.
+    The start state is decoded whole.  Every other state is stored as the
+    edge that first reached it, from a parent with a lower id, whose image is
+    then known; the child's image is the parent's, except after a commit,
+    which adds the one block it committed.  A completion copies the committed
+    fields, so it cannot change the image.  Equal images are one frozenset
+    object.
     """
-    states = macro_result.states
+    states, edges = macro_result.states, macro_result.edges
     start = decode_assembly(states[macro_result.seed_key], cs).key
-    images: list = [None] * len(states)
-    images[macro_result.seed_key] = start
+    images: list = [start]
     interned = {start: start}
-    edges = macro_result.edges
-    for parent, child, (event,) in zip(edges.parents, edges.children, edges.payloads):
-        if images[child] is not None:
-            continue
-        image = images[parent]
-        if event.kind is EventKind.COMMIT:
-            coord = event.coord
+    commit = _commit_codes(edges)
+    parents, codes, table = edges.parents, edges.codes, edges.table
+    for child, e in enumerate(islice(states.born, 1, None), 1):
+        image = images[parents[e]]
+        code = codes[e]
+        if commit[code]:
+            coord = table[code][0].coord
             tile = _decode_at(cs, coord, states.cell(child, coord))
             image = image | {(coord, tile)}
             image = interned.setdefault(image, image)
-        images[child] = image
+        images.append(image)
     return images
+
+
+def _commit_codes(edges: Edges) -> list[bool]:
+    """Whether each code of `edges` applies a commit, the one event that can
+    change a decoded image."""
+    return [event.kind is EventKind.COMMIT for (event,) in edges.table]
 
 
 def _coverage(cs, source_result, macro_result, decoded) -> ConditionReport:
@@ -180,15 +187,16 @@ def _dynamics(cs, source_result, macro_result, decoded) -> ConditionReport:
     # soundness: each macro step decodes to equality or one legal attachment;
     # `_decode_all` gives a child its parent's image unless the step is a
     # commit, so only commit steps can change an image
-    commit = EventKind.COMMIT  # read once: enum member lookups are slow per edge
     edges = macro_result.edges
-    for parent, child, (event,) in zip(edges.parents, edges.children, edges.payloads):
-        if event.kind is not commit:
+    commit = _commit_codes(edges)
+    for parent, child, code in zip(edges.parents, edges.children, edges.codes):
+        if not commit[code]:
             continue
         pa, ca = decoded[parent], decoded[child]
         if pa == ca:
             continue
         if (pa, ca) not in source_edges:
+            (event,) = edges.table[code]
             return ConditionReport(
                 "dynamics",
                 False,
@@ -201,16 +209,19 @@ def _dynamics(cs, source_result, macro_result, decoded) -> ConditionReport:
             )
 
     # completeness: one bit per source assembly, in exploration order; a macro
-    # state owns the bit of its decoded image, if that is a source assembly
+    # state owns the bit of its decoded image, if that is a source assembly.
+    # `_decode_all` makes equal images one object, so the per-state lookups
+    # go through dicts keyed by the images, which match by identity, and only
+    # one lookup per distinct image compares it with the source keys
     bit = {akey: 1 << i for i, akey in enumerate(order)}
+    own = {image: bit.get(image, 0) for image in dict.fromkeys(decoded)}
     src_reach = _reach(list(bit.values()), source_result.edges)
-    mac_reach = _reach([bit.get(akey, 0) for akey in decoded], macro_result.edges)
-    followed = dict.fromkeys(order, 0)
-    for state_id, akey in enumerate(decoded):
-        if akey in followed:
-            followed[akey] |= mac_reach[state_id]
+    mac_reach = _reach([own[image] for image in decoded], macro_result.edges)
+    followed = dict.fromkeys(own, 0)
+    for image, reach in zip(decoded, mac_reach):
+        followed[image] |= reach
     for akey, reach in zip(order, src_reach):
-        if missing := reach & ~followed[akey]:
+        if missing := reach & ~followed.get(akey, 0):
             # the fewest tiles, then the first in source exploration order
             target = min((k for i, k in enumerate(order) if missing >> i & 1), key=len)
             return ConditionReport(

@@ -4,6 +4,7 @@ import dataclasses
 import random
 import tracemalloc
 from array import array
+from typing import NamedTuple
 
 import pytest
 
@@ -23,6 +24,7 @@ from tileworks.atam import (
     attach,
     binding_strength,
     explore,
+    explore_packed,
     frontier,
     is_terminal,
     sample_sequence,
@@ -43,7 +45,7 @@ from .oracles import (
     ref_sample_sequence,
     ref_terminal_keys,
 )
-from .test_macro import check_breadth_first_edges, check_edges_view
+from .test_macro import check_breadth_first_edges, check_cells_walk, check_edges_view
 
 
 def test_side_pad_rejects_inconsistent_null():
@@ -129,31 +131,61 @@ def check_explore_matches_reference(tas, bound):
     result = explore(tas, bound)
     assemblies, edges, truncated = ref_explore(tas, bound)
     assert keyed_outcome(result) == (list(assemblies), edges, truncated)
-    check_breadth_first_edges(result.states, result.edges)
+    check_breadth_first_edges(result.states, result.edges, len)
     check_edges_view(result.edges)
     return result
 
 
 def test_edges_view_reads_its_columns():
-    payloads = [((1, 0), 1, 2, None), ((0, 1), 2, 2, 3), ((1, 1), 3, 2, None)]
-    edges = Edges(AttachmentEdge, array("i", [0, 0, 1]), array("i", [1, 2, 3]), payloads)
-    assert len(edges) == 3
+    table = [((1, 0), 1, 2, None), ((0, 1), 2, 2, 3), ((1, 1), 3, 2, None)]
+    parents, children = array("i", [0, 0, 1, 1]), array("i", [1, 2, 3, 4])
+    edges = Edges(AttachmentEdge, parents, children, array("i", [0, 1, 2, 2]), table)
+    assert len(edges) == 4
     assert edges[0] == AttachmentEdge(0, 1, (1, 0), 1, 2, None)
-    assert edges[-1] == edges[2] == AttachmentEdge(1, 3, (1, 1), 3, 2, None)
-    assert edges[-2].clash == 3
-    assert list(edges[1:]) == [edges[1], edges[2]]
-    assert list(edges[::-1]) == list(reversed(edges)) == [edges[2], edges[1], edges[0]]
-    assert edges[:0] == Edges(AttachmentEdge, array("i"), array("i"), [])
+    assert edges[-2] == edges[2] == AttachmentEdge(1, 3, (1, 1), 3, 2, None)
+    assert edges[-1] == AttachmentEdge(1, 4, (1, 1), 3, 2, None)
+    assert edges[-3].clash == 3
+    assert list(edges[1:]) == [edges[1], edges[2], edges[3]]
+    assert list(edges[::-1]) == list(reversed(edges)) == [edges[3], edges[2], edges[1], edges[0]]
+    assert edges[:0] == Edges(AttachmentEdge, array("i"), array("i"), array("i"), [])
+    assert edges[1:].table is table
     check_edges_view(edges)
-    # equal columns are equal views; anything else is not
-    same = Edges(AttachmentEdge, array("i", [0, 0, 1]), array("i", [1, 2, 3]), list(payloads))
-    assert edges == same and not edges != same
+    # views are equal when they build equal edges, however their codes number them
+    same = Edges(AttachmentEdge, array("i", parents), array("i", children),
+                 array("i", [0, 1, 2, 2]), list(table))
+    renumbered = Edges(AttachmentEdge, parents, children,
+                       array("i", [2, 0, 1, 1]), table[1:] + table[:1])
+    assert edges == same == renumbered and not edges != same
     assert edges != edges[:-1]
-    assert edges != Edges(AttachmentEdge, array("i", [0, 0, 1]), array("i", [1, 2, 4]), payloads)
-    assert edges != Edges(tuple, edges.parents, edges.children, payloads)
+    assert edges != Edges(AttachmentEdge, parents, array("i", [1, 2, 3, 5]), edges.codes, table)
+    assert edges != Edges(AttachmentEdge, parents, children, array("i", [0, 1, 2, 1]), table)
+    assert edges != Edges(tuple, parents, children, edges.codes, table)
     assert edges != list(edges)
     with pytest.raises(TypeError):
         hash(edges)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.GENERATORS))
+def test_cell_walk_matches_keys(systems, name):
+    for bound in range(1, 13):
+        check_cells_walk(explore(systems[name], bound).states)
+
+
+def test_gradedness_check_rejects_an_ungraded_rule():
+    # one cell that may step a -> b -> c or jump a -> c: the jump adds two to
+    # the grade, so the layered store reaches c in two layers and keeps it twice
+    def events_at(cells, coord):
+        here = cells.get(coord)
+        return [((here, k), (k,)) for k in "bc" if here is not None and k > here]
+
+    Step = NamedTuple("Step", [("parent", int), ("child", int), ("value", str)])
+    states, edges, _ = explore_packed(
+        Assembly({(0, 0): "a"}), 1, events_at, lambda _, payload: payload,
+        lambda coord, _: (coord,), Step,
+    )
+    assert [dict(states.key(i)) for i in states] == [{(0, 0): v} for v in "abcc"]
+    with pytest.raises(AssertionError):
+        check_breadth_first_edges(states, edges, lambda asm: ord(asm[(0, 0)]) - ord("a"))
 
 
 def test_explore_edges_view_equals_a_second_exploration(systems):
@@ -215,17 +247,19 @@ def test_sample_sequence_matches_sorting_oracle(systems, name):
 
 
 def test_explore_memory_at_bound_25(systems):
-    # packed keys and columnar edges: the frozenset store held about 50 MB here
+    # the frozenset store held about 50 MB here, and one packed key per state
+    # with one payload reference per edge 2.0 MiB (2.7 MiB at the peak)
     tracemalloc.start()
     try:
         result = explore(systems["sierpinski"], 25)
-        held, _ = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert (len(result.assemblies), len(result.edges)) == (9295, 32094)
-    # about 2.0 MiB: edges are two id arrays and one list of shared payloads;
-    # one tuple per edge held about 5.1 MiB
-    assert held < 3 * 2**20
+    # about 0.7 MiB: three int columns per edge and one first in-edge per
+    # state; about 1.6 MiB at the peak, two layers of keys and fronts
+    assert held < 1.25 * 2**20
+    assert peak < 2.25 * 2**20
 
 
 @pytest.mark.parametrize("name,bound", [("elbow", 6), ("nondet_elbow", 6), ("sierpinski", 8)])

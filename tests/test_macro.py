@@ -207,17 +207,19 @@ def test_commit_branches_split_on_entry(compiled):
 
 
 def test_macro_explore_memory_at_bound_ten(compiled):
-    # packed keys, shared events and columnar edges: the frozenset store held
-    # 49 MB here, and one tuple per edge about 6.3 MiB; this holds about 2.5 MiB
+    # the frozenset store held 49 MB here, and one tuple per edge about 6.3 MiB
     cs = compiled["sierpinski"]
     tracemalloc.start()
     try:
         result = macro_explore(cs, 10)
-        held, _ = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert (len(result.states), len(result.edges)) == (14975, 50400)
-    assert held < 4 * 2**20
+    # about 1.0 MiB, 1.5 MiB at the peak; one packed key per state and one
+    # payload reference per edge held about 2.3 MiB, 3.4 MiB at the peak
+    assert held < 1.5 * 2**20
+    assert peak < 2.25 * 2**20
 
 
 def test_illegal_events_raise(compiled):
@@ -552,16 +554,28 @@ def test_macro_frontier_matches_scan_on_every_state(compiled, name):
             assert macro_frontier(cs, cut) == _scan_frontier(cs, cut)
 
 
-def check_breadth_first_edges(nodes, edges):
-    """The order `verifier._reach` relies on, over nodes in insertion order:
-    every edge's parent comes before its child, and the parents never go back
-    along the edge list."""
-    index = {key: i for i, key in enumerate(nodes)}
+def check_breadth_first_edges(nodes, edges, grade):
+    """The order `verifier._reach` and `atam.explore_packed`'s layered dedupe
+    rely on, over nodes in insertion order: every edge runs from a node of
+    grade L to one of grade L + 1, the parent comes before its child, and the
+    parents never go back along the edge list.  `grade` maps a node's value
+    to its grade: `len` at the source level, `macro_grade` at the macro level."""
+    index, grades = {}, {}
+    for i, (key, value) in enumerate(nodes.items()):
+        index[key], grades[key] = i, grade(value)
     last = 0
     for e in edges:
         parent = index[e.parent]
         assert last <= parent < index[e.child]
+        assert grades[e.child] == grades[e.parent] + 1, e
         last = parent
+
+
+def macro_grade(macro):
+    """A macro state's grade: received pads plus phase steps, summed over its
+    blocks.  Every event adds one; the seed block adds a constant 3."""
+    steps = (len(s.input_pads) + s.phase - BlockPhase.INPUTS_PARTIAL for s in macro.blocks.values())
+    return sum(steps)
 
 
 def check_edges_view(edges):
@@ -569,7 +583,8 @@ def check_edges_view(edges):
     iteration, indexing from either end, `reversed` and slices."""
     n = len(edges)
     listed = list(edges)
-    assert len(listed) == n == len(edges.children) == len(edges.payloads)
+    assert len(listed) == n == len(edges.children) == len(edges.codes)
+    assert all(0 <= code < len(edges.table) for code in edges.codes)
     assert all(type(e) is edges.edge for e in listed)
     assert [edges[i] for i in range(n)] == listed == [edges[i - n] for i in range(n)]
     assert list(reversed(edges)) == listed[::-1]
@@ -579,6 +594,16 @@ def check_edges_view(edges):
     for outside in (n, -n - 1):
         with pytest.raises(IndexError):
             edges[outside]
+
+
+def check_cells_walk(states):
+    """`states.cell` walks back to the value `states.key` holds, for every
+    state and every coordinate, None where the state has no cell."""
+    outside = (min(x for x, _ in states.coords) - 1, 0)
+    for i in states:
+        cells = dict(states.key(i))
+        for coord in (*states.coords, outside):
+            assert states.cell(i, coord) == cells.get(coord), (i, coord)
 
 
 def _explore_outcome(explore, cs, bound):
@@ -596,7 +621,7 @@ def _explore_outcome(explore, cs, bound):
         assert macro.key == frozenset(macro.blocks.items())
         name[key] = macro.key
     assert len(set(name.values())) == len(name)
-    check_breadth_first_edges(result.states, result.edges)
+    check_breadth_first_edges(result.states, result.edges, macro_grade)
     if isinstance(result.edges, Edges):  # the reference loop keeps a tuple
         check_edges_view(result.edges)
     edges = [(name[e.parent], name[e.child], e.event) for e in result.edges]
@@ -627,6 +652,7 @@ def test_macro_explore_matches_reference_loop(name, bound, systems, lone_seed):
         return
     result = macro_explore(cs, bound)
     assert list(result.states) == list(range(len(result.states)))
+    check_cells_walk(result.states)
     assert all(isinstance(m, MacroAssembly) for m in result.states.values())
     # the edge walk against a whole decode of every materialised state
     expected = _decode_outcome(
@@ -692,7 +718,8 @@ def test_run_looks_each_address_and_bits_up_once(systems, monkeypatch):
 
 def _packed_outcome(result):
     states = result.states
-    return [states.key(i) for i in states], states.packed, result.edges, result.truncated
+    stored = (states.start, states.born, states.slot_of, states.value_of, states.coords)
+    return [states.key(i) for i in states], stored, result.edges, result.truncated
 
 
 @pytest.mark.parametrize("name", ("nondet_elbow", "counter3", "sierpinski"))

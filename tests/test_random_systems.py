@@ -48,7 +48,7 @@ from .test_atam import (
     check_terminals_match_reference,
     keyed_outcome,
 )
-from .test_macro import _explore_outcome, _reference_explore
+from .test_macro import _explore_outcome, _reference_explore, check_cells_walk
 
 # Systems whose every tile binds everywhere have millions of assemblies at
 # bound 6; the bound is lowered until the oracles stay cheap.
@@ -109,6 +109,7 @@ def _first_failure(tas: TileSystem, result):
 def test_random_systems_match_oracles(tas):
     bound = _workable_bound(tas, 6)
     result = check_explore_matches_reference(tas, bound)
+    check_cells_walk(result.states)
 
     assert set(result.assemblies) == brute_producibles(tas, bound)
     _, edges, _ = keyed_outcome(result)
@@ -141,6 +142,7 @@ def test_random_systems_match_oracles(tas):
     if isinstance(got[0], type):
         return
     macro = macro_explore(cs, macro_bound)
+    check_cells_walk(macro.states)
     try:
         decoded = _decode_all(cs, macro)
     except WorkbenchError:

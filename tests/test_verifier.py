@@ -135,13 +135,18 @@ def test_coverage_names_a_decode_the_source_never_produced(compiled):
         rows=("source assemblies: 6, macro states: 97, distinct decoded images: 11",),
     )
     first = decoded.index(frozenset({((0, 0), 0), ((0, 1), 2), ((1, 0), 1), ((2, 0), 1)}))
-    assert len(macro.states.packed[first]) != 4  # an empty slot sits inside its key
+    # an empty slot sits inside its packed key: the highest slot its blocks
+    # hold is not the fourth
+    slots = [macro.states.coords.index(coord) for coord in macro.states[first].blocks]
+    assert max(slots) + 1 != 4
 
 
 def _edges(edge, rows):
-    """An `Edges` view of `edge`s, from (parent, child, *payload) rows."""
+    """An `Edges` view of `edge`s, from (parent, child, *payload) rows, one
+    code per row."""
     parents, children = array("i", [r[0] for r in rows]), array("i", [r[1] for r in rows])
-    return Edges(edge, parents, children, [tuple(r[2:]) for r in rows])
+    codes = array("i", range(len(rows)))
+    return Edges(edge, parents, children, codes, [tuple(r[2:]) for r in rows])
 
 
 def test_dynamics_soundness_flags_impossible_jump():
