@@ -54,6 +54,10 @@ class Direction(Enum):
     S = (0, -1)
     W = (-1, 0)
 
+    # members are singletons, so identity is equality; `Enum.__hash__` hashes
+    # the name in Python on every `Pad` hash and every `side in taken` test
+    __hash__ = object.__hash__
+
     @property
     def vector(self) -> Coord:
         return self.value

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
 
-from .atam import Assembly, Coord, Direction, Pad, TileSystem
+from .atam import DIRECTIONS, Assembly, Coord, Direction, Pad, TileSystem
 
 
 class BlockPhase(IntEnum):
@@ -56,8 +56,9 @@ class BlockState:
     `output_pads` are only the non-null pads the committed tile presents on
     its non-input sides.  Nothing else is kept: a block's next state depends
     only on these fields and the event (with, for a commit, the bits drawn).
-    The hash, `input_directions` and `received_strength` are cached on first
-    read; they stay out of `repr`, the field list and the pickled state.
+    The hash, `input_directions`, `received_strength` and `offers` are cached
+    on first read; they stay out of `repr`, the field list and the pickled
+    state.
     """
 
     phase: BlockPhase
@@ -90,8 +91,24 @@ class BlockState:
     def received_strength(self) -> int:
         return sum(p.strength for p in self.input_pads)
 
+    @cached_property
+    def offers(self) -> tuple[tuple[Pad, ...], ...]:
+        """For each receiving side k (in `DIRECTIONS` order), the pads this
+        block offers the neighbour whose side k faces it, turned to side k as
+        that neighbour receives them; all empty until the block is complete."""
+        if self.phase is not BlockPhase.COMPLETE:
+            return ((),) * len(DIRECTIONS)
+        return tuple(
+            tuple(
+                Pad(p.glue, side, p.strength)
+                for p in self.output_pads
+                if p.direction is side.opposite
+            )
+            for side in DIRECTIONS
+        )
 
-_CACHED = frozenset({"_hash", "input_directions", "received_strength"})
+
+_CACHED = frozenset({"_hash", "input_directions", "received_strength", "offers"})
 
 
 def seed_block(tas: TileSystem) -> BlockState:

@@ -321,6 +321,9 @@ class CompiledSystem:
     # type-detected block state -> whether its input address has a table entry,
     # filled by `macro._addressable`
     addressable: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    # selected mirrored span -> the sub-entry its pads decode to, filled by
+    # `lookup.trace_lookup`
+    sub_entries: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def entry_payloads(self) -> tuple[str, ...]:
         """Raw entry bodies (text after each '#'), indexed by address value."""

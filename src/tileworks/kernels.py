@@ -7,8 +7,9 @@ middle, then count back down through the mirrored half and pick out the
 selected mirrored sub-entry span.
 
 `sweep` computes that answer by binary search over the marker columns that
-`TableIndex` collects once per table, as two `array('i')` columns filled
-straight from the regex scan, so an index holds no boxed int per marker.  The
+`TableIndex` collects once per table, as two `array('i')` columns, so an index
+holds no boxed int per marker.  The '#' column is filled one run of bare
+entries at a time, since most entries of a table are bare.  The
 column-by-column walk itself lives in the tests (`tests/oracles.py`), which
 check `sweep` against it.
 """
@@ -47,8 +48,9 @@ class SweepRecord(NamedTuple):
 class TableIndex:
     """One table's marker columns: every '#' and ';', and the middle.
 
-    `hashes` and `semis` are `array('i')`s of ascending columns, appended one
-    match at a time, never through a list; `bisect` and slicing read them as
+    `hashes` and `semis` are `array('i')`s of ascending columns, never built
+    through a list: `semis` one match at a time, `hashes` one run of bare
+    entries at a time (`_hash_columns`).  `bisect` and slicing read them as
     they would lists, at the cost of boxing each item `bisect` reads.
     """
 
@@ -64,11 +66,32 @@ class TableIndex:
             and table[lt + 4] == "%"
         )
         self.middle = (lt, gt)
-        self.hashes = array("i", map(re.Match.start, re.finditer("#", table)))
+        self.hashes = _hash_columns(table)
         self.semis = array("i", map(re.Match.start, re.finditer(";", table)))
         # hashes[:entries] mark the entries, hashes[mirror:] their mirrored copies
         self.entries = bisect_left(self.hashes, lt)
         self.mirror = bisect_right(self.hashes, gt)
+
+
+def _hash_columns(table: str) -> array:
+    """The columns of every '#' in `table`, ascending, collected one run of
+    bare entries at a time: where a run alternates '#' and blank, as spliced
+    bare entries do, its markers are every other column from its first to
+    its last; any other run is scanned marker by marker."""
+    hashes = array("i")
+    rfind, count = table.rfind, table.count
+    # a '#' and the run of '#' and blank columns after it: a single-character
+    # repeat, so the scan keeps no backtracking stack however long the run
+    for run in re.finditer("#[# ]*", table):
+        first, hi = run.span()
+        last = rfind("#", first, hi)
+        # (last - first) / 2 disjoint "# " pairs fill the columns from `first`
+        # to `last` only if those alternate '#' and blank
+        if count("# ", first, last) * 2 == last - first:
+            hashes.extend(range(first, last + 1, 2))
+        else:
+            hashes.extend(map(re.Match.start, re.compile("#").finditer(table, first, hi)))
+    return hashes
 
 
 def sweep(index: TableIndex, addr: int, b: int) -> SweepRecord:

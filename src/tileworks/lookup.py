@@ -155,8 +155,12 @@ def _mirror_field_pads(cs: CompiledSystem, sel_lo: int, sel_hi: int) -> tuple[Pa
 def trace_lookup(
     cs: CompiledSystem, addr: int, bits: str
 ) -> tuple[LookupOutcome, PhaseTrace]:
-    """Kernel route: sweep the spliced table and decode the selected mirror span."""
-    if bits == "" or any(c not in "01" for c in bits):
+    """Kernel route: sweep the spliced table and decode the selected mirror span.
+
+    A span's decoded pads are kept in `cs.sub_entries`, so each selected
+    sub-entry is decoded once per compiled system, whatever bits select it.
+    """
+    if bits == "" or bits.strip("01"):
         raise SelectionError(f"not a bit string: {bits!r}")
     rec = kernels.sweep(cs.table.index, addr, int(bits, 2))
     if rec.status == kernels.E_ADDR_RANGE:
@@ -182,10 +186,13 @@ def trace_lookup(
         raise EmptyEntryError(
             f"entry {addr} is bare; no tile attaches there", trace=trace
         )
-    pads = _mirror_field_pads(cs, *trace.selected_span)
+    sub_entry = cs.sub_entries.get(trace.selected_span)
+    if sub_entry is None:
+        pads = _mirror_field_pads(cs, *trace.selected_span)
+        sub_entry = cs.sub_entries[trace.selected_span] = SubEntry(pads)
     entry = cs.addresses.get(addr)
     candidates = entry.tiles if entry is not None else ()
-    outcome = LookupOutcome(SubEntry(pads), candidates, trace.selected_index)
+    outcome = LookupOutcome(sub_entry, candidates, trace.selected_index)
     return outcome, trace
 
 

@@ -8,10 +8,13 @@ exposes the committed tile's output pads.  Decoding a block back to a tile is
 defined from the committed phase onward.
 
 That per-block automaton is `_next_state`, and `_events_at` the one event
-rule, the events enabled at a coordinate.  `run_macro` runs it in the random
-walk `atam.walk` and `macro_explore` in the breadth-first skeleton
+rule, the events enabled at a coordinate, read off each complete neighbour's
+cached `BlockState.offers`.  `run_macro` runs it in the random walk
+`atam.walk` and `macro_explore` in the breadth-first skeleton
 `atam.explore_packed`, both shared with the source level; both step blocks
 through `_transition`, the automaton's one memo, kept on the compiled system.
+A run keeps its events and each probe's bits, and renders its log from them
+and its final state only when `MacroRun.log` is read.
 `macro_explore` dedupes one layer of states at a time, by a packed key of one
 character per coordinate slot naming its interned block state, and keeps
 each state only as the edge that first reached it; its `atam.PackedStates`
@@ -26,7 +29,7 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 from .atam import (
@@ -67,6 +70,15 @@ class EventKind(IntEnum):
     COMPLETION = 3
 
 
+# the members the per-event paths test, bound once as globals: on Python 3.11
+# each `BlockPhase.X` or `EventKind.X` read goes through the enum metaclass's
+# `__getattr__` hook, about 0.2 us a read
+_TYPE_DETECTED, _COMMITTED, _COMPLETE = (
+    BlockPhase.TYPE_DETECTED, BlockPhase.COMMITTED, BlockPhase.COMPLETE
+)
+_ARRIVAL, _PROBE, _COMMIT, _COMPLETION = EventKind
+
+
 @dataclass(frozen=True, slots=True)
 class MacroEvent:
     """One block event at `coord`; slotted, since every refresh of the enabled
@@ -100,8 +112,8 @@ def _addressable(cs: CompiledSystem, state: BlockState) -> bool:
     return known
 
 
-# each receiving side's `direction_order`, the side, the side facing it, its offset
-_SIDES = tuple((k, d, d.opposite, d.vector) for k, d in enumerate(DIRECTIONS))
+# each receiving side's `direction_order`, the side and its offset
+_SIDES = tuple((k, d, d.vector) for k, d in enumerate(DIRECTIONS))
 
 
 def _events_at(
@@ -111,41 +123,41 @@ def _events_at(
     particular order; each sort key is `event.sort_key()`, built in place.
 
     They read only the block at `coord` and the complete neighbours whose
-    output pads point at it, so applying an event can change only the events
-    at its own coordinate and at its four neighbours.
+    output pads point at it (each neighbour's cached `offers`), so applying an
+    event can change only the events at its own coordinate and at its four
+    neighbours.
     """
     state = blocks.get(coord)
     x, y = coord
-    if state is None or state.phase is BlockPhase.INPUTS_PARTIAL:
-        events: list[tuple] = []
-        taken = state.input_directions if state is not None else ()
-        for k, side, facing, (dx, dy) in _SIDES:
-            source = (x + dx, y + dy)
-            neighbour = blocks.get(source)
-            if (
-                side in taken
-                or neighbour is None
-                or neighbour.phase is not BlockPhase.COMPLETE
-            ):
-                continue
-            for pad in neighbour.output_pads:
-                if pad.direction is facing:
-                    received = Pad(pad.glue, side, pad.strength)
-                    event = MacroEvent(EventKind.PAD_ARRIVAL, coord, received, source)
-                    events.append(((0, y, x, k), (event,)))
-        if state is not None and state.received_strength == 2:
-            events.append(((1, y, x, -1), (MacroEvent(EventKind.PROBE, coord),)))
-        return events
-    if state.phase is BlockPhase.TYPE_DETECTED and _addressable(cs, state):
-        return [((2, y, x, -1), (MacroEvent(EventKind.COMMIT, coord),))]
-    if state.phase is BlockPhase.COMMITTED:
-        return [((3, y, x, -1), (MacroEvent(EventKind.COMPLETION, coord),))]
-    return []
+    if state is not None:
+        phase = state.phase
+        if phase is _COMPLETE:
+            return []
+        if phase is _COMMITTED:
+            return [((3, y, x, -1), (MacroEvent(_COMPLETION, coord),))]
+        if phase is _TYPE_DETECTED:
+            if _addressable(cs, state):
+                return [((2, y, x, -1), (MacroEvent(_COMMIT, coord),))]
+            return []
+    events: list[tuple] = []
+    taken = state.input_directions if state is not None else ()
+    for k, side, (dx, dy) in _SIDES:
+        if side in taken:
+            continue
+        source = (x + dx, y + dy)
+        neighbour = blocks.get(source)
+        if neighbour is not None:
+            for pad in neighbour.offers[k]:
+                event = MacroEvent(_ARRIVAL, coord, pad, source)
+                events.append(((0, y, x, k), (event,)))
+    if state is not None and state.received_strength == 2:
+        events.append(((1, y, x, -1), (MacroEvent(_PROBE, coord),)))
+    return events
 
 
 def _touched(coord: Coord, state: BlockState) -> tuple[Coord, ...]:
     """Where events can change when `coord` becomes `state`: its neighbours once complete."""
-    return around(coord) if state.phase is BlockPhase.COMPLETE else (coord,)
+    return around(coord) if state.phase is _COMPLETE else (coord,)
 
 
 def macro_frontier(cs: CompiledSystem, macro: MacroAssembly) -> tuple[MacroEvent, ...]:
@@ -253,12 +265,34 @@ def seed_macro(cs: CompiledSystem) -> MacroAssembly:
 
 @dataclass
 class MacroRun:
-    """A sequential macro simulation: the event log and the final state."""
+    """A sequential macro simulation: the events applied, the final state,
+    whether growth was held back, and `bits`, each probe's random bits in run
+    order.
+
+    `log`, one line per event, is rendered the first time it is read.  A block
+    keeps its input pads from its probe on and its tile from its commit on, so
+    the final state gives every probe's input kind and every commit's tile.
+    """
 
     events: tuple[MacroEvent, ...]
-    log: tuple[str, ...]
     final: MacroAssembly
     truncated: bool
+    bits: tuple[str, ...]
+    cs: CompiledSystem = dataclasses.field(repr=False, compare=False)
+
+    @cached_property
+    def log(self) -> tuple[str, ...]:
+        tiles, blocks, bits = self.cs.source.tiles, self.final.blocks, iter(self.bits)
+        lines = []
+        for event in self.events:
+            note = event.describe()
+            if event.kind is EventKind.PROBE:
+                kind = detect_kind(blocks[event.coord].input_pads).value
+                note += f" [{kind}, bits={next(bits)}]"
+            elif event.kind is EventKind.COMMIT:
+                note += f" -> {tiles[blocks[event.coord].committed_tile].name}"
+            lines.append(note)
+        return tuple(lines)
 
 
 def run_macro(
@@ -273,32 +307,32 @@ def run_macro(
     An `atam.walk` over block states: it draws in `macro_frontier` order and
     holds back arrivals at empty coordinates once `bound` blocks exist.  A
     probe draws its block's random bits, held until that block commits; block
-    steps go through the `_transition` memo, so a repeated one costs a lookup.
+    steps read the `_transition` memo first, so a repeated one costs a lookup.
+    A step keeps only the bits it draws, and formats no note.
     """
     rng = random.Random(rng_seed)
+    width, spec = cs.random_width, f"0{cs.random_width}b"
+    memo = cs.transitions
     bits_at: dict[Coord, str] = {}  # bits drawn at each probed, uncommitted block
-    log: list[str] = []
+    drawn: list[str] = []
 
     def step(state: BlockState | None, payload: tuple[MacroEvent]) -> BlockState:
         (event,) = payload
-        coord = event.coord
-        if event.kind is EventKind.PROBE:
-            bits_at[coord] = format(rng.getrandbits(cs.random_width), f"0{cs.random_width}b")
-        bits = bits_at.pop(coord) if event.kind is EventKind.COMMIT else None
-        state = _transition(cs, state, event, bits)
-        note = event.describe()
-        if event.kind is EventKind.PROBE:
-            note += f" [{detect_kind(state.input_pads).value}, bits={bits_at[coord]}]"
-        elif event.kind is EventKind.COMMIT:
-            assert state.committed_tile is not None
-            note += f" -> {cs.source.tiles[state.committed_tile].name}"
-        log.append(note)
-        return state
+        kind = event.kind
+        bits = None
+        if kind is _PROBE:
+            bits_at[event.coord] = probe_bits = format(rng.getrandbits(width), spec)
+            drawn.append(probe_bits)
+        elif kind is _COMMIT:
+            bits = bits_at.pop(event.coord)
+        after = memo.get((state, kind, event.pad, bits))
+        return _transition(cs, state, event, bits) if after is None else after
 
     blocks, chosen, truncated = walk(
         seed_macro(cs), bound, max_events, rng, partial(_events_at, cs), step, _touched
     )
-    return MacroRun(tuple(e for (e,) in chosen), tuple(log), MacroAssembly(blocks), truncated)
+    events = tuple(e for (e,) in chosen)
+    return MacroRun(events, MacroAssembly(blocks), truncated, tuple(drawn), cs)
 
 
 class MacroEdge(NamedTuple):
@@ -333,7 +367,7 @@ def macro_explore(cs: CompiledSystem, bound: int) -> MacroExplorationResult:
 
     def successors(state: BlockState | None, payload: tuple[MacroEvent]) -> tuple:
         (event,) = payload
-        draws = bit_values if event.kind is EventKind.COMMIT else (None,)
+        draws = bit_values if event.kind is _COMMIT else (None,)
         return tuple(dict.fromkeys(_transition(cs, state, event, bits) for bits in draws))
 
     # each payload is a `MacroEdge`'s tail: the event
@@ -351,7 +385,7 @@ def decode_block(state: BlockState, cs: CompiledSystem) -> int | None:
     anything else is a representation-integrity error.  Each committed state
     is checked once per compiled system; a failing one is checked again.
     """
-    if state.phase < BlockPhase.COMMITTED:
+    if state.phase < _COMMITTED:
         return None
     if state in cs.block_tiles:
         return cs.block_tiles[state]
@@ -387,8 +421,11 @@ def _decode_at(cs: CompiledSystem, coord: Coord, state: BlockState) -> int | Non
 def decode_assembly(macro: MacroAssembly, cs: CompiledSystem) -> Assembly:
     """Map every committed block to its tile; collecting blocks are undefined."""
     cells: dict[Coord, int] = {}
+    known = cs.block_tiles
     for coord, state in macro.blocks.items():
-        tile = _decode_at(cs, coord, state)
+        tile = known.get(state)
+        if tile is None:
+            tile = _decode_at(cs, coord, state)
         if tile is not None:
             cells[coord] = tile
     if not cells:

@@ -6,6 +6,7 @@ budget; conftest echoes the lines after the run, past pytest's capture.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from contextlib import contextmanager
 
@@ -109,18 +110,26 @@ def test_criterion_03_table_structure(compiled):
 
 def test_criterion_04_lookup_oracle_equivalence(compiled):
     with _criterion(4, "lookup oracle equivalence", 10):
-        for cs in compiled.values():
-            for addr in cs.addresses:
-                for width in range(1, 7):
-                    for b in range(2**width):
-                        bits = format(b, f"0{width}b")
-                        outcome, trace = trace_lookup(cs, addr, bits)
-                        n = trace.sub_entries
-                        assert trace.selection == b % n
-                        assert outcome.selected_index == n - 1 - (b % n)
-                        assert outcome.sub_entry == direct_lookup(
-                            cs, addr, outcome.selected_index
-                        )
+        for shared in compiled.values():
+            # a copy with empty memos: the first pass decodes each selected
+            # sub-entry, the second reads it back from `cs.sub_entries`
+            cs = dataclasses.replace(shared)
+            assert not cs.sub_entries
+            for warm in (False, True):
+                for addr in cs.addresses:
+                    for width in range(1, 7):
+                        for b in range(2**width):
+                            bits = format(b, f"0{width}b")
+                            outcome, trace = trace_lookup(cs, addr, bits)
+                            n = trace.sub_entries
+                            assert trace.selection == b % n
+                            assert outcome.selected_index == n - 1 - (b % n)
+                            assert outcome.sub_entry == direct_lookup(
+                                cs, addr, outcome.selected_index
+                            )
+                            if warm:
+                                assert outcome.sub_entry is cs.sub_entries[trace.selected_span]
+            assert len(cs.sub_entries) == sum(len(e.tiles) for e in cs.addresses.values())
 
 
 def test_criterion_05_selection_fairness(compiled):

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tileworks
 from tileworks.cli import main
 from tileworks.tasio import format_tas
 
@@ -25,6 +29,39 @@ def _readme_outputs() -> dict[str, str]:
 def test_readme_example_output_is_exact(command, capsys):
     assert main(command.split()) == 0
     assert capsys.readouterr().out == _readme_outputs()[command]
+
+
+HASH_SEED_COMMANDS = (
+    "simulate counter4 --seed 3 --max-events 3000",
+    "run sierpinski --seed 2 --max-steps 300",
+    "verify sierpinski --bound 6",
+    "verify nondet_elbow --bound 6",
+    "check-lc elbow_mismatch",
+    "explore nondet_elbow --bound 8",
+)
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    # str hashes, and with them the order of any set of strings, change with
+    # PYTHONHASHSEED; what the CLI prints must not
+    script = (
+        "import sys\n"
+        "from tileworks.cli import main\n"
+        "for command in sys.argv[1:]:\n"
+        "    print('$', command)\n"
+        "    print('exit', main(command.split()))\n"
+    )
+    src = str(Path(tileworks.__file__).parents[1])
+    outputs = []
+    for seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        done = subprocess.run(
+            [sys.executable, "-c", script, *HASH_SEED_COMMANDS],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0].count("$ ") == len(HASH_SEED_COMMANDS)
+    assert outputs[0] == outputs[1]
 
 
 def test_help_exits_zero(capsys):

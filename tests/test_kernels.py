@@ -53,9 +53,28 @@ def test_sweep_matches_reference_loop_on_malformed_tables():
                 _assert_matches_loop(idx, bad, addr, b, bad)
 
 
+# runs of bare entries in the shapes the index must tell apart: long
+# alternating runs, runs broken by one entry, adjacent markers, a run that
+# ends at the middle, doubled blanks, and blanks before and after a run
+RUN_SHAPES = (
+    build_table("#" * 5000).symbols,
+    build_table("#" * 700 + "1" + "#" * 700).symbols,
+    build_table("##1;0#" * 40 + "#" * 90).symbols,
+    "> # # ## # # ###  #",
+    "##",
+    "#",
+    "> # # # #< % % > # # # <",
+    "> # # # # < % % > #<",
+    "> #  # # #  #   # < % % > #  # <",
+    "  # # #  ",
+    "> # # # 1 # # #",
+    "# ;# # #; # #",
+)
+
+
 def test_index_columns_are_arrays_of_a_character_scan(compiled, lone_seed):
     tables = [cs.table.symbols for cs in (*compiled.values(), compile_system(lone_seed))]
-    for table in (*tables, *MALFORMED):
+    for table in (*tables, *MALFORMED, *RUN_SHAPES):
         idx = TableIndex(table)
         for column, mark in ((idx.hashes, "#"), (idx.semis, ";")):
             assert type(column) is array and column.typecode == "i", table[:20]
@@ -75,6 +94,16 @@ def test_compiled_index_memory():
     # about 0.25 MiB: the marker columns are int arrays; one boxed int per
     # marker held about 1.2 MiB
     assert held < 2**19
+    tracemalloc.start()
+    try:
+        TableIndex(cs.table.symbols)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # building the index peaks at its two int columns, about 0.12 MiB; a scan
+    # whose regex keeps a backtracking entry per repeat, such as "#(?: #)*",
+    # peaks above 0.5 MiB
+    assert peak < 2**18
 
 
 def test_sweep_statuses(compiled):

@@ -5,6 +5,7 @@ import pickle
 import random
 import tracemalloc
 from collections import Counter, deque
+from typing import NamedTuple
 
 import pytest
 
@@ -28,7 +29,6 @@ from tileworks.macro import (
     MacroEvent,
     MacroEventError,
     MacroExplorationResult,
-    MacroRun,
     RepresentationError,
     ThreeProbeError,
     _next_state,
@@ -149,6 +149,22 @@ def test_run_macro_is_reproducible(compiled):
     assert a.events == b.events
     assert a.log == b.log
     assert a.final == b.final
+
+
+def test_run_log_is_rendered_once_on_read(compiled):
+    cs = compiled["nondet_elbow"]
+    run = run_macro(cs, rng_seed=9)
+    kinds = [e.kind for e in run.events]
+    # besides the events and the final state, the notes need each probe's bits
+    assert len(run.bits) == kinds.count(EventKind.PROBE)
+    repr(run)
+    assert "log" not in vars(run)
+    log = run.log
+    assert len(log) == len(run.events) and run.log is log
+    assert [line for line in log if "bits=" in line] == [
+        line for line, kind in zip(log, kinds) if kind is EventKind.PROBE
+    ]
+    assert run == run_macro(cs, rng_seed=9)
 
 
 def test_run_macro_bound_truncates(compiled):
@@ -403,6 +419,15 @@ def _scan_frontier(cs, macro):
     return tuple(events)
 
 
+class RescanRun(NamedTuple):
+    """What `_rescan_run` returns: the fields of a `MacroRun`, its log built eagerly."""
+
+    events: tuple
+    log: tuple
+    final: MacroAssembly
+    truncated: bool
+
+
 def _rescan_run(cs, rng_seed, *, max_events=100_000, bound=None):
     rng = random.Random(rng_seed)
     macro = seed_macro(cs)
@@ -442,7 +467,7 @@ def _rescan_run(cs, rng_seed, *, max_events=100_000, bound=None):
             state = macro.get(event.coord)
             note += f" -> {cs.source.tiles[state.committed_tile].name}"
         log.append(note)
-    return MacroRun(tuple(applied), tuple(log), macro, truncated)
+    return RescanRun(tuple(applied), tuple(log), macro, truncated)
 
 
 def _reference_explore(cs, bound):
@@ -501,6 +526,16 @@ def _five_tile_system() -> TileSystem:
 DIFFERENTIAL = (*corpus.GENERATORS, "lone_seed", "five_tile")
 
 
+def _counted(function, calls, name):
+    """`function`, counting its calls in `calls[name]`."""
+
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return function(*args, **kwargs)
+
+    return counting
+
+
 def _run_outcome(run, cs, seed, bound):
     """What a run produced, or the type and message of what it raised."""
     try:
@@ -511,14 +546,25 @@ def _run_outcome(run, cs, seed, bound):
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL)
-def test_run_macro_matches_rescanning_oracle(name, systems, lone_seed):
+def test_run_macro_matches_rescanning_oracle(name, systems, lone_seed, monkeypatch):
     tas = {**systems, "lone_seed": lone_seed, "five_tile": _five_tile_system()}[name]
     # the two faulty elbows fail check-lc but still compile and run
     cs = compile_system(tas, force=True)
+    # a run formats no note: its log is rendered when `_run_outcome` reads it
+    notes = Counter()
+    for owner, attr in ((MacroEvent, "describe"), (macro_module, "detect_kind")):
+        monkeypatch.setattr(owner, attr, _counted(getattr(owner, attr), notes, attr))
+
+    def lean_run(cs, seed, **kwargs):
+        notes.clear()
+        run = run_macro(cs, seed, **kwargs)
+        assert not notes, (seed, kwargs)
+        return run
+
     outcomes = []
     for bound in (None, 1, 6, 12):  # at bound 1 the seed alone fills it
         for seed in range(40):
-            got = _run_outcome(run_macro, cs, seed, bound)
+            got = _run_outcome(lean_run, cs, seed, bound)
             assert got == _run_outcome(_rescan_run, cs, seed, bound), (name, seed, bound)
             outcomes.append(got)
     if name == "five_tile":  # some seeds deliver the third pad, others probe first
@@ -751,6 +797,10 @@ def test_block_state_hash_cache_is_invisible():
     assert hashed.input_directions == {Direction.S, Direction.W}
     assert hashed.input_directions is hashed.input_directions
     assert hashed.received_strength == 2
+    # what it offers the neighbour receiving on side S, to its north, turned to S
+    assert hashed.offers == ((), (), (Pad("c", Direction.S, 2),), ())
+    assert hashed.offers is hashed.offers
+    assert dataclasses.replace(hashed, phase=BlockPhase.COMMITTED).offers == ((),) * 4
     assert hashed == fresh and hash(hashed) == hash(fresh)
     # the same value the dataclass's own field-tuple hash gives
     assert hash(fresh) == hash(tuple(getattr(fresh, n) for n in names))
@@ -766,6 +816,7 @@ def test_block_state_hash_cache_is_invisible():
     loaded = pickle.loads(pickle.dumps(hashed))
     assert loaded.input_directions == hashed.input_directions
     assert loaded.received_strength == 2
+    assert loaded.offers == hashed.offers
 
 
 def test_pads_and_events_are_slotted_frozen_and_pickle():
