@@ -6,22 +6,19 @@ committed to a tile type after the table lookup, and finally complete, at
 which point its output pads become visible to the neighbouring blocks.  A
 `BlockState` holds only what its transitions read: the probe's input kind is
 `detect_kind` of its input pads, and a probe's random bits stay with the run.
-`macro_explore` stores a macro state as the edge that first reached it, and
-dedupes one layer of states at a time by their packed keys: one character
-per coordinate slot, holding the interned code of the block state there (see
-`atam.explore_packed` and `atam.PackedStates`); `run_macro`'s `atam.walk`
-keeps a plain dict of block states.  `MacroAssembly`, the form both hand out
-and the decoder reads, is an `Assembly` of block states, the same immutable
-cell map, keyed by its (coordinate, block state) pairs.
+The engines carry block states as the small ids of the compiled system's
+`macro.BlockAutomaton`, which also keeps what each state enables and offers.
+`MacroAssembly`, the form both engines hand out and the decoder reads, is an
+`Assembly` of block states, the same immutable cell map, keyed by its
+(coordinate, block state) pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from functools import cached_property
 
-from .atam import DIRECTIONS, Assembly, Coord, Direction, Pad, TileSystem
+from .atam import Assembly, Coord, Direction, Pad, TileSystem
 
 
 class BlockPhase(IntEnum):
@@ -56,9 +53,6 @@ class BlockState:
     `output_pads` are only the non-null pads the committed tile presents on
     its non-input sides.  Nothing else is kept: a block's next state depends
     only on these fields and the event (with, for a commit, the bits drawn).
-    The hash, `input_directions`, `received_strength` and `offers` are cached
-    on first read; they stay out of `repr`, the field list and the pickled
-    state.
     """
 
     phase: BlockPhase
@@ -66,49 +60,13 @@ class BlockState:
     committed_tile: int | None = None
     output_pads: tuple[Pad, ...] = ()
 
-    def __hash__(self) -> int:
-        # the dataclass hash, computed once: `cs.block_tiles` and the transition
-        # memo `cs.transitions` look the same few states up again and again
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            value = hash((self.phase, self.input_pads, self.committed_tile, self.output_pads))
-            object.__setattr__(self, "_hash", value)
-            return value
-
-    def __getstate__(self) -> dict:
-        # string hashes are seeded per process, so the cached one never travels;
-        # the cached facts below follow from the fields, so they stay behind too
-        return {k: v for k, v in self.__dict__.items() if k not in _CACHED}
-
-    # computed once per state: the event rule asks every collecting block on
-    # every refresh, and a run visits the same few states again and again
-    @cached_property
+    @property
     def input_directions(self) -> frozenset[Direction]:
         return frozenset(p.direction for p in self.input_pads)
 
-    @cached_property
+    @property
     def received_strength(self) -> int:
         return sum(p.strength for p in self.input_pads)
-
-    @cached_property
-    def offers(self) -> tuple[tuple[Pad, ...], ...]:
-        """For each receiving side k (in `DIRECTIONS` order), the pads this
-        block offers the neighbour whose side k faces it, turned to side k as
-        that neighbour receives them; all empty until the block is complete."""
-        if self.phase is not BlockPhase.COMPLETE:
-            return ((),) * len(DIRECTIONS)
-        return tuple(
-            tuple(
-                Pad(p.glue, side, p.strength)
-                for p in self.output_pads
-                if p.direction is side.opposite
-            )
-            for side in DIRECTIONS
-        )
-
-
-_CACHED = frozenset({"_hash", "input_directions", "received_strength", "offers"})
 
 
 def seed_block(tas: TileSystem) -> BlockState:

@@ -297,7 +297,11 @@ def _check_edges(
 
 @dataclass(eq=False)
 class CompiledSystem:
-    """Everything the lookup engine and the macro simulation need."""
+    """Everything the lookup engine and the macro simulation need.
+
+    Two fields fill as the compiled system is used: `automaton`, the
+    `macro.BlockAutomaton`, and `sub_entries`, the lookup's decoded spans.
+    """
 
     source: TileSystem
     glues: GlueOrdering
@@ -313,14 +317,8 @@ class CompiledSystem:
     _payloads: tuple[str, ...] | None = dc_field(
         default=None, repr=False, compare=False
     )
-    # committed block state -> the tile it represents, filled by `macro.decode_block`
-    block_tiles: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
-    # the block automaton's memo, filled by `macro._transition`: (block state,
-    # event kind, pad, bits) -> the next block state, and each next state -> itself
-    transitions: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
-    # type-detected block state -> whether its input address has a table entry,
-    # filled by `macro._addressable`
-    addressable: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    # the block program's interned states and steps, made on first use
+    automaton: object = dc_field(default=None, init=False, repr=False, compare=False)
     # selected mirrored span -> the sub-entry its pads decode to, filled by
     # `lookup.trace_lookup`
     sub_entries: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)

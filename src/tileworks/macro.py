@@ -7,19 +7,15 @@ to a tile by running the table lookup on its input address, and finally
 exposes the committed tile's output pads.  Decoding a block back to a tile is
 defined from the committed phase onward.
 
-That per-block automaton is `_next_state`, and `_events_at` the one event
-rule, the events enabled at a coordinate, read off each complete neighbour's
-cached `BlockState.offers`.  `run_macro` runs it in the random walk
-`atam.walk` and `macro_explore` in the breadth-first skeleton
-`atam.explore_packed`, both shared with the source level; both step blocks
-through `_transition`, the automaton's one memo, kept on the compiled system.
-A run keeps its events and each probe's bits, and renders its log from them
-and its final state only when `MacroRun.log` is read.
-`macro_explore` dedupes one layer of states at a time, by a packed key of one
-character per coordinate slot naming its interned block state, and keeps
-each state only as the edge that first reached it; its `atam.PackedStates`
-build a `MacroAssembly` only when one is read, and its `atam.Edges` name
-states by id, events by code, and build a `MacroEdge` only when one is read.
+Every block runs one program, `_next_state`, and each compiled system keeps
+one `BlockAutomaton` over it, whose small ids name block states.  Both
+engines carry the ids as cell values, and `_events_at`, the one event rule,
+reads only per-id facts.  `run_macro` runs it in the random walk `atam.walk`
+and `macro_explore` in the breadth-first skeleton `atam.explore_packed`,
+both shared with the source level.  A run renders its log only when read.
+`macro_explore`'s `atam.PackedStates` keep each state as the edge that
+first reached it, and its `atam.Edges` name states by id and events by
+code; both build a `MacroAssembly` or `MacroEdge` only when one is read.
 """
 
 from __future__ import annotations
@@ -70,13 +66,10 @@ class EventKind(IntEnum):
     COMPLETION = 3
 
 
-# the members the per-event paths test, bound once as globals: on Python 3.11
-# each `BlockPhase.X` or `EventKind.X` read goes through the enum metaclass's
-# `__getattr__` hook, about 0.2 us a read
-_TYPE_DETECTED, _COMMITTED, _COMPLETE = (
-    BlockPhase.TYPE_DETECTED, BlockPhase.COMMITTED, BlockPhase.COMPLETE
-)
-_ARRIVAL, _PROBE, _COMMIT, _COMPLETION = EventKind
+# the kinds the per-event paths test, bound once as globals: on Python 3.11
+# each `EventKind.X` read goes through the enum metaclass's `__getattr__`
+# hook, about 0.2 us a read
+_ARRIVAL, _PROBE, _COMMIT = EventKind.PAD_ARRIVAL, EventKind.PROBE, EventKind.COMMIT
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,66 +96,122 @@ class MacroEvent:
         return f"{self.kind.name.lower()} at {self.coord}"
 
 
-def _addressable(cs: CompiledSystem, state: BlockState) -> bool:
-    """Whether `state`'s input address has an entry, memoised in `cs.addressable`."""
-    memo = cs.addressable
-    known = memo.get(state)
-    if known is None:
-        known = memo[state] = address_of(state.input_pads, cs.glues).value in cs.addresses
-    return known
+# each receiving side's `direction_order` and offset
+_SIDES = tuple((k, d.vector) for k, d in enumerate(DIRECTIONS))
 
 
-# each receiving side's `direction_order`, the side and its offset
-_SIDES = tuple((k, d, d.vector) for k, d in enumerate(DIRECTIONS))
+class BlockAutomaton:
+    """`_next_state` over interned block states, filled as the engines reach them.
 
-
-def _events_at(
-    cs: CompiledSystem, blocks: Mapping[Coord, BlockState], coord: Coord
-) -> list[tuple]:
-    """The enabled events at `coord`, as (sort key, (event,)) pairs in no
-    particular order; each sort key is `event.sort_key()`, built in place.
-
-    They read only the block at `coord` and the complete neighbours whose
-    output pads point at it (each neighbour's cached `offers`), so applying an
-    event can change only the events at its own coordinate and at its four
-    neighbours.
+    Id 0 is the empty block.  By id: `states`, the block state; `tiles`, its
+    decoded tile, None before commit; `open`, the (side index, offset) of
+    each side still open for arrivals; `own`, the event kind the block
+    enables by itself, or None; `offers`, for each receiving side k, the
+    pads offered to the neighbour whose side k faces it, turned to side k,
+    or None before completion.  `steps` maps (id, event kind, pad, bits) to
+    the next id; a step that raises is not stored.  `decode_block` checks a
+    committed state once, as it is interned; one that fails gets no id.
     """
-    state = blocks.get(coord)
+
+    def __init__(self, cs: CompiledSystem):
+        self.cs = cs
+        self.ids: dict[BlockState, int] = {}
+        self.states: list[BlockState | None] = [None]
+        self.tiles: list[int | None] = [None]
+        self.open: list[tuple] = [_SIDES]
+        self.own: list[EventKind | None] = [None]
+        self.offers: list[tuple | None] = [None]
+        self.steps: dict[tuple, int] = {}
+
+    @classmethod
+    def of(cls, cs: CompiledSystem) -> "BlockAutomaton":
+        """`cs`'s automaton, made on first use."""
+        if cs.automaton is None:
+            cs.automaton = cls(cs)
+        return cs.automaton
+
+    def intern(self, state: BlockState, coord: Coord) -> int:
+        """`state`'s id; a new committed state that fails `decode_block`
+        raises, naming the block at `coord`."""
+        found = self.ids.get(state)
+        if found is not None:
+            return found
+        try:
+            tile = decode_block(state, self.cs)
+        except RepresentationError as exc:
+            raise RepresentationError(f"block {coord}: {exc}") from exc
+        phase, own, offers = state.phase, None, None
+        collecting = phase is BlockPhase.INPUTS_PARTIAL
+        taken = state.input_directions if collecting else DIRECTIONS
+        if collecting and state.received_strength == 2:
+            own = EventKind.PROBE
+        elif phase is BlockPhase.TYPE_DETECTED:
+            if address_of(state.input_pads, self.cs.glues).value in self.cs.addresses:
+                own = EventKind.COMMIT
+        elif phase is BlockPhase.COMMITTED:
+            own = EventKind.COMPLETION
+        elif phase is BlockPhase.COMPLETE:
+            outs = state.output_pads
+            offers = tuple(
+                tuple(Pad(p.glue, d, p.strength) for p in outs if p.direction is d.opposite)
+                for d in DIRECTIONS
+            )
+        found = self.ids[state] = len(self.states)
+        self.states.append(state)
+        self.tiles.append(tile)
+        self.open.append(tuple(s for s, d in zip(_SIDES, DIRECTIONS) if d not in taken))
+        self.own.append(own)
+        self.offers.append(offers)
+        return found
+
+    def step(self, here: int, event: MacroEvent, bits: str | None = None) -> int:
+        """The id block `here` becomes after `event`, by `_next_state` on first use."""
+        key = (here, event.kind, event.pad, bits)
+        after = self.steps.get(key)
+        if after is None:
+            state = _next_state(self.cs, self.states[here], event, bits=bits)
+            after = self.steps[key] = self.intern(state, event.coord)
+        return after
+
+    def touched(self, coord: Coord, here: int) -> tuple[Coord, ...]:
+        """Where events can change when `coord` becomes block `here`: its
+        neighbours too once it is complete."""
+        return around(coord) if self.offers[here] is not None else (coord,)
+
+    def ids_of(self, macro: MacroAssembly) -> MacroAssembly:
+        """`macro` with each block state replaced by its id."""
+        return MacroAssembly({c: self.intern(s, c) for c, s in macro.blocks.items()})
+
+
+def _events_at(auto: BlockAutomaton, cells: Mapping[Coord, int], coord: Coord) -> list[tuple]:
+    """The enabled events at `coord` among the block ids `cells`, as (sort key,
+    (event,)) pairs in no particular order; each sort key is
+    `event.sort_key()`, built in place.
+
+    They read only the block at `coord` and what its neighbours offer, so
+    applying an event can change only the events at its own coordinate and,
+    once the block is complete, at its four neighbours.
+    """
+    here = cells.get(coord, 0)
     x, y = coord
-    if state is not None:
-        phase = state.phase
-        if phase is _COMPLETE:
-            return []
-        if phase is _COMMITTED:
-            return [((3, y, x, -1), (MacroEvent(_COMPLETION, coord),))]
-        if phase is _TYPE_DETECTED:
-            if _addressable(cs, state):
-                return [((2, y, x, -1), (MacroEvent(_COMMIT, coord),))]
-            return []
+    offers = auto.offers
     events: list[tuple] = []
-    taken = state.input_directions if state is not None else ()
-    for k, side, (dx, dy) in _SIDES:
-        if side in taken:
-            continue
+    for k, (dx, dy) in auto.open[here]:
         source = (x + dx, y + dy)
-        neighbour = blocks.get(source)
-        if neighbour is not None:
-            for pad in neighbour.offers[k]:
-                event = MacroEvent(_ARRIVAL, coord, pad, source)
-                events.append(((0, y, x, k), (event,)))
-    if state is not None and state.received_strength == 2:
-        events.append(((1, y, x, -1), (MacroEvent(_PROBE, coord),)))
+        offered = offers[cells.get(source, 0)]
+        if offered:
+            for pad in offered[k]:
+                events.append(((0, y, x, k), (MacroEvent(_ARRIVAL, coord, pad, source),)))
+    own = auto.own[here]
+    if own is not None:
+        events.append(((own, y, x, -1), (MacroEvent(own, coord),)))
     return events
-
-
-def _touched(coord: Coord, state: BlockState) -> tuple[Coord, ...]:
-    """Where events can change when `coord` becomes `state`: its neighbours once complete."""
-    return around(coord) if state.phase is _COMPLETE else (coord,)
 
 
 def macro_frontier(cs: CompiledSystem, macro: MacroAssembly) -> tuple[MacroEvent, ...]:
     """Every event currently enabled, in deterministic order."""
-    events = enabled(macro.blocks, partial(_events_at, cs), _touched)
+    auto = BlockAutomaton.of(cs)
+    events = enabled(auto.ids_of(macro).blocks, partial(_events_at, auto), auto.touched)
     return tuple(payload[0] for _, payload, _ in events)
 
 
@@ -228,9 +277,7 @@ def _next_state(
                 f"no tile attaches at {coord} for address {address.value}: {exc}"
             ) from exc
         tile, pads = outcome.tile_candidates[outcome.selected_index], outcome.sub_entry.pads
-        committed = BlockState(BlockPhase.COMMITTED, state.input_pads, tile, pads)
-        _decode_at(cs, coord, committed)  # the block must represent the looked-up tile
-        return committed
+        return BlockState(BlockPhase.COMMITTED, state.input_pads, tile, pads)
 
     if event.kind is EventKind.COMPLETION:
         if state.phase is not BlockPhase.COMMITTED:
@@ -240,23 +287,6 @@ def _next_state(
         return dataclasses.replace(state, phase=BlockPhase.COMPLETE)
 
     raise MacroEventError(f"unknown event kind {event.kind!r}")
-
-
-def _transition(
-    cs: CompiledSystem, state: BlockState | None, event: MacroEvent, bits: str | None = None
-) -> BlockState:
-    """`_next_state`, memoised in `cs.transitions` by (state, kind, pad, bits).
-
-    A transition that raises is not stored.  The memo also maps each outcome
-    to itself, so equal outcomes (a commit's, over many bit values) are one object.
-    """
-    memo = cs.transitions
-    key = (state, event.kind, event.pad, bits)
-    after = memo.get(key)
-    if after is None:
-        after = _next_state(cs, state, event, bits=bits)
-        after = memo[key] = memo.setdefault(after, after)
-    return after
 
 
 def seed_macro(cs: CompiledSystem) -> MacroAssembly:
@@ -304,19 +334,19 @@ def run_macro(
 ) -> MacroRun:
     """Apply uniformly chosen enabled events until quiescence, reproducibly.
 
-    An `atam.walk` over block states: it draws in `macro_frontier` order and
+    An `atam.walk` over block ids: it draws in `macro_frontier` order and
     holds back arrivals at empty coordinates once `bound` blocks exist.  A
     probe draws its block's random bits, held until that block commits; block
-    steps read the `_transition` memo first, so a repeated one costs a lookup.
+    steps go through the automaton's table, so a repeated one costs a lookup.
     A step keeps only the bits it draws, and formats no note.
     """
     rng = random.Random(rng_seed)
     width, spec = cs.random_width, f"0{cs.random_width}b"
-    memo = cs.transitions
+    auto = BlockAutomaton.of(cs)
     bits_at: dict[Coord, str] = {}  # bits drawn at each probed, uncommitted block
     drawn: list[str] = []
 
-    def step(state: BlockState | None, payload: tuple[MacroEvent]) -> BlockState:
+    def step(here: int | None, payload: tuple[MacroEvent]) -> int:
         (event,) = payload
         kind = event.kind
         bits = None
@@ -325,14 +355,15 @@ def run_macro(
             drawn.append(probe_bits)
         elif kind is _COMMIT:
             bits = bits_at.pop(event.coord)
-        after = memo.get((state, kind, event.pad, bits))
-        return _transition(cs, state, event, bits) if after is None else after
+        return auto.step(here or 0, event, bits)
 
     blocks, chosen, truncated = walk(
-        seed_macro(cs), bound, max_events, rng, partial(_events_at, cs), step, _touched
+        auto.ids_of(seed_macro(cs)), bound, max_events, rng, partial(_events_at, auto), step,
+        auto.touched,
     )
     events = tuple(e for (e,) in chosen)
-    return MacroRun(events, MacroAssembly(blocks), truncated, tuple(drawn), cs)
+    final = MacroAssembly({c: auto.states[i] for c, i in blocks.items()})
+    return MacroRun(events, final, truncated, tuple(drawn), cs)
 
 
 class MacroEdge(NamedTuple):
@@ -360,20 +391,24 @@ def macro_explore(cs: CompiledSystem, bound: int) -> MacroExplorationResult:
 
     Commits branch over every random-bit value; a block keeps no bits, so
     commit children collapse to one state per distinct outcome, in bit order.
-    Each block step goes through the `_transition` memo, shared with
-    `run_macro` and with every other exploration of `cs`.
+    The skeleton carries block ids, and each block step goes through the
+    automaton's table, shared with `run_macro` and with every other
+    exploration of `cs`; the states hand out block states.
     """
     bit_values = [format(b, f"0{cs.random_width}b") for b in range(2**cs.random_width)]
+    auto = BlockAutomaton.of(cs)
 
-    def successors(state: BlockState | None, payload: tuple[MacroEvent]) -> tuple:
+    def successors(here: int | None, payload: tuple[MacroEvent]) -> tuple:
         (event,) = payload
         draws = bit_values if event.kind is _COMMIT else (None,)
-        return tuple(dict.fromkeys(_transition(cs, state, event, bits) for bits in draws))
+        return tuple(dict.fromkeys(auto.step(here or 0, event, bits) for bits in draws))
 
     # each payload is a `MacroEdge`'s tail: the event
     states, edges, cut = explore_packed(
-        seed_macro(cs), bound, partial(_events_at, cs), successors, _touched, MacroEdge
+        auto.ids_of(seed_macro(cs)), bound, partial(_events_at, auto), successors,
+        auto.touched, MacroEdge,
     )
+    states.alphabet[1:] = [auto.states[i] for i in states.alphabet[1:]]
     return MacroExplorationResult(states, edges, 0, bool(cut), bound)
 
 
@@ -382,13 +417,11 @@ def decode_block(state: BlockState, cs: CompiledSystem) -> int | None:
 
     A committed block must present exactly the committed tile's non-null,
     non-input pads, and its input pads must be the tile's on those sides;
-    anything else is a representation-integrity error.  Each committed state
-    is checked once per compiled system; a failing one is checked again.
+    anything else is a representation-integrity error.  The engines run it
+    once per committed state, when `BlockAutomaton.intern` first sees it.
     """
-    if state.phase < _COMMITTED:
+    if state.phase < BlockPhase.COMMITTED:
         return None
-    if state in cs.block_tiles:
-        return cs.block_tiles[state]
     tile_index = state.committed_tile
     if tile_index is None:
         raise RepresentationError("committed block without a committed tile")
@@ -406,26 +439,15 @@ def decode_block(state: BlockState, cs: CompiledSystem) -> int | None:
             raise RepresentationError(
                 f"block input pad {pad} disagrees with tile {tile.name}"
             )
-    cs.block_tiles[state] = tile_index
     return tile_index
-
-
-def _decode_at(cs: CompiledSystem, coord: Coord, state: BlockState) -> int | None:
-    """`decode_block`, with any error naming the block's coordinate."""
-    try:
-        return decode_block(state, cs)
-    except RepresentationError as exc:
-        raise RepresentationError(f"block {coord}: {exc}") from exc
 
 
 def decode_assembly(macro: MacroAssembly, cs: CompiledSystem) -> Assembly:
     """Map every committed block to its tile; collecting blocks are undefined."""
+    auto = BlockAutomaton.of(cs)
     cells: dict[Coord, int] = {}
-    known = cs.block_tiles
     for coord, state in macro.blocks.items():
-        tile = known.get(state)
-        if tile is None:
-            tile = _decode_at(cs, coord, state)
+        tile = auto.tiles[auto.intern(state, coord)]
         if tile is not None:
             cells[coord] = tile
     if not cells:

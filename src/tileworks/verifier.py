@@ -19,10 +19,10 @@ from .atam import Edges, explore
 from .blocks import BlockPhase
 from .encoding import CompiledSystem
 from .macro import (
+    BlockAutomaton,
     EventKind,
     MacroExplorationResult,
     RepresentationError,
-    _decode_at,
     decode_assembly,
     decode_block,
     macro_explore,
@@ -110,9 +110,9 @@ def _decode_all(cs: CompiledSystem, macro_result: MacroExplorationResult) -> lis
     The start state is decoded whole.  Every other state is stored as the
     edge that first reached it, from a parent with a lower id, whose image is
     then known; the child's image is the parent's, except after a commit,
-    which adds the one block it committed.  A completion copies the committed
-    fields, so it cannot change the image.  Equal images are one frozenset
-    object.
+    which adds the one block it committed, the same for every edge with its
+    code.  A completion copies the committed fields, so it cannot change the
+    image.  Equal images are one frozenset object.
     """
     states, edges = macro_result.states, macro_result.edges
     start = decode_assembly(states[macro_result.seed_key], cs).key
@@ -120,13 +120,16 @@ def _decode_all(cs: CompiledSystem, macro_result: MacroExplorationResult) -> lis
     interned = {start: start}
     commit = _commit_codes(edges)
     parents, codes, table = edges.parents, edges.codes, edges.table
+    auto = BlockAutomaton.of(cs)
+    added: dict[int, set] = {}  # commit code -> {(coord, tile)}: each code decodes once
     for child, e in enumerate(islice(states.born, 1, None), 1):
         image = images[parents[e]]
         code = codes[e]
         if commit[code]:
-            coord = table[code][0].coord
-            tile = _decode_at(cs, coord, states.cell(child, coord))
-            image = image | {(coord, tile)}
+            if code not in added:
+                coord = table[code][0].coord
+                added[code] = {(coord, auto.tiles[auto.intern(states.cell(child, coord), coord)])}
+            image = image | added[code]
             image = interned.setdefault(image, image)
         images.append(image)
     return images

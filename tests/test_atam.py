@@ -262,6 +262,11 @@ def test_explore_memory_at_bound_25(systems):
     assert peak < 2.25 * 2**20
 
 
+def test_sierpinski_counts_at_bound_30(systems):
+    result = explore(systems["sierpinski"], 30)
+    assert (len(result.assemblies), len(result.edges)) == (28628, 109349)
+
+
 @pytest.mark.parametrize("name,bound", [("elbow", 6), ("nondet_elbow", 6), ("sierpinski", 8)])
 def test_explore_matches_brute_force(systems, name, bound):
     tas = systems[name]

@@ -13,6 +13,7 @@ from tileworks import atam as atam_module
 from tileworks import corpus
 from tileworks import macro as macro_module
 from tileworks.atam import (
+    DIRECTIONS,
     Direction,
     Edges,
     Pad,
@@ -203,8 +204,10 @@ def test_macro_explore_scans_only_the_start_state(compiled, monkeypatch):
 
     scan = atam_module.enabled
     monkeypatch.setattr(atam_module, "enabled", counting)
-    result = macro_explore(compiled["sierpinski"], 6)
-    assert scanned == [result.states[result.seed_key].blocks]
+    cs = compiled["sierpinski"]
+    macro_explore(cs, 6)
+    # the skeleton carries block ids: the one scan sees the seed block's id
+    assert scanned == [{(0, 0): cs.automaton.ids[cs.seed_block]}]
 
 
 def test_commit_branches_split_on_entry(compiled):
@@ -350,12 +353,14 @@ def test_decode_block_never_keeps_a_failure(compiled):
     cs = compiled["elbow"]
     corner = run_macro(cs, rng_seed=0).final.get((1, 1))
     bad = dataclasses.replace(corner, committed_tile=cs.source.tile_index("tR"))
+    auto = cs.automaton
+    # a committed state that fails its check gets no id, so it raises again
     for _ in range(2):
-        with pytest.raises(RepresentationError):
-            decode_block(bad, cs)
-    assert bad not in cs.block_tiles
-    assert decode_block(corner, cs) == cs.block_tiles[corner]
-    assert "block_tiles" not in repr(cs)
+        with pytest.raises(RepresentationError, match=r"^block \(1, 1\): "):
+            auto.intern(bad, (1, 1))
+    assert bad not in auto.ids
+    assert auto.tiles[auto.ids[corner]] == decode_block(corner, cs)
+    assert "automaton" not in repr(cs)
 
 
 # the CLI default of 100000 events would cost about 20 s of tier-1 on counter4
@@ -731,8 +736,8 @@ def test_decode_all_reports_the_first_bad_block(compiled):
     assert str(got.value).startswith("block (1, 1): block output pads")
 
 
-# --- the transition memo ------------------------------------------------
-# `cs.transitions` outlives every call that fills it, so a later call on the
+# --- the block automaton ------------------------------------------------
+# `cs.automaton` outlives every call that fills it, so a later call on the
 # same compiled system must see exactly what a fresh one would.
 
 
@@ -773,15 +778,15 @@ def test_explore_after_run_matches_fresh_compile(name, systems):
     used = compile_system(systems[name])
     for seed in range(3):
         run_macro(used, seed, max_events=2000)
-    assert used.transitions
+    auto = used.automaton
+    assert auto.steps
     got = macro_explore(used, 6)
     assert _packed_outcome(got) == _packed_outcome(macro_explore(compile_system(systems[name]), 6))
     # equal outcomes are one object, whichever call stored them
-    values = list(used.transitions.values())
-    assert len({id(v) for v in values}) == len(set(values))
+    assert len(set(auto.states)) == len(auto.states)
 
 
-def test_block_state_hash_cache_is_invisible():
+def test_block_state_is_a_plain_frozen_dataclass():
     pads = (Pad("a", Direction.S, 1), Pad("b", Direction.W, 1))
     outputs = (Pad("c", Direction.N, 2),)
 
@@ -793,16 +798,11 @@ def test_block_state_hash_cache_is_invisible():
     pickled = pickle.dumps(fresh)
     assert hashed is not fresh
     hash(hashed)
-    # the cached facts: computed once, then read back as the same object
+    assert vars(hashed) == vars(fresh) == dict(zip(names, (BlockPhase.COMPLETE, pads, 3, outputs)))
     assert hashed.input_directions == {Direction.S, Direction.W}
-    assert hashed.input_directions is hashed.input_directions
     assert hashed.received_strength == 2
-    # what it offers the neighbour receiving on side S, to its north, turned to S
-    assert hashed.offers == ((), (), (Pad("c", Direction.S, 2),), ())
-    assert hashed.offers is hashed.offers
-    assert dataclasses.replace(hashed, phase=BlockPhase.COMMITTED).offers == ((),) * 4
     assert hashed == fresh and hash(hashed) == hash(fresh)
-    # the same value the dataclass's own field-tuple hash gives
+    # the dataclass's own field-tuple hash
     assert hash(fresh) == hash(tuple(getattr(fresh, n) for n in names))
     assert repr(hashed) == text == repr(fresh)
     assert [f.name for f in dataclasses.fields(hashed)] == names
@@ -813,10 +813,8 @@ def test_block_state_hash_cache_is_invisible():
     back = dataclasses.replace(moved, committed_tile=3)
     assert moved != hashed and back == hashed and hash(back) == hash(hashed)
     assert {hashed: 1}[fresh] == 1
-    loaded = pickle.loads(pickle.dumps(hashed))
-    assert loaded.input_directions == hashed.input_directions
-    assert loaded.received_strength == 2
-    assert loaded.offers == hashed.offers
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        hashed.phase = BlockPhase.COMMITTED
 
 
 def test_pads_and_events_are_slotted_frozen_and_pickle():
@@ -837,10 +835,72 @@ def test_pads_and_events_are_slotted_frozen_and_pickle():
         assert back == value and hash(back) == hash(value) and back is not value
 
 
-def test_addressability_is_memoised_per_state(compiled):
+def test_type_detected_id_commits_iff_its_address_has_an_entry(compiled):
     cs = compile_system(compiled["counter3"].source)
     run_macro(cs, 0, max_events=3000)
-    assert cs.addressable
-    for state, known in cs.addressable.items():
-        assert state.phase is BlockPhase.TYPE_DETECTED
-        assert known == (address_of(state.input_pads, cs.glues).value in cs.addresses)
+    auto = cs.automaton
+    detected = [i for i, state in enumerate(auto.states)
+                if state is not None and state.phase is BlockPhase.TYPE_DETECTED]
+    assert detected
+    for i in detected:
+        state = auto.states[i]
+        has_entry = address_of(state.input_pads, cs.glues).value in cs.addresses
+        assert (auto.own[i] is EventKind.COMMIT) == has_entry
+
+
+def check_automaton(cs):
+    """Every entry `cs.automaton` holds, against its definition: each step
+    (id, kind, pad, bits) -> id against `_next_state` on the stored state,
+    and each id's facts against its block state's fields and `decode_block`."""
+    auto = cs.automaton
+    assert auto.states[0] is None and len(auto.ids) == len(auto.states) - 1
+    assert [auto.ids.get(state, 0) for state in auto.states] == list(range(len(auto.states)))
+    lengths = {len(facts) for facts in (auto.tiles, auto.open, auto.own, auto.offers)}
+    assert lengths == {len(auto.states)}
+    assert (auto.tiles[0], auto.own[0], auto.offers[0]) == (None, None, None)
+    assert auto.open[0] == tuple((k, d.vector) for k, d in enumerate(DIRECTIONS))
+    for (here, kind, pad, bits), after in auto.steps.items():
+        # the outcome of a step depends on neither the coordinate nor the source
+        state = _next_state(cs, auto.states[here], MacroEvent(kind, (0, 0), pad), bits=bits)
+        assert auto.ids[state] == after, (here, kind, pad, bits)
+    for i, state in enumerate(auto.states[1:], 1):
+        phase, taken = state.phase, {p.direction for p in state.input_pads}
+        assert auto.tiles[i] == decode_block(state, cs)
+        collecting = phase is BlockPhase.INPUTS_PARTIAL
+        assert auto.open[i] == tuple(
+            (k, d.vector) for k, d in enumerate(DIRECTIONS) if collecting and d not in taken
+        )
+        strength = sum(p.strength for p in state.input_pads)
+        own = {
+            BlockPhase.INPUTS_PARTIAL: EventKind.PROBE if strength == 2 else None,
+            BlockPhase.COMMITTED: EventKind.COMPLETION,
+            BlockPhase.COMPLETE: None,
+        }
+        if phase is BlockPhase.TYPE_DETECTED:
+            entry = address_of(state.input_pads, cs.glues).value in cs.addresses
+            own[phase] = EventKind.COMMIT if entry else None
+        assert auto.own[i] is own[phase], state
+        if phase is not BlockPhase.COMPLETE:
+            assert auto.offers[i] is None
+            continue
+        # a pad pointing at a neighbour arrives on that neighbour's facing side
+        offers = [[] for _ in DIRECTIONS]
+        for p in state.output_pads:
+            side = p.direction.opposite
+            offers[DIRECTIONS.index(side)].append(Pad(p.glue, side, p.strength))
+        assert auto.offers[i] == tuple(map(tuple, offers)), state
+
+
+@pytest.mark.parametrize("name", ("elbow", "nondet_elbow", "counter3", "counter4", "sierpinski"))
+def test_filled_automaton_matches_its_definition(name, systems):
+    cs = compile_system(systems[name])
+    macro_explore(cs, 6)
+    for seed in range(3):
+        run_macro(cs, seed, max_events=3000)
+    assert len(cs.automaton.steps) > len(cs.automaton.states) > 5
+    check_automaton(cs)
+
+
+def test_sierpinski_macro_counts_at_bound_12(compiled):
+    result = macro_explore(compiled["sierpinski"], 12)
+    assert (len(result.states), len(result.edges)) == (63297, 245479)

@@ -12,7 +12,8 @@ that passes the check is compiled: every lookup through the table sweep is
 compared with the direct parse of the entries string and with the
 column-by-column reference sweep, seeded runs are replayed by `ref_replay`,
 `macro_explore` is compared with the per-edge reference loop of
-`tests/test_macro.py`, and condition 3 of the verifier with the closure
+`tests/test_macro.py`, every entry of the block automaton those runs filled
+with its definition, and condition 3 of the verifier with the closure
 oracle `ref_dynamics`.
 """
 
@@ -48,7 +49,7 @@ from .test_atam import (
     check_terminals_match_reference,
     keyed_outcome,
 )
-from .test_macro import _explore_outcome, _reference_explore, check_cells_walk
+from .test_macro import _explore_outcome, _reference_explore, check_automaton, check_cells_walk
 
 # Systems whose every tile binds everywhere have millions of assemblies at
 # bound 6; the bound is lowered until the oracles stay cheap.
@@ -139,6 +140,7 @@ def test_random_systems_match_oracles(tas):
     macro_bound = min(bound, MACRO_BOUND)
     got = _explore_outcome(macro_explore, cs, macro_bound)
     assert got == _explore_outcome(_reference_explore, cs, macro_bound)
+    check_automaton(cs)
     if isinstance(got[0], type):
         return
     macro = macro_explore(cs, macro_bound)
