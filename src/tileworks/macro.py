@@ -142,7 +142,7 @@ class BlockAutomaton:
             raise RepresentationError(f"block {coord}: {exc}") from exc
         phase, own, offers = state.phase, None, None
         collecting = phase is BlockPhase.INPUTS_PARTIAL
-        taken = state.input_directions if collecting else DIRECTIONS
+        closed = state.input_directions if collecting else DIRECTIONS
         if collecting and state.received_strength == 2:
             own = EventKind.PROBE
         elif phase is BlockPhase.TYPE_DETECTED:
@@ -159,7 +159,7 @@ class BlockAutomaton:
         found = self.ids[state] = len(self.states)
         self.states.append(state)
         self.tiles.append(tile)
-        self.open.append(tuple(s for s, d in zip(_SIDES, DIRECTIONS) if d not in taken))
+        self.open.append(tuple(s for s, d in zip(_SIDES, DIRECTIONS) if d not in closed))
         self.own.append(own)
         self.offers.append(offers)
         return found
