@@ -41,7 +41,6 @@ from .encoding import (
 )
 from .lookup import (
     LookupOutcome,
-    PhaseTrace,
     direct_lookup,
     render_trace,
     selection_counts,
@@ -75,7 +74,6 @@ __all__ = [
     "LookupOutcome",
     "MacroRun",
     "Pad",
-    "PhaseTrace",
     "SidePad",
     "SimulationReport",
     "TasParseError",

@@ -589,9 +589,13 @@ class KeyedStates(Mapping):
 
 @dataclass
 class ExplorationResult:
-    """`assemblies` is a `KeyedStates` view of `states`; `edges` is an `Edges`
-    view of `AttachmentEdge`s; edges, `seed_key` and `cut` (the assemblies at
-    the bound whose frontier was dropped) name ids."""
+    """What `explore` or `macro.macro_explore` found within `bound` cells.
+
+    `assemblies` is a `KeyedStates` view of `states`, which hand out an
+    `Assembly` or a `blocks.MacroAssembly`; `edges` is an `Edges` view of
+    `AttachmentEdge`s or `macro.MacroEdge`s.  Edges, `seed_key` and `cut`
+    (the states at the bound whose frontier was dropped) name ids.
+    """
 
     assemblies: Mapping[frozenset, Assembly]
     edges: Edges
@@ -607,9 +611,9 @@ class ExplorationResult:
     def truncated(self) -> bool:  # the producible set continues past the bound
         return bool(self.cut)
 
-    def terminal_keys(self, tas: TileSystem) -> list[int]:
-        """Ids of the assemblies with no out-edge that were not cut (`tas` is not
-        read), fewest tiles first, then by sorted cells."""
+    def terminal_keys(self) -> list[int]:
+        """Ids of the states with no out-edge that were not cut, fewest cells
+        first, then by sorted cells."""
         ends = set(self.states).difference(self.edges.parents, self.cut)
         keys = {i: self.states.key(i) for i in ends}
         return sorted(keys, key=lambda i: (len(keys[i]), sorted(keys[i])))

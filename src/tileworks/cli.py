@@ -129,7 +129,7 @@ def _cmd_run(args) -> int:
 def _cmd_explore(args) -> int:
     tas = _load_system(args.system)
     result = explore(tas, args.bound)
-    terminals = result.terminal_keys(tas)
+    terminals = result.terminal_keys()
     print(f"assemblies: {len(result.assemblies)}")
     print(f"attachments: {len(result.edges)}")
     print(f"terminal assemblies: {len(terminals)}")
@@ -169,11 +169,11 @@ def _cmd_lookup(args) -> int:
     tas = _load_system(args.system)
     cs = _compile(args, tas)
     try:
-        outcome, trace = lookup.trace_lookup(cs, args.addr, args.bits)
+        outcome, rec = lookup.trace_lookup(cs, args.addr, args.bits)
     except lookup.EmptyEntryError as exc:
         print(f"lookup failed: {exc}")
         if args.trace and exc.trace is not None:
-            print(lookup.render_trace(cs, exc.trace, limit=args.limit))
+            print(lookup.render_trace(cs, args.addr, args.bits, exc.trace, limit=args.limit))
         return CHECK_FAILED
     except lookup.LookupError_ as exc:
         raise _CliError(f"lookup failed: {exc}", USAGE_ERROR) from exc
@@ -181,12 +181,12 @@ def _cmd_lookup(args) -> int:
     chosen = names[outcome.selected_index] if names else "?"
     print(
         f"address {args.addr}, bits {args.bits}: sub-entry "
-        f"{outcome.selected_index} of {trace.sub_entries} -> {chosen}"
+        f"{outcome.selected_index} of {rec.n} -> {chosen}"
     )
-    for pad in outcome.sub_entry.pads:
+    for pad in outcome.pads:
         print(f"  output {pad.direction.name}: {pad.glue}:{pad.strength}")
     if args.trace:
-        print(lookup.render_trace(cs, trace, limit=args.limit))
+        print(lookup.render_trace(cs, args.addr, args.bits, rec, limit=args.limit))
     return 0
 
 

@@ -319,7 +319,7 @@ class CompiledSystem:
     )
     # the block program's interned states and steps, made on first use
     automaton: object = dc_field(default=None, init=False, repr=False, compare=False)
-    # selected mirrored span -> the sub-entry its pads decode to, filled by
+    # selected mirrored span -> the pad tuple it decodes to, filled by
     # `lookup.trace_lookup`
     sub_entries: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 

@@ -4,7 +4,9 @@ The sweep answers what a width-1 automaton walking the table once, left to
 right, would find: count entry markers until the requested address matches,
 count that entry's sub-entries, count the entries remaining before the table's
 middle, then count back down through the mirrored half and pick out the
-selected mirrored sub-entry span.
+selected mirrored sub-entry span.  Its `SweepRecord` is the one record of a
+lookup: `lookup.trace_lookup` hands it out as it is, and `lookup.render_trace`
+labels the table's columns from it.
 
 `sweep` computes that answer by binary search over the marker columns that
 `TableIndex` collects once per table, as two `array('i')` columns, so an index

@@ -5,11 +5,13 @@ spliced table exactly the way the construction's internal machinery would:
 match the entry by counting markers, count sub-entries, count the remaining
 entries, then count back down through the mirrored half and read the selected
 mirrored sub-entry, whose fields come out in W,S,E,N order with forward bit
-fields (the mirror un-reverses them).
+fields (the mirror un-reverses them).  It hands out the sweep's own
+`kernels.SweepRecord`, which `render_trace` labels column by column.
 
 `direct_lookup` never touches the table: it indexes the raw entries string
 and parses the requested sub-entry in place.  The two routes exist to check
-each other and are kept deliberately independent.
+each other and are kept deliberately independent.  Both give a sub-entry as
+its tuple of output pads, sorted in N,E,S,W side order.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class AddressRangeError(LookupError_):
 
 
 class EmptyEntryError(LookupError_):
-    def __init__(self, message: str, trace: "PhaseTrace | None" = None):
+    def __init__(self, message: str, trace: kernels.SweepRecord | None = None):
         super().__init__(message)
         self.trace = trace
 
@@ -51,38 +53,16 @@ class TableFormatError(LookupError_):
 
 
 @dataclass(frozen=True)
-class SubEntry:
-    """Output pads of one attachable tile, sorted in N,E,S,W side order."""
+class LookupOutcome:
+    """`pads`, the selected sub-entry's output pads in N,E,S,W side order."""
 
     pads: tuple[Pad, ...]
-
-
-@dataclass(frozen=True)
-class LookupOutcome:
-    sub_entry: SubEntry
     tile_candidates: tuple[int, ...]
     selected_index: int
 
 
-@dataclass(frozen=True)
-class PhaseTrace:
-    """Scalar record of one sweep; column annotations are rendered on demand."""
-
-    addr: int
-    bits: str
-    match_col: int
-    match_end: int
-    sub_entries: int  # n
-    remaining_entries: int  # m
-    selection: int  # p = bits mod n
-    middle_span: tuple[int, int]
-    mirror_span: tuple[int, int]
-    selected_span: tuple[int, int]
-    selected_index: int  # in original sub-entry order: n - 1 - p
-
-
-def parse_entry(entry: str, ordering: GlueOrdering) -> tuple[SubEntry, ...]:
-    """Parse one raw entry ('#' plus payload) into its sub-entries."""
+def parse_entry(entry: str, ordering: GlueOrdering) -> tuple[tuple[Pad, ...], ...]:
+    """Parse one raw entry ('#' plus payload) into its sub-entries' pad tuples."""
     if not entry.startswith("#"):
         raise EntryFormatError(f"an entry starts with '#', got {entry[:8]!r}")
     payload = entry[1:]
@@ -110,11 +90,11 @@ def parse_entry(entry: str, ordering: GlueOrdering) -> tuple[SubEntry, ...]:
                     f"field for side {direction.name} decodes to side {pad.direction.name}"
                 )
             pads.append(pad)
-        subs.append(SubEntry(tuple(pads)))
+        subs.append(tuple(pads))
     return tuple(subs)
 
 
-def direct_lookup(cs: CompiledSystem, addr: int, p: int) -> SubEntry:
+def direct_lookup(cs: CompiledSystem, addr: int, p: int) -> tuple[Pad, ...]:
     """Oracle route: parse sub-entry `p` of entry `addr` straight from the entries string."""
     payloads = cs.entry_payloads()
     if addr < 0 or addr >= len(payloads):
@@ -154,7 +134,7 @@ def _mirror_field_pads(cs: CompiledSystem, sel_lo: int, sel_hi: int) -> tuple[Pa
 
 def trace_lookup(
     cs: CompiledSystem, addr: int, bits: str
-) -> tuple[LookupOutcome, PhaseTrace]:
+) -> tuple[LookupOutcome, kernels.SweepRecord]:
     """Kernel route: sweep the spliced table and decode the selected mirror span.
 
     A span's decoded pads are kept in `cs.sub_entries`, so each selected
@@ -169,31 +149,15 @@ def trace_lookup(
         )
     if rec.status == kernels.E_MALFORMED:
         raise TableFormatError("table failed the sweep's structural checks")
-    trace = PhaseTrace(
-        addr=addr,
-        bits=bits,
-        match_col=rec.match,
-        match_end=rec.match_end,
-        sub_entries=rec.n,
-        remaining_entries=rec.m,
-        selection=rec.p,
-        middle_span=(rec.middle_lt, rec.middle_gt),
-        mirror_span=(rec.mirror_lo, rec.mirror_hi),
-        selected_span=(rec.sel_lo, rec.sel_hi),
-        selected_index=rec.n - 1 - rec.p if rec.status == kernels.OK else -1,
-    )
     if rec.status == kernels.E_EMPTY_ENTRY:
-        raise EmptyEntryError(
-            f"entry {addr} is bare; no tile attaches there", trace=trace
-        )
-    sub_entry = cs.sub_entries.get(trace.selected_span)
-    if sub_entry is None:
-        pads = _mirror_field_pads(cs, *trace.selected_span)
-        sub_entry = cs.sub_entries[trace.selected_span] = SubEntry(pads)
+        raise EmptyEntryError(f"entry {addr} is bare; no tile attaches there", trace=rec)
+    span = (rec.sel_lo, rec.sel_hi)
+    pads = cs.sub_entries.get(span)
+    if pads is None:
+        pads = cs.sub_entries[span] = _mirror_field_pads(cs, *span)
     entry = cs.addresses.get(addr)
     candidates = entry.tiles if entry is not None else ()
-    outcome = LookupOutcome(sub_entry, candidates, trace.selected_index)
-    return outcome, trace
+    return LookupOutcome(pads, candidates, rec.n - 1 - rec.p), rec
 
 
 def selection_counts(cs: CompiledSystem, addr: int, width: int | None = None) -> dict[int, int]:
@@ -206,20 +170,20 @@ def selection_counts(cs: CompiledSystem, addr: int, width: int | None = None) ->
     return counts
 
 
-def render_trace(cs: CompiledSystem, trace: PhaseTrace, limit: int | None = None) -> str:
-    """Human-readable sweep: one line per column with phase and counter labels."""
+def render_trace(
+    cs: CompiledSystem, addr: int, bits: str, rec: kernels.SweepRecord, limit: int | None = None
+) -> str:
+    """Human-readable sweep `rec` of entry `addr` with `bits`: one line per
+    column with phase and counter labels."""
     symbols = cs.table.symbols
-    match, match_end = trace.match_col, trace.match_end
-    mid_lt, mid_gt = trace.middle_span
-    mir_lo, mir_hi = trace.mirror_span
-    sel_lo, sel_hi = trace.selected_span
-    lines = [
-        f"addr={trace.addr} bits={trace.bits} n={trace.sub_entries} "
-        f"m={trace.remaining_entries} p={trace.selection} "
-        f"selected_index={trace.selected_index}"
-    ]
+    match, match_end = rec.match, rec.match_end
+    mid_lt, mid_gt = rec.middle_lt, rec.middle_gt
+    mir_lo, mir_hi = rec.mirror_lo, rec.mirror_hi
+    sel_lo, sel_hi = rec.sel_lo, rec.sel_hi
+    selected = rec.n - 1 - rec.p if rec.status == kernels.OK else -1
+    lines = [f"addr={addr} bits={bits} n={rec.n} m={rec.m} p={rec.p} selected_index={selected}"]
     entries_seen = 0
-    count_down = trace.remaining_entries
+    count_down = rec.m
     total = len(symbols) if limit is None else min(limit, len(symbols))
     for col in range(total):
         sym = symbols[col]

@@ -13,9 +13,11 @@ engines carry the ids as cell values, and `_events_at`, the one event rule,
 reads only per-id facts.  `run_macro` runs it in the random walk `atam.walk`
 and `macro_explore` in the breadth-first skeleton `atam.explore_packed`,
 both shared with the source level.  A run renders its log only when read.
-`macro_explore`'s `atam.PackedStates` keep each state as the edge that
-first reached it, and its `atam.Edges` name states by id and events by
-code; both build a `MacroAssembly` or `MacroEdge` only when one is read.
+`macro_explore` returns the source level's `atam.ExplorationResult`: its
+states keep each state as the edge that first reached it, and its edges
+name states by id and events by code; both build a `MacroAssembly` or
+`MacroEdge` only when one is read.  A commit reads its tile and pads off
+`lookup.trace_lookup`'s outcome and leaves the sweep's record unread.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from .atam import (
     DIRECTIONS,
     Assembly,
     Coord,
-    Edges,
-    PackedStates,
+    ExplorationResult,
+    KeyedStates,
     Pad,
     WorkbenchError,
     around,
@@ -276,8 +278,8 @@ def _next_state(
             raise MacroEventError(
                 f"no tile attaches at {coord} for address {address.value}: {exc}"
             ) from exc
-        tile, pads = outcome.tile_candidates[outcome.selected_index], outcome.sub_entry.pads
-        return BlockState(BlockPhase.COMMITTED, state.input_pads, tile, pads)
+        tile = outcome.tile_candidates[outcome.selected_index]
+        return BlockState(BlockPhase.COMMITTED, state.input_pads, tile, outcome.pads)
 
     if event.kind is EventKind.COMPLETION:
         if state.phase is not BlockPhase.COMMITTED:
@@ -374,19 +376,7 @@ class MacroEdge(NamedTuple):
     event: MacroEvent
 
 
-@dataclass
-class MacroExplorationResult:
-    """A `macro_explore`: `states` by id, `edges` an `Edges` view of `MacroEdge`s
-    between ids, whose table holds each code's payload, `(event,)`."""
-
-    states: PackedStates
-    edges: Edges
-    seed_key: int
-    truncated: bool
-    bound: int
-
-
-def macro_explore(cs: CompiledSystem, bound: int) -> MacroExplorationResult:
+def macro_explore(cs: CompiledSystem, bound: int) -> ExplorationResult:
     """Closure of macro states reachable within `bound` blocks, by `atam.explore_packed`.
 
     Commits branch over every random-bit value; a block keeps no bits, so
@@ -409,7 +399,7 @@ def macro_explore(cs: CompiledSystem, bound: int) -> MacroExplorationResult:
         auto.touched, MacroEdge,
     )
     states.alphabet[1:] = [auto.states[i] for i in states.alphabet[1:]]
-    return MacroExplorationResult(states, edges, 0, bool(cut), bound)
+    return ExplorationResult(KeyedStates(states), edges, 0, tuple(cut), bound)
 
 
 def decode_block(state: BlockState, cs: CompiledSystem) -> int | None:

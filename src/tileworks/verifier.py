@@ -15,13 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .atam import Edges, explore
+from .atam import Edges, ExplorationResult, explore
 from .blocks import BlockPhase
 from .encoding import CompiledSystem
 from .macro import (
     BlockAutomaton,
     EventKind,
-    MacroExplorationResult,
     RepresentationError,
     decode_assembly,
     decode_block,
@@ -104,7 +103,7 @@ def _sorted_cells(key: frozenset) -> str:
     return str(sorted(key))
 
 
-def _decode_all(cs: CompiledSystem, macro_result: MacroExplorationResult) -> list:
+def _decode_all(cs: CompiledSystem, macro_result: ExplorationResult) -> list:
     """Every macro state's decoded image, by id, decoded along the edges.
 
     The start state is decoded whole.  Every other state is stored as the

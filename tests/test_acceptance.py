@@ -120,15 +120,15 @@ def test_criterion_04_lookup_oracle_equivalence(compiled):
                     for width in range(1, 7):
                         for b in range(2**width):
                             bits = format(b, f"0{width}b")
-                            outcome, trace = trace_lookup(cs, addr, bits)
-                            n = trace.sub_entries
-                            assert trace.selection == b % n
+                            outcome, rec = trace_lookup(cs, addr, bits)
+                            n = rec.n
+                            assert rec.p == b % n
                             assert outcome.selected_index == n - 1 - (b % n)
-                            assert outcome.sub_entry == direct_lookup(
+                            assert outcome.pads == direct_lookup(
                                 cs, addr, outcome.selected_index
                             )
                             if warm:
-                                assert outcome.sub_entry is cs.sub_entries[trace.selected_span]
+                                assert outcome.pads is cs.sub_entries[rec.sel_lo, rec.sel_hi]
             assert len(cs.sub_entries) == sum(len(e.tiles) for e in cs.addresses.values())
 
 
@@ -183,7 +183,7 @@ def test_criterion_08_nondeterminism_fidelity(compiled):
             for key in terminal_macro_keys(cs, result)
         }
         source = explore(cs.source, 6)
-        source_terminals = {source.states.key(i) for i in source.terminal_keys(cs.source)}
+        source_terminals = {source.states.key(i) for i in source.terminal_keys()}
         assert len(source_terminals) == 2
         assert decoded_terminals == source_terminals
 

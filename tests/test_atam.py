@@ -218,7 +218,7 @@ def test_explore_matches_reference_exploration(systems, name):
 def check_terminals_match_reference(tas, result):
     """Terminals by the cut states equal terminals by each leaf's frontier,
     and the cut states are exactly the full ones with a nonempty frontier."""
-    assert result.terminal_keys(tas) == ref_terminal_keys(tas, result)
+    assert result.terminal_keys() == ref_terminal_keys(tas, result)
     states = result.states.items()
     assert list(result.cut) == [
         i for i, asm in states if len(asm) >= result.bound and frontier(tas, asm)
@@ -282,7 +282,7 @@ def test_elbow_exploration_counts(systems):
     result = explore(tas, 6)
     assert len(result.assemblies) == 5
     assert not result.truncated
-    terminals = result.terminal_keys(tas)
+    terminals = result.terminal_keys()
     assert len(terminals) == 1
     assert len(result.states[terminals[0]]) == 4
 
@@ -291,7 +291,7 @@ def test_nondet_elbow_exploration_counts(systems):
     tas = systems["nondet_elbow"]
     result = explore(tas, 6)
     assert len(result.assemblies) == 6
-    terminals = result.terminal_keys(tas)
+    terminals = result.terminal_keys()
     assert len(terminals) == 2
     assert sorted(len(result.states[i]) for i in terminals) == [4, 4]
 

@@ -196,6 +196,15 @@ def test_lookup_bare_entry_fails_check(capsys):
     assert "lookup failed" in capsys.readouterr().out
 
 
+def test_lookup_bare_entry_trace(capsys):
+    # the trace comes from the sweep record the bare-entry error carries
+    assert main(["lookup", "elbow", "--addr", "0", "--bits", "0", "--trace"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("lookup failed")
+    assert lines[1] == "addr=0 bits=0 n=0 m=1948 p=-1 selected_index=-1"
+    assert any(line.endswith("match entries=1") for line in lines)
+
+
 def test_lookup_out_of_range_is_usage_error(capsys):
     assert main(["lookup", "elbow", "--addr", "99999", "--bits", "0"]) == 2
     assert "lookup failed" in capsys.readouterr().err

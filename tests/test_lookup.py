@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from tileworks import kernels
 from tileworks.atam import Direction
 from tileworks.lookup import (
     AddressRangeError,
@@ -33,7 +34,7 @@ def test_mod_select(compiled):
     cs = compiled["nondet_elbow"]
     for b in range(2**cs.random_width):
         bits = format(b, f"0{cs.random_width}b")
-        assert trace_lookup(cs, 1948, bits)[1].selection == mod_select(bits, 2)
+        assert trace_lookup(cs, 1948, bits)[1].p == mod_select(bits, 2)
     assert mod_select("0000", 2) == 0
     assert mod_select("0101", 2) == 1
     assert mod_select("111", 5) == 2
@@ -49,7 +50,7 @@ def test_parse_entry(compiled):
     cs = compiled["elbow"]
     subs = parse_entry("#" + cs.entry_payloads()[15], cs.glues)
     assert len(subs) == 1
-    (pad,) = subs[0].pads
+    (pad,) = subs[0]
     assert (pad.glue, pad.direction, pad.strength) == ("c", Direction.N, 1)
     assert parse_entry("#", cs.glues) == ()
     with pytest.raises(EntryFormatError):
@@ -65,8 +66,8 @@ def test_parse_entry(compiled):
 
 def test_direct_lookup_routes(compiled):
     cs = compiled["elbow"]
-    sub = direct_lookup(cs, 15, 0)
-    assert [str(p.glue) for p in sub.pads] == ["c"]
+    pads = direct_lookup(cs, 15, 0)
+    assert [str(p.glue) for p in pads] == ["c"]
     with pytest.raises(AddressRangeError):
         direct_lookup(cs, 999999, 0)
     with pytest.raises(EmptyEntryError):
@@ -77,26 +78,23 @@ def test_direct_lookup_routes(compiled):
 
 def test_trace_frozen_example(compiled):
     cs = compiled["elbow"]
-    outcome, trace = trace_lookup(cs, 15, "0000")
-    assert trace.sub_entries == 1
-    assert trace.remaining_entries == 1948 - 15
-    assert trace.selection == 0
-    assert trace.selected_index == 0
+    outcome, rec = trace_lookup(cs, 15, "0000")
+    assert rec.n == 1
+    assert rec.m == 1948 - 15
+    assert rec.p == 0
+    assert outcome.selected_index == 0
     assert outcome.tile_candidates == (cs.source.tile_index("tR"),)
-    (pad,) = outcome.sub_entry.pads
+    (pad,) = outcome.pads
     assert (pad.glue, pad.direction.name, pad.strength) == ("c", "N", 1)
 
 
 def test_trace_spans_are_consistent(compiled):
     cs = compiled["nondet_elbow"]
     for bits in ("0000", "0001", "1111"):
-        outcome, trace = trace_lookup(cs, 1948, bits)
-        lo, hi = trace.mirror_span
-        sel_lo, sel_hi = trace.selected_span
-        assert lo <= sel_lo <= sel_hi <= hi
-        mid_lt, mid_gt = trace.middle_span
-        assert strip_blanks(cs.table.symbols[mid_lt : mid_gt + 1]) == "<%%>"
-        assert trace.selected_index == trace.sub_entries - 1 - trace.selection
+        outcome, rec = trace_lookup(cs, 1948, bits)
+        assert rec.mirror_lo <= rec.sel_lo <= rec.sel_hi <= rec.mirror_hi
+        assert strip_blanks(cs.table.symbols[rec.middle_lt : rec.middle_gt + 1]) == "<%%>"
+        assert outcome.selected_index == rec.n - 1 - rec.p
 
 
 def test_trace_equals_direct_everywhere(compiled):
@@ -107,10 +105,10 @@ def test_trace_equals_direct_everywhere(compiled):
                 n = len(cs.addresses[addr].tiles)
                 for b in range(8):
                     bits = format(b, "03b")
-                    outcome, trace = trace_lookup(cs, addr, bits)
-                    direct = direct_lookup(cs, addr, trace.selected_index)
-                    assert outcome.sub_entry == direct
-                    assert trace.selected_index == n - 1 - (b % n)
+                    outcome, _ = trace_lookup(cs, addr, bits)
+                    direct = direct_lookup(cs, addr, outcome.selected_index)
+                    assert outcome.pads == direct
+                    assert outcome.selected_index == n - 1 - (b % n)
 
 
 def test_trace_error_statuses(compiled):
@@ -122,7 +120,8 @@ def test_trace_error_statuses(compiled):
     with pytest.raises(EmptyEntryError) as err:
         trace_lookup(cs, 3, "01")
     assert err.value.trace is not None
-    assert err.value.trace.sub_entries == 0
+    assert err.value.trace.n == 0
+    assert err.value.trace.status == kernels.E_EMPTY_ENTRY
 
 
 def test_nondet_fairness_split(compiled):
@@ -154,12 +153,12 @@ def test_mirror_half_mirrors(compiled):
 
 def test_render_trace_output(compiled):
     cs = compiled["elbow"]
-    _, trace = trace_lookup(cs, 15, "0000")
-    text = render_trace(cs, trace, limit=40)
+    _, rec = trace_lookup(cs, 15, "0000")
+    text = render_trace(cs, 15, "0000", rec, limit=40)
     lines = text.splitlines()
     assert lines[0] == "addr=15 bits=0000 n=1 m=1933 p=0 selected_index=0"
     assert lines[-1].startswith("... (")
-    full = render_trace(cs, trace).splitlines()
+    full = render_trace(cs, 15, "0000", rec).splitlines()
     # the match line reports the marker count: addr 15 is the sixteenth '#'
     assert any(line.endswith("match entries=16") for line in full)
     assert any("selected" in line for line in full)

@@ -16,6 +16,7 @@ from tileworks.atam import (
     DIRECTIONS,
     Direction,
     Edges,
+    ExplorationResult,
     Pad,
     TileSystem,
     TileType,
@@ -29,7 +30,6 @@ from tileworks.macro import (
     MacroEdge,
     MacroEvent,
     MacroEventError,
-    MacroExplorationResult,
     RepresentationError,
     ThreeProbeError,
     _next_state,
@@ -42,6 +42,7 @@ from tileworks.macro import (
 )
 from tileworks.verifier import _decode_all
 
+from .conftest import COMPILABLE
 from .oracles import naive_frontier, ref_replay
 
 
@@ -191,8 +192,19 @@ def test_macro_explore_nondet_terminals(compiled):
     assert len(terms) == 2
     decoded = {decode_assembly(result.states[k], cs).key for k in terms}
     src = explore(cs.source, 6)
-    src_terms = {src.states.key(i) for i in src.terminal_keys(cs.source)}
+    src_terms = {src.states.key(i) for i in src.terminal_keys()}
     assert decoded == src_terms
+
+
+@pytest.mark.parametrize("name", COMPILABLE)
+def test_macro_terminals_match_frontier_scan(compiled, name):
+    # the source level's terminal rule, no out-edge and not cut, against a
+    # frontier scan of every macro state
+    cs = compiled[name]
+    for bound in range(4, 9):
+        result = macro_explore(cs, bound)
+        assert isinstance(result, ExplorationResult)
+        assert set(result.terminal_keys()) == set(terminal_macro_keys(cs, result)), bound
 
 
 def test_macro_explore_scans_only_the_start_state(compiled, monkeypatch):
@@ -475,6 +487,17 @@ def _rescan_run(cs, rng_seed, *, max_events=100_000, bound=None):
     return RescanRun(tuple(applied), tuple(log), macro, truncated)
 
 
+class ReferenceExploration(NamedTuple):
+    """What `_reference_explore` returns: states and edges keyed by each
+    state's frozenset key, and the fields of an `ExplorationResult` that
+    `_explore_outcome` compares."""
+
+    states: dict
+    edges: tuple
+    seed_key: frozenset
+    truncated: bool
+
+
 def _reference_explore(cs, bound):
     start = seed_macro(cs)
     states = {start.key: start}
@@ -512,7 +535,7 @@ def _reference_explore(cs, bound):
                     states[ckey] = child
                     queue.append(ckey)
                 edges.append(MacroEdge(key, ckey, event))
-    return MacroExplorationResult(states, tuple(edges), start.key, truncated, bound)
+    return ReferenceExploration(states, tuple(edges), start.key, truncated)
 
 
 def _five_tile_system() -> TileSystem:

@@ -179,9 +179,10 @@ def _check_lookups(cs: CompiledSystem) -> None:
         want = [ref_sweep(cs.table.symbols, addr, p) for p in range(min(n, 2**width))]
         for b in range(2**width):
             assert sweep(idx, addr, b) == want[b % n], (addr, b)
-            outcome, trace = trace_lookup(cs, addr, format(b, f"0{width}b"))
-            assert trace.selected_index == outcome.selected_index == n - 1 - b % n
-            assert outcome.sub_entry == direct_lookup(cs, addr, trace.selected_index)
+            outcome, rec = trace_lookup(cs, addr, format(b, f"0{width}b"))
+            assert rec == want[b % n]
+            assert outcome.selected_index == n - 1 - b % n
+            assert outcome.pads == direct_lookup(cs, addr, outcome.selected_index)
     out_of_range = cs.entry_count
     assert sweep(idx, out_of_range, 0) == ref_sweep(cs.table.symbols, out_of_range, 0)
     assert sweep(idx, out_of_range, 0).status == E_ADDR_RANGE

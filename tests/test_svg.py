@@ -7,7 +7,7 @@ from tileworks.svg import render_svg
 def _terminal_elbow(systems):
     tas = systems["elbow"]
     result = explore(tas, 6)
-    (tkey,) = result.terminal_keys(tas)
+    (tkey,) = result.terminal_keys()
     return tas, result.states[tkey]
 
 
