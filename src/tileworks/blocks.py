@@ -2,7 +2,7 @@
 
 A block is one scaled-up grid cell of the macro simulation.  It moves through
 a fixed lifecycle: collecting input pads, input type detected by the probe,
-committed to a tile type after the table lookup, and finally complete, at
+committed to a table sub-entry after the lookup, and finally complete, at
 which point its output pads become visible to the neighbouring blocks.  A
 `BlockState` holds only what its transitions read: the probe's input kind is
 `detect_kind` of its input pads, and a probe's random bits stay with the run.
@@ -50,14 +50,16 @@ class BlockState:
     """One block's lifecycle snapshot.
 
     `input_pads` hold received pads keyed by the side they arrived on;
-    `output_pads` are only the non-null pads the committed tile presents on
-    its non-input sides.  Nothing else is kept: a block's next state depends
-    only on these fields and the event (with, for a commit, the bits drawn).
+    `sub_entry` is the index the commit selected in the entry they address,
+    None before it and in the seed block; `output_pads` are that sub-entry's
+    pads, the non-null pads of the non-input sides.  Nothing else is kept: a
+    block's next state depends only on these fields and the event (with, for
+    a commit, the bits drawn); its tile is `macro.decode_block`'s answer.
     """
 
     phase: BlockPhase
     input_pads: tuple[Pad, ...] = ()
-    committed_tile: int | None = None
+    sub_entry: int | None = None
     output_pads: tuple[Pad, ...] = ()
 
     @property
@@ -71,11 +73,7 @@ class BlockState:
 
 def seed_block(tas: TileSystem) -> BlockState:
     """The complete block representing the seed tile: all non-null sides output."""
-    return BlockState(
-        phase=BlockPhase.COMPLETE,
-        committed_tile=tas.seed,
-        output_pads=tas.seed_tile.pads(),
-    )
+    return BlockState(BlockPhase.COMPLETE, output_pads=tas.seed_tile.pads())
 
 
 class MacroAssembly(Assembly):

@@ -177,8 +177,7 @@ def _cmd_lookup(args) -> int:
         return CHECK_FAILED
     except lookup.LookupError_ as exc:
         raise _CliError(f"lookup failed: {exc}", USAGE_ERROR) from exc
-    names = [cs.source.tiles[t].name for t in outcome.tile_candidates]
-    chosen = names[outcome.selected_index] if names else "?"
+    chosen = cs.source.tiles[cs.addresses[args.addr].tiles[outcome.selected_index]].name
     print(
         f"address {args.addr}, bits {args.bits}: sub-entry "
         f"{outcome.selected_index} of {rec.n} -> {chosen}"

@@ -11,7 +11,7 @@ fields (the mirror un-reverses them).  It hands out the sweep's own
 `direct_lookup` never touches the table: it indexes the raw entries string
 and parses the requested sub-entry in place.  The two routes exist to check
 each other and are kept deliberately independent.  Both give a sub-entry as
-its tuple of output pads, sorted in N,E,S,W side order.
+its tuple of output pads in N,E,S,W side order; neither reads the address map.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class LookupOutcome:
     """`pads`, the selected sub-entry's output pads in N,E,S,W side order."""
 
     pads: tuple[Pad, ...]
-    tile_candidates: tuple[int, ...]
     selected_index: int
 
 
@@ -155,9 +154,7 @@ def trace_lookup(
     pads = cs.sub_entries.get(span)
     if pads is None:
         pads = cs.sub_entries[span] = _mirror_field_pads(cs, *span)
-    entry = cs.addresses.get(addr)
-    candidates = entry.tiles if entry is not None else ()
-    return LookupOutcome(pads, candidates, rec.n - 1 - rec.p), rec
+    return LookupOutcome(pads, rec.n - 1 - rec.p), rec
 
 
 def selection_counts(cs: CompiledSystem, addr: int, width: int | None = None) -> dict[int, int]:

@@ -3,9 +3,9 @@
 Each grid cell of the source system becomes a block.  Completed blocks push
 their output pads at empty or collecting neighbours; a block whose received
 pad strengths sum to exactly 2 probes the layout, draws random bits, commits
-to a tile by running the table lookup on its input address, and finally
-exposes the committed tile's output pads.  Decoding a block back to a tile is
-defined from the committed phase onward.
+to the sub-entry that the table lookup on its input address selects, and
+finally exposes that sub-entry's pads.  The blocks read only the table, never
+the source or its address map; `decode_block` alone maps a block to a tile.
 
 Every block runs one program, `_next_state`, and each compiled system keeps
 one `BlockAutomaton` over it, whose small ids name block states.  Both
@@ -16,8 +16,7 @@ both shared with the source level.  A run renders its log only when read.
 `macro_explore` returns the source level's `atam.ExplorationResult`: its
 states keep each state as the edge that first reached it, and its edges
 name states by id and events by code; both build a `MacroAssembly` or
-`MacroEdge` only when one is read.  A commit reads its tile and pads off
-`lookup.trace_lookup`'s outcome and leaves the sweep's record unread.
+`MacroEdge` only when one is read.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from enum import IntEnum
 from functools import cached_property, partial
 from typing import NamedTuple
 
+from . import kernels
 from .atam import (
     DIRECTIONS,
     Assembly,
@@ -148,7 +148,8 @@ class BlockAutomaton:
         if collecting and state.received_strength == 2:
             own = EventKind.PROBE
         elif phase is BlockPhase.TYPE_DETECTED:
-            if address_of(state.input_pads, self.cs.glues).value in self.cs.addresses:
+            address = address_of(state.input_pads, self.cs.glues).value
+            if kernels.sweep(self.cs.table.index, address, 0).status == kernels.OK:
                 own = EventKind.COMMIT
         elif phase is BlockPhase.COMMITTED:
             own = EventKind.COMPLETION
@@ -226,8 +227,8 @@ def _next_state(
 ) -> BlockState:
     """The state of the block at `event.coord` after `event`; `state` is the one before.
 
-    A probe only marks the input type detected; a commit looks its tile up
-    with `bits`, the random bits drawn at that block's probe, and raises
+    A probe only marks the input type detected; a commit looks its sub-entry
+    up with `bits`, the random bits drawn at that block's probe, and raises
     without them.  The outcome does not depend on `event.coord` or
     `event.source`, which only name the block in errors.
     """
@@ -278,8 +279,7 @@ def _next_state(
             raise MacroEventError(
                 f"no tile attaches at {coord} for address {address.value}: {exc}"
             ) from exc
-        tile = outcome.tile_candidates[outcome.selected_index]
-        return BlockState(BlockPhase.COMMITTED, state.input_pads, tile, outcome.pads)
+        return BlockState(BlockPhase.COMMITTED, state.input_pads, outcome.selected_index, outcome.pads)
 
     if event.kind is EventKind.COMPLETION:
         if state.phase is not BlockPhase.COMMITTED:
@@ -301,9 +301,8 @@ class MacroRun:
     whether growth was held back, and `bits`, each probe's random bits in run
     order.
 
-    `log`, one line per event, is rendered the first time it is read.  A block
-    keeps its input pads from its probe on and its tile from its commit on, so
-    the final state gives every probe's input kind and every commit's tile.
+    `log`, one line per event, is rendered when first read: a block keeps its
+    input pads from its probe on, and the final decode names each commit's tile.
     """
 
     events: tuple[MacroEvent, ...]
@@ -315,6 +314,7 @@ class MacroRun:
     @cached_property
     def log(self) -> tuple[str, ...]:
         tiles, blocks, bits = self.cs.source.tiles, self.final.blocks, iter(self.bits)
+        decoded = decode_assembly(self.final, self.cs)
         lines = []
         for event in self.events:
             note = event.describe()
@@ -322,7 +322,7 @@ class MacroRun:
                 kind = detect_kind(blocks[event.coord].input_pads).value
                 note += f" [{kind}, bits={next(bits)}]"
             elif event.kind is EventKind.COMMIT:
-                note += f" -> {tiles[blocks[event.coord].committed_tile].name}"
+                note += f" -> {tiles[decoded[event.coord]].name}"
             lines.append(note)
         return tuple(lines)
 
@@ -403,18 +403,24 @@ def macro_explore(cs: CompiledSystem, bound: int) -> ExplorationResult:
 
 
 def decode_block(state: BlockState, cs: CompiledSystem) -> int | None:
-    """The tile a block represents, or None before commitment.
+    """The tile a block represents, or None before commitment: the
+    representation function, and the one reader of the address map.
 
-    A committed block must present exactly the committed tile's non-null,
-    non-input pads, and its input pads must be the tile's on those sides;
-    anything else is a representation-integrity error.  The engines run it
-    once per committed state, when `BlockAutomaton.intern` first sees it.
+    A committed block is tile `sub_entry` of its input pads' entry, or the
+    source seed if it has none, as only the seed block does.  It must present
+    exactly that tile's non-null, non-input pads, and its input pads must be
+    the tile's on those sides; anything else, a missing sub-entry included,
+    is a representation-integrity error.  The engines run it once per
+    committed state, when `BlockAutomaton.intern` first sees it.
     """
     if state.phase < BlockPhase.COMMITTED:
         return None
-    tile_index = state.committed_tile
-    if tile_index is None:
-        raise RepresentationError("committed block without a committed tile")
+    tile_index = cs.source.seed
+    if state.input_pads:
+        entry = cs.addresses.get(address_of(state.input_pads, cs.glues).value)
+        if entry is None or state.sub_entry not in range(len(entry.tiles)):
+            raise RepresentationError(f"no sub-entry {state.sub_entry} for {state.input_pads}")
+        tile_index = entry.tiles[state.sub_entry]
     tile = cs.source.tiles[tile_index]
     inputs = state.input_directions
     expected = tuple(pad for pad in tile.pads() if pad.direction not in inputs)

@@ -165,3 +165,15 @@ def test_generator_registry_is_complete():
         "counter4",
         "sierpinski",
     }
+
+
+def test_tile_counts_quoted_in_the_readme(systems):
+    assert {name: len(tas.tiles) for name, tas in systems.items()} == {
+        "elbow": 4,
+        "nondet_elbow": 5,
+        "elbow_bad_sum": 4,
+        "elbow_mismatch": 4,
+        "counter3": 16,
+        "counter4": 17,
+        "sierpinski": 7,
+    }

@@ -6,11 +6,12 @@ import random
 import tracemalloc
 from collections import Counter, deque
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 
 from tileworks import atam as atam_module
-from tileworks import corpus
+from tileworks import corpus, kernels
 from tileworks import macro as macro_module
 from tileworks.atam import (
     DIRECTIONS,
@@ -24,6 +25,8 @@ from tileworks.atam import (
     explore,
 )
 from tileworks.blocks import BlockPhase, BlockState, InputKind, MacroAssembly, detect_kind
+from tileworks.cli import main
+from tileworks.consistency import verify_locally_consistent
 from tileworks.encoding import address_of, compile_system
 from tileworks.macro import (
     EventKind,
@@ -40,7 +43,8 @@ from tileworks.macro import (
     run_macro,
     seed_macro,
 )
-from tileworks.verifier import _decode_all
+from tileworks.tasio import format_tas
+from tileworks.verifier import _decode_all, simulation_report
 
 from .conftest import COMPILABLE
 from .oracles import naive_frontier, ref_replay
@@ -233,8 +237,29 @@ def test_commit_branches_split_on_entry(compiled):
     tiles = set()
     for ckey in children:
         state = result.states[ckey].get((1, 1))
-        tiles.add(cs.source.tiles[state.committed_tile].name)
+        tiles.add(cs.source.tiles[decode_block(state, cs)].name)
     assert tiles == {"tD", "tDp"}
+
+
+def test_twin_tiles_stay_distinct(systems, tmp_path, capsys):
+    # nondet_elbow with tDp replaced by tD2, which has tD's glues: the two
+    # corner blocks present equal pads, and only their sub-entries differ
+    tas = systems["nondet_elbow"]
+    td = tas.tiles[tas.tile_index("tD")]
+    tiles = tuple(dataclasses.replace(td, name="tD2") if t.name == "tDp" else t for t in tas.tiles)
+    tas = TileSystem(tiles, seed=tas.seed, name="twin_elbow")
+    assert verify_locally_consistent(tas, 25).passed
+    cs = compile_system(tas)
+    result = macro_explore(cs, 6)
+    assert len(result.states) == 41
+    corners = {decode_block(m.get((1, 1)), cs) for m in result.states.values() if (1, 1) in m}
+    assert {tas.tiles[t].name for t in corners - {None}} == {"tD", "tD2"}
+    assert simulation_report(cs, 6).passed
+    path = tmp_path / "twin_elbow.tas"
+    path.write_text(format_tas(tas))
+    for bits, name in (("0000", "tD2"), ("0001", "tD")):
+        assert main(["lookup", str(path), "--addr", "1948", "--bits", bits]) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith(f"-> {name}")
 
 
 def test_macro_explore_memory_at_bound_ten(compiled):
@@ -308,32 +333,29 @@ def test_decode_block_integrity(compiled):
     assert decode_block(corner, cs) == cs.source.tile_index("tD")
     assert decode_block(BlockState(BlockPhase.INPUTS_PARTIAL), cs) is None
     # a committed block whose outputs disagree with its tile is corrupt
-    bad = BlockState(
-        BlockPhase.COMPLETE,
-        corner.input_pads,
-        cs.source.tile_index("tR"),  # wrong tile for these pads
-        corner.output_pads,
-    )
-    with pytest.raises(RepresentationError):
+    tr_pads = cs.source.tiles[cs.source.tile_index("tR")].pads()
+    bad = dataclasses.replace(corner, output_pads=tr_pads)
+    with pytest.raises(RepresentationError, match="block output pads"):
         decode_block(bad, cs)
-    with pytest.raises(RepresentationError):
-        decode_block(
-            BlockState(BlockPhase.COMMITTED, committed_tile=None), cs
-        )
+    # so is one whose sub-entry its address's entry does not have
+    for sub_entry in (None, 1, -1):
+        with pytest.raises(RepresentationError, match="no sub-entry"):
+            decode_block(dataclasses.replace(corner, sub_entry=sub_entry), cs)
+    # and one whose input pads address no entry at all
+    stray = (Pad("b", Direction.W, 2),)
+    assert address_of(stray, cs.glues).value not in cs.addresses
+    with pytest.raises(RepresentationError, match="no sub-entry"):
+        decode_block(BlockState(BlockPhase.COMMITTED, stray, 0), cs)
+    # a block with no input pads is the seed, and must show the seed's pads
+    with pytest.raises(RepresentationError, match="block output pads"):
+        decode_block(BlockState(BlockPhase.COMMITTED), cs)
 
 
 def test_decode_assembly_reports_block(compiled):
     cs = compiled["elbow"]
     run = run_macro(cs, rng_seed=0)
-    corrupted = run.final.with_block(
-        (1, 1),
-        BlockState(
-            BlockPhase.COMPLETE,
-            run.final.get((1, 1)).input_pads,
-            cs.source.tile_index("tU"),
-            run.final.get((1, 1)).output_pads,
-        ),
-    )
+    # entry 1948 has one sub-entry, tD's
+    corrupted = run.final.with_block((1, 1), dataclasses.replace(run.final.get((1, 1)), sub_entry=1))
     assert corrupted.key == frozenset(corrupted.blocks.items())
     with pytest.raises(RepresentationError) as err:
         decode_assembly(corrupted, cs)
@@ -364,7 +386,7 @@ def test_commit_checks_the_block_it_builds(engine, systems):
 def test_decode_block_never_keeps_a_failure(compiled):
     cs = compiled["elbow"]
     corner = run_macro(cs, rng_seed=0).final.get((1, 1))
-    bad = dataclasses.replace(corner, committed_tile=cs.source.tile_index("tR"))
+    bad = dataclasses.replace(corner, output_pads=cs.source.tiles[cs.source.tile_index("tR")].pads())
     auto = cs.automaton
     # a committed state that fails its check gets no id, so it raises again
     for _ in range(2):
@@ -482,7 +504,7 @@ def _rescan_run(cs, rng_seed, *, max_events=100_000, bound=None):
             note += f" [{detect_kind(state.input_pads).value}, bits={bits_at[event.coord]}]"
         elif event.kind is EventKind.COMMIT:
             state = macro.get(event.coord)
-            note += f" -> {cs.source.tiles[state.committed_tile].name}"
+            note += f" -> {cs.source.tiles[decode_block(state, cs)].name}"
         log.append(note)
     return RescanRun(tuple(applied), tuple(log), macro, truncated)
 
@@ -741,16 +763,16 @@ def test_macro_explore_matches_reference_loop(name, bound, systems, lone_seed):
 def test_decode_all_reports_the_first_bad_block(compiled):
     cs = compiled["elbow"]
     result = macro_explore(cs, 6)
-    tile = cs.source.tile_index("tR")
+    tr_pads = cs.source.tiles[cs.source.tile_index("tR")].pads()
     # corrupt the interned committed tD block, which every state holding it shares
     alphabet = result.states.alphabet
     (code,) = [
         i for i, state in enumerate(alphabet)
         if state is not None
         and state.phase is BlockPhase.COMMITTED
-        and state.committed_tile == cs.source.tile_index("tD")
+        and decode_block(state, cs) == cs.source.tile_index("tD")
     ]
-    alphabet[code] = dataclasses.replace(alphabet[code], committed_tile=tile)
+    alphabet[code] = dataclasses.replace(alphabet[code], output_pads=tr_pads)
     with pytest.raises(RepresentationError) as want:
         [decode_assembly(m, cs) for m in result.states.values()]
     with pytest.raises(RepresentationError) as got:
@@ -809,6 +831,58 @@ def test_explore_after_run_matches_fresh_compile(name, systems):
     assert len(set(auto.states)) == len(auto.states)
 
 
+class _Untouchable:
+    """A compiled system's field that fails the test on any use."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def _fail(self, *args):
+        raise AssertionError(f"the block program used cs.{self.name}")
+
+    __getattr__ = __contains__ = __getitem__ = __iter__ = __len__ = __bool__ = _fail
+
+
+def _engine_outcome(cs, bound, events):
+    """`run_macro`'s events, final state and truncation at seeds 0-2 and
+    `macro_explore`'s states and edges at `bound`, or what each raised."""
+    outcomes = []
+    for seed in range(3):
+        try:
+            run = run_macro(cs, seed, max_events=events)
+        except WorkbenchError as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append((run.events, run.final.key, run.truncated))
+    try:
+        outcomes.append(_packed_outcome(macro_explore(cs, bound)))
+    except WorkbenchError as exc:
+        outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def check_table_only(cs, bound, events=2000):
+    """The engines run on the table alone: on a copy of `cs` whose `source`
+    and `addresses` fail on any use, with `decode_block`, their one reader,
+    stubbed, they give what they give on `cs`.  Returns False, checking
+    nothing, where they raise `RepresentationError` on `cs`, since only
+    decoding raises it."""
+    want = _engine_outcome(cs, bound, events)
+    if any(outcome[0] is RepresentationError for outcome in want):
+        return False
+    blind = dataclasses.replace(
+        cs, source=_Untouchable("source"), addresses=_Untouchable("addresses")
+    )
+    with mock.patch.object(macro_module, "decode_block", lambda state, cs: None):
+        assert _engine_outcome(blind, bound, events) == want
+    return True
+
+
+@pytest.mark.parametrize("name", COMPILABLE)
+def test_blocks_run_on_the_table_alone(compiled, name):
+    assert check_table_only(compiled[name], 6)
+
+
 def test_block_state_is_a_plain_frozen_dataclass():
     pads = (Pad("a", Direction.S, 1), Pad("b", Direction.W, 1))
     outputs = (Pad("c", Direction.N, 2),)
@@ -829,11 +903,11 @@ def test_block_state_is_a_plain_frozen_dataclass():
     assert hash(fresh) == hash(tuple(getattr(fresh, n) for n in names))
     assert repr(hashed) == text == repr(fresh)
     assert [f.name for f in dataclasses.fields(hashed)] == names
-    assert names == ["phase", "input_pads", "committed_tile", "output_pads"]
+    assert names == ["phase", "input_pads", "sub_entry", "output_pads"]
     assert pickle.dumps(hashed) == pickle.dumps(fresh) == pickled
     assert pickle.loads(pickle.dumps(hashed)) == fresh
-    moved = dataclasses.replace(hashed, committed_tile=4)
-    back = dataclasses.replace(moved, committed_tile=3)
+    moved = dataclasses.replace(hashed, sub_entry=4)
+    back = dataclasses.replace(moved, sub_entry=3)
     assert moved != hashed and back == hashed and hash(back) == hash(hashed)
     assert {hashed: 1}[fresh] == 1
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -867,8 +941,12 @@ def test_type_detected_id_commits_iff_its_address_has_an_entry(compiled):
     assert detected
     for i in detected:
         state = auto.states[i]
-        has_entry = address_of(state.input_pads, cs.glues).value in cs.addresses
-        assert (auto.own[i] is EventKind.COMMIT) == has_entry
+        address = address_of(state.input_pads, cs.glues).value
+        has_entry = address in cs.addresses
+        # the table agrees: the sweep finds the entry non-bare, whatever the bits
+        last = 2**cs.random_width - 1
+        non_bare = kernels.sweep(cs.table.index, address, last).status == kernels.OK
+        assert (auto.own[i] is EventKind.COMMIT) == has_entry == non_bare
 
 
 def check_automaton(cs):
@@ -924,6 +1002,17 @@ def test_filled_automaton_matches_its_definition(name, systems):
     check_automaton(cs)
 
 
-def test_sierpinski_macro_counts_at_bound_12(compiled):
-    result = macro_explore(compiled["sierpinski"], 12)
+def test_sierpinski_macro_counts_at_bound_12(systems):
+    # the README quotes these counts, and the block automaton's size after
+    # the exploration: its block states and steps, from a fresh compile
+    cs = compile_system(systems["sierpinski"])
+    result = macro_explore(cs, 12)
     assert (len(result.states), len(result.edges)) == (63297, 245479)
+    assert (len(cs.automaton.ids), len(cs.automaton.steps)) == (29, 122)
+
+
+def test_counter4_run_automaton_size(systems):
+    # the README quotes the automaton's size after this run
+    cs = compile_system(systems["counter4"])
+    run_macro(cs, 0, max_events=16000)
+    assert (len(cs.automaton.ids), len(cs.automaton.steps)) == (70, 231)

@@ -13,7 +13,8 @@ compared with the direct parse of the entries string and with the
 column-by-column reference sweep, seeded runs are replayed by `ref_replay`,
 `macro_explore` is compared with the per-edge reference loop of
 `tests/test_macro.py`, every entry of the block automaton those runs filled
-with its definition, and condition 3 of the verifier with the closure
+with its definition, the engines with themselves on a copy that hides the
+source and its address map, and condition 3 of the verifier with the closure
 oracle `ref_dynamics`.
 """
 
@@ -49,7 +50,13 @@ from .test_atam import (
     check_terminals_match_reference,
     keyed_outcome,
 )
-from .test_macro import _explore_outcome, _reference_explore, check_automaton, check_cells_walk
+from .test_macro import (
+    _explore_outcome,
+    _reference_explore,
+    check_automaton,
+    check_cells_walk,
+    check_table_only,
+)
 
 # Systems whose every tile binds everywhere have millions of assemblies at
 # bound 6; the bound is lowered until the oracles stay cheap.
@@ -141,6 +148,7 @@ def test_random_systems_match_oracles(tas):
     got = _explore_outcome(macro_explore, cs, macro_bound)
     assert got == _explore_outcome(_reference_explore, cs, macro_bound)
     check_automaton(cs)
+    check_table_only(cs, macro_bound, REPLAY_EVENTS)
     if isinstance(got[0], type):
         return
     macro = macro_explore(cs, macro_bound)

@@ -11,7 +11,7 @@ from tileworks.atam import AttachmentEdge, Edges, explore
 from tileworks.blocks import BlockPhase, BlockState
 from tileworks.consistency import verify_locally_consistent
 from tileworks.encoding import AddressEntry, build_entries, build_table, compile_system
-from tileworks.macro import EventKind, MacroEdge, macro_explore
+from tileworks.macro import EventKind, MacroEdge, decode_block, macro_explore, run_macro
 from tileworks.verifier import check_seed_representation, simulation_report
 
 from .oracles import ref_dynamics
@@ -49,12 +49,10 @@ def test_report_to_text_shape(compiled):
 def test_seed_condition_rejects_wrong_tile(systems):
     cs = compile_system(systems["elbow"])
     assert check_seed_representation(cs).passed
-    # coherent swap: a complete tR block with tR's own pads passes integrity
-    # but represents the wrong tile
-    tr = cs.source.tile_index("tR")
-    cs.seed_block = BlockState(
-        BlockPhase.COMPLETE, output_pads=cs.source.tiles[tr].pads(), committed_tile=tr
-    )
+    # coherent swap: a run's complete tR block passes integrity but
+    # represents the wrong tile
+    cs.seed_block = run_macro(cs, 0).final.get((1, 0))
+    assert decode_block(cs.seed_block, cs) == cs.source.tile_index("tR")
     report = check_seed_representation(cs)
     assert not report.passed
     assert "tR" in report.detail
@@ -62,13 +60,9 @@ def test_seed_condition_rejects_wrong_tile(systems):
 
 def test_seed_condition_rejects_integrity_break(systems):
     cs = compile_system(systems["elbow"])
-    # tR's pads on display, tU stamped underneath
+    # tR's pads on display on a block with no input pads, which is the seed
     tr = cs.source.tile_index("tR")
-    cs.seed_block = BlockState(
-        BlockPhase.COMPLETE,
-        output_pads=cs.source.tiles[tr].pads(),
-        committed_tile=cs.source.tile_index("tU"),
-    )
+    cs.seed_block = BlockState(BlockPhase.COMPLETE, output_pads=cs.source.tiles[tr].pads())
     report = check_seed_representation(cs)
     assert not report.passed
     assert "integrity" in report.detail
