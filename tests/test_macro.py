@@ -844,8 +844,8 @@ class _Untouchable:
 
 
 def _engine_outcome(cs, bound, events):
-    """`run_macro`'s events, final state and truncation at seeds 0-2 and
-    `macro_explore`'s states and edges at `bound`, or what each raised."""
+    """`run_macro`'s events, final state and truncation at seeds 0-2, and
+    `_explore_outcome` of `macro_explore` at `bound`, or what each raised."""
     outcomes = []
     for seed in range(3):
         try:
@@ -854,11 +854,7 @@ def _engine_outcome(cs, bound, events):
             outcomes.append((type(exc), str(exc)))
         else:
             outcomes.append((run.events, run.final.key, run.truncated))
-    try:
-        outcomes.append(_packed_outcome(macro_explore(cs, bound)))
-    except WorkbenchError as exc:
-        outcomes.append((type(exc), str(exc)))
-    return outcomes
+    return [*outcomes, _explore_outcome(macro_explore, cs, bound)]
 
 
 def check_table_only(cs, bound, events=2000):
