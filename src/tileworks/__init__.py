@@ -55,9 +55,22 @@ from .macro import (
     run_macro,
     seed_macro,
 )
-from .svg import render_svg
-from .tasio import TasParseError, format_tas, parse_tas
 from .verifier import SimulationReport, simulation_report
+
+# `render_svg` and the `.tas` reader and writer load on first use: none of the
+# library calls behind `check-lc`, `simulate` and `verify` needs them
+_LAZY = {"render_svg": "svg", "TasParseError": "tasio", "format_tas": "tasio", "parse_tas": "tasio"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -83,9 +83,7 @@ def _add_compile_options(parser: argparse.ArgumentParser, with_bits: bool = True
             type=_at_least(1),
             default=None,
             metavar="N",
-            help="random bits drawn per probe (default: derived from entry multiplicity); "
-            "verify branches over all 2**N values, so its time and memory double with "
-            "each extra bit",
+            help="random bits drawn per probe (default: derived from entry multiplicity)",
         )
     parser.add_argument(
         "--force",

@@ -8,12 +8,12 @@ selected mirrored sub-entry span.  Its `SweepRecord` is the one record of a
 lookup: `lookup.trace_lookup` hands it out as it is, and `lookup.render_trace`
 labels the table's columns from it.
 
-`sweep` computes that answer by binary search over the marker columns that
-`TableIndex` collects once per table, as two `array('i')` columns, so an index
-holds no boxed int per marker.  The '#' column is filled one run of bare
-entries at a time, since most entries of a table are bare.  The
-column-by-column walk itself lives in the tests (`tests/oracles.py`), which
-check `sweep` against it.
+`sweep` computes that answer by binary search over the markers that
+`TableIndex` collects once per table: the ';' columns as an `array('i')`, and
+the '#' markers as runs of markers two columns apart, one pair of ints per
+run, since most entries of a table are bare and spliced bare entries
+alternate '#' and blank.  The column-by-column walk itself lives in the tests
+(`tests/oracles.py`), which check `sweep` against it.
 """
 
 from __future__ import annotations
@@ -48,12 +48,13 @@ class SweepRecord(NamedTuple):
 
 
 class TableIndex:
-    """One table's marker columns: every '#' and ';', and the middle.
+    """One table's markers: every '#' and ';', and the middle.
 
-    `hashes` and `semis` are `array('i')`s of ascending columns, never built
-    through a list: `semis` one match at a time, `hashes` one run of bare
-    entries at a time (`_hash_columns`).  `bisect` and slicing read them as
-    they would lists, at the cost of boxing each item `bisect` reads.
+    `semis` is an `array('i')` of the ';' columns, ascending.  The '#'
+    markers are kept as runs of markers two columns apart (`_hash_runs`):
+    run r starts at column `firsts[r]` with marker `starts[r]`, and `starts`
+    ends with the marker count, `markers`.  `hash_column(k)` is the column of
+    marker k.
     """
 
     def __init__(self, table: str):
@@ -68,44 +69,56 @@ class TableIndex:
             and table[lt + 4] == "%"
         )
         self.middle = (lt, gt)
-        self.hashes = _hash_columns(table)
+        self.firsts, self.starts = _hash_runs(table)
+        self.markers = self.starts[-1]
         self.semis = array("i", map(re.Match.start, re.finditer(";", table)))
-        # hashes[:entries] mark the entries, hashes[mirror:] their mirrored copies
-        self.entries = bisect_left(self.hashes, lt)
-        self.mirror = bisect_right(self.hashes, gt)
+        # markers [0, entries) mark the entries, [mirror, markers) their mirrored copies
+        self.entries = table.count("#", 0, max(lt, 0))
+        self.mirror = table.count("#", 0, gt + 1)
+
+    def hash_column(self, k: int) -> int:
+        r = bisect_right(self.starts, k) - 1
+        return self.firsts[r] + 2 * (k - self.starts[r])
 
 
-def _hash_columns(table: str) -> array:
-    """The columns of every '#' in `table`, ascending, collected one run of
-    bare entries at a time: where a run alternates '#' and blank, as spliced
-    bare entries do, its markers are every other column from its first to
-    its last; any other run is scanned marker by marker."""
-    hashes = array("i")
-    rfind, count = table.rfind, table.count
-    # a '#' and the run of '#' and blank columns after it: a single-character
+def _hash_runs(table: str) -> tuple[array, array]:
+    """`TableIndex`'s '#' runs, from one match per run of bare entries: where
+    a match alternates '#' and blank, as spliced bare entries do, its markers
+    are every other column from its first to its last; any other match is
+    split marker by marker."""
+    firsts, starts = array("i"), array("i")
+    count, last = 0, -3  # markers so far, and the column of the last one
+    # a '#' and the '#' and blank columns after it: a single-character
     # repeat, so the scan keeps no backtracking stack however long the run
     for run in re.finditer("#[# ]*", table):
-        first, hi = run.span()
-        last = rfind("#", first, hi)
-        # (last - first) / 2 disjoint "# " pairs fill the columns from `first`
-        # to `last` only if those alternate '#' and blank
-        if count("# ", first, last) * 2 == last - first:
-            hashes.extend(range(first, last + 1, 2))
+        lo, hi = run.span()
+        end = table.rfind("#", lo, hi)
+        # (end - lo) / 2 disjoint "# " pairs fill the columns from `lo` to
+        # `end` only if those alternate '#' and blank
+        if table.count("# ", lo, end) * 2 == end - lo:
+            spans = [(lo, end)]
         else:
-            hashes.extend(map(re.Match.start, re.compile("#").finditer(table, first, hi)))
-    return hashes
+            spans = [(m.start(), m.start()) for m in re.compile("#").finditer(table, lo, hi)]
+        for first, end in spans:
+            if first != last + 2:  # not two columns after the last marker
+                firsts.append(first)
+                starts.append(count)
+            count += (end - first) // 2 + 1
+            last = end
+    starts.append(count)
+    return firsts, starts
 
 
 def sweep(index: TableIndex, addr: int, b: int) -> SweepRecord:
     """Sweep `index` for entry `addr` with random bits `b`."""
     if not index.well_formed:
         return SweepRecord(E_MALFORMED)
-    hashes, semis, entries = index.hashes, index.semis, index.entries
+    column, semis, entries = index.hash_column, index.semis, index.entries
     if not 0 <= addr < entries:
         return SweepRecord(E_ADDR_RANGE)
     middle_lt, middle_gt = index.middle
-    match = hashes[addr]
-    match_end = hashes[addr + 1] if addr + 1 < entries else middle_lt
+    match = column(addr)
+    match_end = column(addr + 1) if addr + 1 < entries else middle_lt
     if match_end - match <= 2:  # adjacent real symbols sit two columns apart
         n = 0
     else:
@@ -118,10 +131,10 @@ def sweep(index: TableIndex, addr: int, b: int) -> SweepRecord:
     p = b % n
 
     copy = index.mirror + m
-    if copy >= len(hashes):  # the mirrored half lacks this entry's copy
+    if copy >= index.markers:  # the mirrored half lacks this entry's copy
         return SweepRecord(E_MALFORMED)
-    mirror_lo = (hashes[copy - 1] if m > 0 else middle_gt) + 2
-    mirror_hi = hashes[copy]
+    mirror_lo = (column(copy - 1) if m > 0 else middle_gt) + 2
+    mirror_hi = column(copy)
     inner = semis[bisect_left(semis, mirror_lo) : bisect_left(semis, mirror_hi)]
     sel_lo = mirror_lo if p == 0 else inner[p - 1] + 2
     sel_hi = mirror_hi if p >= len(inner) else inner[p]

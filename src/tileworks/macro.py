@@ -2,21 +2,14 @@
 
 Each grid cell of the source system becomes a block.  Completed blocks push
 their output pads at empty or collecting neighbours; a block whose received
-pad strengths sum to exactly 2 probes the layout, draws random bits, commits
-to the sub-entry that the table lookup on its input address selects, and
-finally exposes that sub-entry's pads.  The blocks read only the table, never
-the source or its address map; `decode_block` alone maps a block to a tile.
-
-Every block runs one program, `_next_state`, and each compiled system keeps
-one `BlockAutomaton` over it, whose small ids name block states.  Both
-engines carry the ids as cell values, and `_events_at`, the one event rule,
-reads only per-id facts.  `run_macro` runs it in the random walk `atam.walk`
-and `macro_explore` in the breadth-first skeleton `atam.explore_packed`,
-both shared with the source level.  A run renders its log only when read.
-`macro_explore` returns the source level's `atam.ExplorationResult`: its
-states keep each state as the edge that first reached it, and its edges
-name states by id and events by code; both build a `MacroAssembly` or
-`MacroEdge` only when one is read.
+pad strengths sum to exactly 2 probes, draws random bits, commits to the
+sub-entry that the table lookup on its input address selects, and exposes
+that sub-entry's pads.  The blocks read only the table; `decode_block` alone
+maps a block to a tile.  Every block runs `_next_state`, through one
+`BlockAutomaton` per compiled system, whose small ids name block states and
+codes name events; `_events_at`, the one event rule, yields codes.
+`run_macro` and `macro_explore` run it in the source level's engines,
+`atam.walk` and `atam.explore_packed`, and build events only when read.
 """
 
 from __future__ import annotations
@@ -38,7 +31,6 @@ from .atam import (
     KeyedStates,
     Pad,
     WorkbenchError,
-    around,
     direction_order,
     enabled,
     explore_packed,
@@ -68,25 +60,20 @@ class EventKind(IntEnum):
     COMPLETION = 3
 
 
-# the kinds the per-event paths test, bound once as globals: on Python 3.11
-# each `EventKind.X` read goes through the enum metaclass's `__getattr__`
-# hook, about 0.2 us a read
-_ARRIVAL, _PROBE, _COMMIT = EventKind.PAD_ARRIVAL, EventKind.PROBE, EventKind.COMMIT
+# own events' codes as plain ints: an `EventKind.X` read costs 0.2 us
+_PROBE, _COMMIT, _COMPLETION = 1, 2, 3
+# each side's index and vector
+_SIDES = tuple((k, d.vector) for k, d in enumerate(DIRECTIONS))
 
 
 @dataclass(frozen=True, slots=True)
 class MacroEvent:
-    """One block event at `coord`; slotted, since every refresh of the enabled
-    events builds one per event and `MacroRun.events` keeps one per step."""
+    """One block event at `coord`, built from its code on read."""
 
     kind: EventKind
     coord: Coord
-    pad: Pad | None = None  # for arrivals: the pad as received (direction = receiving side)
+    pad: Pad | None = None  # an arrival's as received
     source: Coord | None = None
-
-    def sort_key(self):
-        d = direction_order(self.pad.direction) if self.pad is not None else -1
-        return (int(self.kind), self.coord[1], self.coord[0], d)
 
     def describe(self) -> str:
         if self.kind is EventKind.PAD_ARRIVAL:
@@ -98,31 +85,28 @@ class MacroEvent:
         return f"{self.kind.name.lower()} at {self.coord}"
 
 
-# each receiving side's `direction_order` and offset
-_SIDES = tuple((k, d.vector) for k, d in enumerate(DIRECTIONS))
-
-
 class BlockAutomaton:
-    """`_next_state` over interned block states, filled as the engines reach them.
+    """`_next_state` over interned block states and events, filled as the engines reach them.
 
-    Id 0 is the empty block.  By id: `states`, the block state; `tiles`, its
-    decoded tile, None before commit; `open`, the (side index, offset) of
-    each side still open for arrivals; `own`, the event kind the block
-    enables by itself, or None; `offers`, for each receiving side k, the
-    pads offered to the neighbour whose side k faces it, turned to side k,
-    or None before completion.  `steps` maps (id, event kind, pad, bits) to
-    the next id; a step that raises is not stored.  `decode_block` checks a
-    committed state once, as it is interned; one that fails gets no id.
+    Id 0 is the empty block.  Per id: `states`; `tiles` (None before commit);
+    `open`, the (side index, offset) of the sides open for arrivals; `own`,
+    the code of the event it enables itself, or None; `subs`, a committing
+    block's sub-entry count n, else 0; `offers`, per receiving side k, the
+    arrival code offered to the neighbour whose side k faces it (0: none),
+    None before completion.  `events[code]` is (kind, pad): own events
+    are coded by kind, arrivals from 4 by the pad as received.  `steps` maps
+    (id, code), for a commit (id, code, bits mod n), to the next id.  A step
+    that raises, or a state that fails `decode_block`, is not stored.
     """
 
     def __init__(self, cs: CompiledSystem):
         self.cs = cs
         self.ids: dict[BlockState, int] = {}
-        self.states: list[BlockState | None] = [None]
-        self.tiles: list[int | None] = [None]
-        self.open: list[tuple] = [_SIDES]
-        self.own: list[EventKind | None] = [None]
-        self.offers: list[tuple | None] = [None]
+        self.states, self.tiles, self.open = [None], [None], [_SIDES]
+        self.own, self.subs, self.offers = [None], [0], [None]
+        self.events = [(kind, None) for kind in EventKind]
+        self.codes: dict[Pad, int] = {}
+        self.addresses: dict[tuple, int] = {}
         self.steps: dict[tuple, int] = {}
 
     @classmethod
@@ -132,9 +116,14 @@ class BlockAutomaton:
             cs.automaton = cls(cs)
         return cs.automaton
 
+    def address(self, pads: tuple[Pad, ...]) -> int:
+        """Input pads `pads`' address, computed once per automaton."""
+        if pads not in self.addresses:
+            self.addresses[pads] = address_of(pads, self.cs.glues).value
+        return self.addresses[pads]
+
     def intern(self, state: BlockState, coord: Coord) -> int:
-        """`state`'s id; a new committed state that fails `decode_block`
-        raises, naming the block at `coord`."""
+        """`state`'s id; a new state failing `decode_block` raises, naming `coord`."""
         found = self.ids.get(state)
         if found is not None:
             return found
@@ -142,72 +131,78 @@ class BlockAutomaton:
             tile = decode_block(state, self.cs)
         except RepresentationError as exc:
             raise RepresentationError(f"block {coord}: {exc}") from exc
-        phase, own, offers = state.phase, None, None
+        phase, own, subs, offers = state.phase, None, 0, None
         collecting = phase is BlockPhase.INPUTS_PARTIAL
         closed = state.input_directions if collecting else DIRECTIONS
         if collecting and state.received_strength == 2:
-            own = EventKind.PROBE
+            own = _PROBE
         elif phase is BlockPhase.TYPE_DETECTED:
-            address = address_of(state.input_pads, self.cs.glues).value
-            if kernels.sweep(self.cs.table.index, address, 0).status == kernels.OK:
-                own = EventKind.COMMIT
+            rec = kernels.sweep(self.cs.table.index, self.address(state.input_pads), 0)
+            if rec.status == kernels.OK:
+                own, subs = _COMMIT, rec.n
         elif phase is BlockPhase.COMMITTED:
-            own = EventKind.COMPLETION
+            own = _COMPLETION
         elif phase is BlockPhase.COMPLETE:
-            outs = state.output_pads
-            offers = tuple(
-                tuple(Pad(p.glue, d, p.strength) for p in outs if p.direction is d.opposite)
-                for d in DIRECTIONS
-            )
+            offers = [0] * len(DIRECTIONS)
+            for p in state.output_pads:
+                k = direction_order(p.direction) ^ 2
+                pad = Pad(p.glue, DIRECTIONS[k], p.strength)
+                offers[k] = self.codes.setdefault(pad, len(self.events))
+                if offers[k] == len(self.events):
+                    self.events.append((EventKind.PAD_ARRIVAL, pad))
+            offers = tuple(offers)
         found = self.ids[state] = len(self.states)
         self.states.append(state)
         self.tiles.append(tile)
         self.open.append(tuple(s for s, d in zip(_SIDES, DIRECTIONS) if d not in closed))
         self.own.append(own)
+        self.subs.append(subs)
         self.offers.append(offers)
         return found
 
-    def step(self, here: int, event: MacroEvent, bits: str | None = None) -> int:
-        """The id block `here` becomes after `event`, by `_next_state` on first use."""
-        key = (here, event.kind, event.pad, bits)
+    def event(self, coord: Coord, code: int) -> MacroEvent:
+        """Event `code` at `coord`; an arrival comes from the neighbour it faces."""
+        kind, pad = self.events[code]
+        return MacroEvent(kind, coord, pad, None if pad is None else pad.direction.step(coord))
+
+    def step(self, here: int, code: int, coord: Coord, bits: str | None = None) -> int:
+        """The id block `here` becomes after event `code` at `coord` (with a
+        commit's `bits`), by `_next_state` on first use."""
+        key = (here, code) if bits is None else (here, code, int(bits, 2) % self.subs[here])
         after = self.steps.get(key)
         if after is None:
-            state = _next_state(self.cs, self.states[here], event, bits=bits)
-            after = self.steps[key] = self.intern(state, event.coord)
+            state = _next_state(self.cs, self.states[here], self.event(coord, code), bits=bits)
+            after = self.steps[key] = self.intern(state, coord)
         return after
 
     def touched(self, coord: Coord, here: int) -> tuple[Coord, ...]:
-        """Where events can change when `coord` becomes block `here`: its
-        neighbours too once it is complete."""
-        return around(coord) if self.offers[here] is not None else (coord,)
+        """Where events can change when `coord` becomes block `here`: there
+        and, once it is complete, where it offers a pad."""
+        offered = self.offers[here]
+        if offered is None:
+            return (coord,)
+        x, y = coord  # side k receives from the neighbour it faces
+        return (coord, *[(x - dx, y - dy) for (_, (dx, dy)), code in zip(_SIDES, offered) if code])
 
     def ids_of(self, macro: MacroAssembly) -> MacroAssembly:
-        """`macro` with each block state replaced by its id."""
+        """`macro` with its block states as ids."""
         return MacroAssembly({c: self.intern(s, c) for c, s in macro.blocks.items()})
 
 
 def _events_at(auto: BlockAutomaton, cells: Mapping[Coord, int], coord: Coord) -> list[tuple]:
-    """The enabled events at `coord` among the block ids `cells`, as (sort key,
-    (event,)) pairs in no particular order; each sort key is
-    `event.sort_key()`, built in place.
-
-    They read only the block at `coord` and what its neighbours offer, so
-    applying an event can change only the events at its own coordinate and,
-    once the block is complete, at its four neighbours.
-    """
+    """The enabled events at `coord` among the block ids `cells`, unordered, as
+    ((kind, y, x, receiving side or -1), (coord, code)) pairs."""
     here = cells.get(coord, 0)
     x, y = coord
     offers = auto.offers
-    events: list[tuple] = []
+    events = []
     for k, (dx, dy) in auto.open[here]:
-        source = (x + dx, y + dy)
-        offered = offers[cells.get(source, 0)]
-        if offered:
-            for pad in offered[k]:
-                events.append(((0, y, x, k), (MacroEvent(_ARRIVAL, coord, pad, source),)))
+        offered = offers[cells.get((x + dx, y + dy), 0)]
+        if offered and offered[k]:
+            events.append(((0, y, x, k), (coord, offered[k])))
     own = auto.own[here]
-    if own is not None:
-        events.append(((own, y, x, -1), (MacroEvent(own, coord),)))
+    if own:
+        events.append(((own, y, x, -1), (coord, own)))
     return events
 
 
@@ -215,7 +210,7 @@ def macro_frontier(cs: CompiledSystem, macro: MacroAssembly) -> tuple[MacroEvent
     """Every event currently enabled, in deterministic order."""
     auto = BlockAutomaton.of(cs)
     events = enabled(auto.ids_of(macro).blocks, partial(_events_at, auto), auto.touched)
-    return tuple(payload[0] for _, payload, _ in events)
+    return tuple(auto.event(*payload) for _, payload, _ in events)
 
 
 def _next_state(
@@ -227,10 +222,8 @@ def _next_state(
 ) -> BlockState:
     """The state of the block at `event.coord` after `event`; `state` is the one before.
 
-    A probe only marks the input type detected; a commit looks its sub-entry
-    up with `bits`, the random bits drawn at that block's probe, and raises
-    without them.  The outcome does not depend on `event.coord` or
-    `event.source`, which only name the block in errors.
+    A commit looks its sub-entry up with `bits`, drawn at the block's probe.
+    `event.coord` and `event.source` only name the block in errors.
     """
     coord = event.coord
 
@@ -272,12 +265,12 @@ def _next_state(
             )
         if bits is None:
             raise MacroEventError(f"block {coord} has no random bits to commit with")
-        address = address_of(state.input_pads, cs.glues)
+        address = BlockAutomaton.of(cs).address(state.input_pads)
         try:
-            outcome, _ = trace_lookup(cs, address.value, bits)
+            outcome, _ = trace_lookup(cs, address, bits)
         except (AddressRangeError, EmptyEntryError) as exc:
             raise MacroEventError(
-                f"no tile attaches at {coord} for address {address.value}: {exc}"
+                f"no tile attaches at {coord} for address {address}: {exc}"
             ) from exc
         return BlockState(BlockPhase.COMMITTED, state.input_pads, outcome.selected_index, outcome.pads)
 
@@ -295,17 +288,31 @@ def seed_macro(cs: CompiledSystem) -> MacroAssembly:
     return MacroAssembly({(0, 0): cs.seed_block})
 
 
+class MacroEvents:
+    """A run's events, kept as (coordinate, event code) pairs and built when
+    read, as `atam.Edges` builds edges."""
+
+    def __init__(self, auto: BlockAutomaton, chosen: list[tuple[Coord, int]]):
+        self.auto, self.chosen = auto, chosen
+
+    def __len__(self) -> int:
+        return len(self.chosen)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return MacroEvents(self.auto, self.chosen[i])
+        return self.auto.event(*self.chosen[i])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MacroEvents) and list(self) == list(other)
+
+
 @dataclass
 class MacroRun:
-    """A sequential macro simulation: the events applied, the final state,
-    whether growth was held back, and `bits`, each probe's random bits in run
-    order.
+    """A macro run: its `MacroEvents`, final state, truncation and each probe's
+    random bits in run order; `log`, one line per event, is rendered on read."""
 
-    `log`, one line per event, is rendered when first read: a block keeps its
-    input pads from its probe on, and the final decode names each commit's tile.
-    """
-
-    events: tuple[MacroEvent, ...]
+    events: MacroEvents
     final: MacroAssembly
     truncated: bool
     bits: tuple[str, ...]
@@ -313,13 +320,12 @@ class MacroRun:
 
     @cached_property
     def log(self) -> tuple[str, ...]:
-        tiles, blocks, bits = self.cs.source.tiles, self.final.blocks, iter(self.bits)
-        decoded = decode_assembly(self.final, self.cs)
-        lines = []
+        tiles, bits = self.cs.source.tiles, iter(self.bits)
+        decoded, lines = decode_assembly(self.final, self.cs), []
         for event in self.events:
             note = event.describe()
             if event.kind is EventKind.PROBE:
-                kind = detect_kind(blocks[event.coord].input_pads).value
+                kind = detect_kind(self.final[event.coord].input_pads).value
                 note += f" [{kind}, bits={next(bits)}]"
             elif event.kind is EventKind.COMMIT:
                 note += f" -> {tiles[decoded[event.coord]].name}"
@@ -336,36 +342,33 @@ def run_macro(
 ) -> MacroRun:
     """Apply uniformly chosen enabled events until quiescence, reproducibly.
 
-    An `atam.walk` over block ids: it draws in `macro_frontier` order and
-    holds back arrivals at empty coordinates once `bound` blocks exist.  A
-    probe draws its block's random bits, held until that block commits; block
-    steps go through the automaton's table, so a repeated one costs a lookup.
-    A step keeps only the bits it draws, and formats no note.
+    An `atam.walk` over block ids and (coordinate, event code) pairs, in
+    `macro_frontier` order, holding back arrivals at empty coordinates once
+    `bound` blocks exist.  A probe's random bits are held until it commits.
     """
     rng = random.Random(rng_seed)
     width, spec = cs.random_width, f"0{cs.random_width}b"
     auto = BlockAutomaton.of(cs)
-    bits_at: dict[Coord, str] = {}  # bits drawn at each probed, uncommitted block
+    steps = auto.steps
+    bits_at: dict[Coord, str] = {}  # each probed, uncommitted block's bits
     drawn: list[str] = []
 
-    def step(here: int | None, payload: tuple[MacroEvent]) -> int:
-        (event,) = payload
-        kind = event.kind
-        bits = None
-        if kind is _PROBE:
-            bits_at[event.coord] = probe_bits = format(rng.getrandbits(width), spec)
+    def step(here: int | None, payload: tuple[Coord, int]) -> int:
+        coord, code = payload
+        if code == _COMMIT:
+            return auto.step(here, code, coord, bits_at.pop(coord))
+        if code == _PROBE:
+            bits_at[coord] = probe_bits = format(rng.getrandbits(width), spec)
             drawn.append(probe_bits)
-        elif kind is _COMMIT:
-            bits = bits_at.pop(event.coord)
-        return auto.step(here or 0, event, bits)
+        # a known step is one lookup; no step leads to id 0
+        return steps.get((here or 0, code)) or auto.step(here or 0, code, coord)
 
     blocks, chosen, truncated = walk(
         auto.ids_of(seed_macro(cs)), bound, max_events, rng, partial(_events_at, auto), step,
         auto.touched,
     )
-    events = tuple(e for (e,) in chosen)
     final = MacroAssembly({c: auto.states[i] for c, i in blocks.items()})
-    return MacroRun(events, final, truncated, tuple(drawn), cs)
+    return MacroRun(MacroEvents(auto, chosen), final, truncated, tuple(drawn), cs)
 
 
 class MacroEdge(NamedTuple):
@@ -379,24 +382,24 @@ class MacroEdge(NamedTuple):
 def macro_explore(cs: CompiledSystem, bound: int) -> ExplorationResult:
     """Closure of macro states reachable within `bound` blocks, by `atam.explore_packed`.
 
-    Commits branch over every random-bit value; a block keeps no bits, so
-    commit children collapse to one state per distinct outcome, in bit order.
-    The skeleton carries block ids, and each block step goes through the
-    automaton's table, shared with `run_macro` and with every other
-    exploration of `cs`; the states hand out block states.
-    """
-    bit_values = [format(b, f"0{cs.random_width}b") for b in range(2**cs.random_width)]
+    A commit branches over the sub-entries p < min(n, 2**width) that bit
+    values 0, 1, ... select, in that order; a payload is a `MacroEdge`'s tail."""
+    width, spec = cs.random_width, f"0{cs.random_width}b"
     auto = BlockAutomaton.of(cs)
+
+    def events_at(cells: Mapping[Coord, int], coord: Coord) -> list[tuple]:
+        return [(k, (auto.event(*payload),)) for k, payload in _events_at(auto, cells, coord)]
 
     def successors(here: int | None, payload: tuple[MacroEvent]) -> tuple:
         (event,) = payload
-        draws = bit_values if event.kind is _COMMIT else (None,)
-        return tuple(dict.fromkeys(auto.step(here or 0, event, bits) for bits in draws))
+        here, code = here or 0, auto.codes.get(event.pad, int(event.kind))
+        if code != _COMMIT:
+            return (auto.step(here, code, event.coord),)
+        picks = range(min(auto.subs[here], 2**width))
+        return tuple(auto.step(here, code, event.coord, format(p, spec)) for p in picks)
 
-    # each payload is a `MacroEdge`'s tail: the event
     states, edges, cut = explore_packed(
-        auto.ids_of(seed_macro(cs)), bound, partial(_events_at, auto), successors,
-        auto.touched, MacroEdge,
+        auto.ids_of(seed_macro(cs)), bound, events_at, successors, auto.touched, MacroEdge,
     )
     states.alphabet[1:] = [auto.states[i] for i in states.alphabet[1:]]
     return ExplorationResult(KeyedStates(states), edges, 0, tuple(cut), bound)
@@ -404,20 +407,15 @@ def macro_explore(cs: CompiledSystem, bound: int) -> ExplorationResult:
 
 def decode_block(state: BlockState, cs: CompiledSystem) -> int | None:
     """The tile a block represents, or None before commitment: the
-    representation function, and the one reader of the address map.
-
-    A committed block is tile `sub_entry` of its input pads' entry, or the
-    source seed if it has none, as only the seed block does.  It must present
-    exactly that tile's non-null, non-input pads, and its input pads must be
-    the tile's on those sides; anything else, a missing sub-entry included,
-    is a representation-integrity error.  The engines run it once per
-    committed state, when `BlockAutomaton.intern` first sees it.
-    """
+    representation function, and the one reader of the address map.  A
+    committed block is tile `sub_entry` of its input pads' entry (the seed
+    block: the source seed), and must present that tile's pads; anything
+    else is a representation-integrity error."""
     if state.phase < BlockPhase.COMMITTED:
         return None
     tile_index = cs.source.seed
     if state.input_pads:
-        entry = cs.addresses.get(address_of(state.input_pads, cs.glues).value)
+        entry = cs.addresses.get(BlockAutomaton.of(cs).address(state.input_pads))
         if entry is None or state.sub_entry not in range(len(entry.tiles)):
             raise RepresentationError(f"no sub-entry {state.sub_entry} for {state.input_pads}")
         tile_index = entry.tiles[state.sub_entry]
@@ -432,18 +430,20 @@ def decode_block(state: BlockState, cs: CompiledSystem) -> int | None:
     for pad in state.input_pads:
         side = tile.side(pad.direction)
         if side.glue != pad.glue or side.strength != pad.strength:
-            raise RepresentationError(
-                f"block input pad {pad} disagrees with tile {tile.name}"
-            )
+            raise RepresentationError(f"block input pad {pad} disagrees with tile {tile.name}")
     return tile_index
 
 
 def decode_assembly(macro: MacroAssembly, cs: CompiledSystem) -> Assembly:
-    """Map every committed block to its tile; collecting blocks are undefined."""
+    """Map every committed block to its tile; collecting blocks are undefined.
+    The automaton's own block states are found by identity."""
     auto = BlockAutomaton.of(cs)
+    known = dict(zip(map(id, auto.states), auto.tiles))
     cells: dict[Coord, int] = {}
     for coord, state in macro.blocks.items():
-        tile = auto.tiles[auto.intern(state, coord)]
+        tile = known.get(id(state), ...)
+        if tile is ...:
+            tile = auto.tiles[auto.intern(state, coord)]
         if tile is not None:
             cells[coord] = tile
     if not cells:

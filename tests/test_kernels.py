@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 
 import tileworks
@@ -72,13 +73,22 @@ RUN_SHAPES = (
 )
 
 
-def test_index_columns_are_arrays_of_a_character_scan(compiled, lone_seed):
+def test_index_runs_expand_to_a_character_scan(compiled, lone_seed):
     tables = [cs.table.symbols for cs in (*compiled.values(), compile_system(lone_seed))]
     for table in (*tables, *MALFORMED, *RUN_SHAPES):
         idx = TableIndex(table)
-        for column, mark in ((idx.hashes, "#"), (idx.semis, ";")):
+        hashes = [i for i, c in enumerate(table) if c == "#"]
+        for column in (idx.firsts, idx.starts, idx.semis):
             assert type(column) is array and column.typecode == "i", table[:20]
-            assert column.tolist() == [i for i, c in enumerate(table) if c == mark], table[:20]
+        assert idx.semis.tolist() == [i for i, c in enumerate(table) if c == ";"], table[:20]
+        # the runs are the maximal stretches of markers two columns apart
+        breaks = sum(b - a != 2 for a, b in zip(hashes, hashes[1:]))
+        assert len(idx.firsts) == (breaks + 1 if hashes else 0), table[:20]
+        assert idx.markers == idx.starts[-1] == len(hashes), table[:20]
+        assert [idx.hash_column(k) for k in range(idx.markers)] == hashes, table[:20]
+        lt, gt = idx.middle
+        assert idx.entries == bisect_left(hashes, lt), table[:20]
+        assert idx.mirror == bisect_right(hashes, gt), table[:20]
 
 
 def test_compiled_index_memory():
@@ -90,20 +100,23 @@ def test_compiled_index_memory():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(cs.table.index.hashes) + len(cs.table.index.semis) == 29814
-    # about 0.25 MiB: the marker columns are int arrays; one boxed int per
-    # marker held about 1.2 MiB
-    assert held < 2**19
+    index = cs.table.index
+    assert index.markers + len(index.semis) == 29814
+    assert len(index.firsts) == 98
+    # about 0.13 MiB, mostly the table itself: the index holds one pair of
+    # ints per run of markers; one int array item per marker held about
+    # 0.25 MiB, and one boxed int per marker about 1.2 MiB
+    assert held < 3 * 2**16
     tracemalloc.start()
     try:
         TableIndex(cs.table.symbols)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # building the index peaks at its two int columns, about 0.12 MiB; a scan
-    # whose regex keeps a backtracking entry per repeat, such as "#(?: #)*",
-    # peaks above 0.5 MiB
-    assert peak < 2**18
+    # building the index peaks at about 3.5 KiB; filling an int array item per
+    # marker peaked at about 0.12 MiB, and a scan whose regex keeps a
+    # backtracking entry per repeat, such as "#(?: #)*", above 0.5 MiB
+    assert peak < 2**13
 
 
 def test_sweep_statuses(compiled):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import pickle
 import random
 import tracemalloc
@@ -254,6 +255,8 @@ def test_twin_tiles_stay_distinct(systems, tmp_path, capsys):
     assert len(result.states) == 41
     corners = {decode_block(m.get((1, 1)), cs) for m in result.states.values() if (1, 1) in m}
     assert {tas.tiles[t].name for t in corners - {None}} == {"tD", "tD2"}
+    # every bit string lands where the commit keyed by its sub-entry does
+    check_automaton(cs)
     assert simulation_report(cs, 6).passed
     path = tmp_path / "twin_elbow.tas"
     path.write_text(format_tas(tas))
@@ -427,6 +430,13 @@ def test_run_replays_as_source_attachments(name, max_events, seed, compiled):
 # They are kept here only as the oracle the fast versions are checked against.
 
 
+def _sort_key(event):
+    """The order `macro_frontier` lists events in: kind, y, x, then the
+    receiving side in N, E, S, W order (-1 for a block's own event)."""
+    side = -1 if event.pad is None else DIRECTIONS.index(event.pad.direction)
+    return (int(event.kind), event.coord[1], event.coord[0], side)
+
+
 def _scan_frontier(cs, macro):
     events = []
     for coord, state in macro.blocks.items():
@@ -454,7 +464,7 @@ def _scan_frontier(cs, macro):
                 events.append(MacroEvent(EventKind.COMMIT, coord))
         elif state.phase is BlockPhase.COMMITTED:
             events.append(MacroEvent(EventKind.COMPLETION, coord))
-    events.sort(key=MacroEvent.sort_key)
+    events.sort(key=_sort_key)
     return tuple(events)
 
 
@@ -592,7 +602,7 @@ def _run_outcome(run, cs, seed, bound):
         result = run(cs, seed, max_events=400, bound=bound)
     except WorkbenchError as exc:
         return type(exc), str(exc)
-    return result.events, result.log, result.final.key, result.truncated
+    return tuple(result.events), result.log, result.final.key, result.truncated
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL)
@@ -632,7 +642,7 @@ def test_run_macro_truncation_at_every_event_cap(compiled, name):
         for cap in range(40):
             got = run_macro(cs, seed, max_events=cap, bound=4)
             want = _rescan_run(cs, seed, max_events=cap, bound=4)
-            assert (got.events, got.truncated) == (want.events, want.truncated), (seed, cap)
+            assert (tuple(got.events), got.truncated) == (want.events, want.truncated), (seed, cap)
 
 
 @pytest.mark.parametrize("name", ("sierpinski", "nondet_elbow"))
@@ -942,24 +952,41 @@ def test_type_detected_id_commits_iff_its_address_has_an_entry(compiled):
         # the table agrees: the sweep finds the entry non-bare, whatever the bits
         last = 2**cs.random_width - 1
         non_bare = kernels.sweep(cs.table.index, address, last).status == kernels.OK
-        assert (auto.own[i] is EventKind.COMMIT) == has_entry == non_bare
+        assert (auto.own[i] == EventKind.COMMIT) == has_entry == non_bare
 
 
 def check_automaton(cs):
     """Every entry `cs.automaton` holds, against its definition: each step
-    (id, kind, pad, bits) -> id against `_next_state` on the stored state,
-    and each id's facts against its block state's fields and `decode_block`."""
+    (id, code) -> id, or (id, code, p) -> id for a commit, against
+    `_next_state` on the stored state with every bit string that selects
+    sub-entry p; each event code against its kind and pad; and each id's
+    facts against its block state's fields, `decode_block` and the address
+    map.  Then every bit string, given to `_next_state` at each committing
+    id, must land on the state its keyed step gives."""
     auto = cs.automaton
     assert auto.states[0] is None and len(auto.ids) == len(auto.states) - 1
     assert [auto.ids.get(state, 0) for state in auto.states] == list(range(len(auto.states)))
-    lengths = {len(facts) for facts in (auto.tiles, auto.open, auto.own, auto.offers)}
+    lengths = {len(facts) for facts in (auto.tiles, auto.open, auto.own, auto.subs, auto.offers)}
     assert lengths == {len(auto.states)}
-    assert (auto.tiles[0], auto.own[0], auto.offers[0]) == (None, None, None)
+    assert (auto.tiles[0], auto.own[0], auto.subs[0], auto.offers[0]) == (None, None, 0, None)
     assert auto.open[0] == tuple((k, d.vector) for k, d in enumerate(DIRECTIONS))
-    for (here, kind, pad, bits), after in auto.steps.items():
+    # own events are coded by their kind, arrivals by their pad as received
+    assert auto.events[:4] == [(kind, None) for kind in EventKind]
+    assert sorted(auto.codes.values()) == list(range(4, len(auto.events)))
+    for pad, code in auto.codes.items():
+        assert auto.events[code] == (EventKind.PAD_ARRIVAL, pad)
+    every_bits = [format(b, f"0{cs.random_width}b") for b in range(2**cs.random_width)]
+    for (here, code, *pick), after in auto.steps.items():
         # the outcome of a step depends on neither the coordinate nor the source
-        state = _next_state(cs, auto.states[here], MacroEvent(kind, (0, 0), pad), bits=bits)
-        assert auto.ids[state] == after, (here, kind, pad, bits)
+        event = auto.event((0, 0), code)
+        draws = [None]
+        if pick:
+            assert event.kind is EventKind.COMMIT
+            draws = [bits for bits in every_bits if int(bits, 2) % auto.subs[here] == pick[0]]
+            assert draws, (here, pick)
+        for bits in draws:
+            state = _next_state(cs, auto.states[here], event, bits=bits)
+            assert auto.ids[state] == after, (here, code, pick, bits)
     for i, state in enumerate(auto.states[1:], 1):
         phase, taken = state.phase, {p.direction for p in state.input_pads}
         assert auto.tiles[i] == decode_block(state, cs)
@@ -973,19 +1000,27 @@ def check_automaton(cs):
             BlockPhase.COMMITTED: EventKind.COMPLETION,
             BlockPhase.COMPLETE: None,
         }
+        subs = 0
         if phase is BlockPhase.TYPE_DETECTED:
-            entry = address_of(state.input_pads, cs.glues).value in cs.addresses
+            entry = cs.addresses.get(address_of(state.input_pads, cs.glues).value)
             own[phase] = EventKind.COMMIT if entry else None
-        assert auto.own[i] is own[phase], state
+            subs = len(entry.tiles) if entry else 0
+        assert auto.own[i] == own[phase] and type(auto.own[i]) is not EventKind, state
+        assert auto.subs[i] == subs, state
         if phase is not BlockPhase.COMPLETE:
             assert auto.offers[i] is None
             continue
         # a pad pointing at a neighbour arrives on that neighbour's facing side
-        offers = [[] for _ in DIRECTIONS]
+        offers = [0] * len(DIRECTIONS)
         for p in state.output_pads:
             side = p.direction.opposite
-            offers[DIRECTIONS.index(side)].append(Pad(p.glue, side, p.strength))
-        assert auto.offers[i] == tuple(map(tuple, offers)), state
+            offers[DIRECTIONS.index(side)] = auto.codes[Pad(p.glue, side, p.strength)]
+        assert auto.offers[i] == tuple(offers), state
+    for i in [i for i, own in enumerate(auto.own) if own == EventKind.COMMIT]:
+        commit = MacroEvent(EventKind.COMMIT, (0, 0))
+        for bits in every_bits:
+            want = _next_state(cs, auto.states[i], commit, bits=bits)
+            assert auto.states[auto.step(i, int(EventKind.COMMIT), (0, 0), bits)] == want, (i, bits)
 
 
 @pytest.mark.parametrize("name", ("elbow", "nondet_elbow", "counter3", "counter4", "sierpinski"))
@@ -994,7 +1029,9 @@ def test_filled_automaton_matches_its_definition(name, systems):
     macro_explore(cs, 6)
     for seed in range(3):
         run_macro(cs, seed, max_events=3000)
-    assert len(cs.automaton.steps) > len(cs.automaton.states) > 5
+    # every id but the empty block and the seed's is some step's outcome
+    auto = cs.automaton
+    assert set(auto.steps.values()) == set(range(2, len(auto.states))) and len(auto.states) > 5
     check_automaton(cs)
 
 
@@ -1004,11 +1041,69 @@ def test_sierpinski_macro_counts_at_bound_12(systems):
     cs = compile_system(systems["sierpinski"])
     result = macro_explore(cs, 12)
     assert (len(result.states), len(result.edges)) == (63297, 245479)
-    assert (len(cs.automaton.ids), len(cs.automaton.steps)) == (29, 122)
+    assert (len(cs.automaton.ids), len(cs.automaton.steps)) == (29, 32)
 
 
 def test_counter4_run_automaton_size(systems):
     # the README quotes the automaton's size after this run
     cs = compile_system(systems["counter4"])
     run_macro(cs, 0, max_events=16000)
-    assert (len(cs.automaton.ids), len(cs.automaton.steps)) == (70, 231)
+    assert (len(cs.automaton.ids), len(cs.automaton.steps)) == (70, 70)
+
+
+# the sha256 of a run's event reprs, one a line, pinned so that building
+# events only when read changes no event
+EVENT_REPRS = (
+    ("counter3", 0, 3000, "09d31ab6156889d61986b81cc74053a320755f32924d353f9c623a62f5f7aaa7"),
+    ("nondet_elbow", 1, None, "045564cd22671bebe060de160bfe8b814209e51038f43f5d518ae6a8ed6b40be"),
+    ("sierpinski", 2, 2000, "8026366ffc2159f91cce33aaf31f4d6d935e873fda29d67f0480685b582a4f50"),
+)
+
+
+@pytest.mark.parametrize("name, seed, max_events, digest", EVENT_REPRS, ids=lambda v: str(v)[:12])
+def test_run_builds_events_only_when_read(systems, monkeypatch, name, seed, max_events, digest):
+    cs = compile_system(systems[name])
+    built = Counter()
+    monkeypatch.setattr(macro_module, "MacroEvent", _counted(MacroEvent, built, "event"))
+    kwargs = {} if max_events is None else {"max_events": max_events}
+    # a step the automaton has not taken builds its event, once, for `_next_state`
+    run_macro(cs, seed, **kwargs)
+    assert built["event"] == len(cs.automaton.steps)
+    built.clear()
+    run = run_macro(cs, seed, **kwargs)
+    assert len(run.events) == (max_events or 14) and not built
+    text = "\n".join(map(repr, run.events))
+    assert built["event"] == len(run.events)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert run.events[1:3] == type(run.events)(run.events.auto, run.events.chosen[1:3])
+    assert list(run.events[1:3]) == list(run.events)[1:3]
+
+
+def test_commit_branches_do_not_grow_with_the_bit_width(systems):
+    # a commit branches over the sub-entries its bits can select, so the
+    # exploration and the automaton are the same whatever the width
+    outcomes = []
+    for width in (4, 8, 12):
+        cs = compile_system(systems["sierpinski"], random_width=width)
+        result = macro_explore(cs, 8)
+        states = result.states
+        edges = [(e.parent, e.child, e.event) for e in result.edges]
+        outcomes.append(([states.key(i) for i in states], edges, len(cs.automaton.steps)))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def test_a_warm_run_and_its_decode_hash_no_block_state(systems, monkeypatch):
+    cs = compile_system(systems["counter3"])
+    run_macro(cs, 0, max_events=2000)
+    hashed = Counter()
+    monkeypatch.setattr(BlockState, "__hash__", _counted(BlockState.__hash__, hashed, "hash"))
+    run = run_macro(cs, 0, max_events=2000)
+    decoded = decode_assembly(run.final, cs)
+    # only the seed block is looked up by value, as the run starts
+    assert hashed["hash"] == 1
+    assert len(decoded) == sum(s.phase >= BlockPhase.COMMITTED for s in run.final.blocks.values())
+    # the final state's key is built when read, and is the eager one
+    eager = frozenset(run.final.blocks.items())
+    assert run.final.key == eager and hash(run.final) == hash(eager)
+    same = run.final.with_block((0, 0), cs.seed_block)
+    assert run.final == MacroAssembly(dict(run.final.blocks)) == same
