@@ -7,8 +7,11 @@ matching strengths sum to at least the temperature, which is fixed at 2
 throughout this package.  Mismatching glues never block an attachment; they
 simply contribute nothing.
 
+A side is a `Direction`, valued by its index k (N, E, S, W are 0 to 3), so
+side tables are indexed by the side itself and the facing side is k ^ 2.
 Assemblies are finite partial maps from grid positions to tile-type indices,
-always seeded with a single designated tile at the origin.
+always seeded with a single designated tile at the origin, and keyed by
+their cells when the key is first read.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from array import array
 from bisect import bisect_left, insort
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import IntEnum
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterator, NamedTuple
@@ -48,38 +51,30 @@ class IllegalAttachmentError(WorkbenchError):
         self.strength = strength
 
 
-class Direction(Enum):
-    N = (0, 1)
-    E = (1, 0)
-    S = (0, -1)
-    W = (-1, 0)
+class Direction(IntEnum):
+    """A side, valued by its index k: the facing side is k ^ 2."""
 
-    # members are singletons, so identity is equality; `Enum.__hash__` hashes
-    # the name in Python on every `Pad` hash and every `side in taken` test
-    __hash__ = object.__hash__
+    N = 0
+    E = 1
+    S = 2
+    W = 3
 
     @property
     def vector(self) -> Coord:
-        return self.value
+        return OFFSETS[self]
 
     @property
     def opposite(self) -> "Direction":
-        return DIRECTIONS[_DIR_INDEX[self] ^ 2]
+        return DIRECTIONS[self ^ 2]
 
     def step(self, pos: Coord) -> Coord:
-        dx, dy = self.value
+        dx, dy = OFFSETS[self]
         return (pos[0] + dx, pos[1] + dy)
 
 
-DIRECTIONS = (Direction.N, Direction.E, Direction.S, Direction.W)
-_DIR_INDEX = {d: i for i, d in enumerate(DIRECTIONS)}
-# OFFSETS[k] steps toward DIRECTIONS[k]; the facing side of side k is k ^ 2.
-OFFSETS = tuple(d.vector for d in DIRECTIONS)
-
-
-def direction_order(d: Direction) -> int:
-    """Canonical N, E, S, W ordering used everywhere sorting is needed."""
-    return _DIR_INDEX[d]
+DIRECTIONS = tuple(Direction)
+# OFFSETS[k] steps toward DIRECTIONS[k]
+OFFSETS = ((0, 1), (1, 0), (0, -1), (-1, 0))
 
 
 @dataclass(frozen=True)
@@ -118,7 +113,7 @@ class Pad:
             raise ValueError(f"pad strength must be 1 or 2, got {self.strength}")
 
     def sort_key(self) -> tuple[int, str, int]:
-        return (direction_order(self.direction), self.glue, self.strength)
+        return (self.direction, self.glue, self.strength)
 
 
 def _as_side(value) -> SidePad:
@@ -144,7 +139,7 @@ class TileType:
         return cls(name, _as_side(n), _as_side(e), _as_side(s), _as_side(w))
 
     def side(self, d: Direction) -> SidePad:
-        return (self.north, self.east, self.south, self.west)[_DIR_INDEX[d]]
+        return (self.north, self.east, self.south, self.west)[d]
 
     def sides(self) -> Iterator[tuple[Direction, SidePad]]:
         for d in DIRECTIONS:
@@ -222,7 +217,9 @@ class TileSystem:
 class Assembly:
     """Immutable nonempty partial map from positions to tile-type indices.
 
-    `blocks.MacroAssembly` reuses it with block states as the cell values.
+    Its key is built when first read: most states the engines hand out are
+    only decoded or rendered.  `blocks.MacroAssembly` reuses it with block
+    states as the cell values.
     """
 
     __slots__ = ("_cells", "_key")
@@ -230,20 +227,13 @@ class Assembly:
     def __init__(self, cells: Mapping[Coord, int]):
         if not cells:
             raise ValueError("an assembly must be nonempty")
-        self._cells = dict(cells)
-        self._key = frozenset(self._cells.items())
-
-    @classmethod
-    def _trusted(cls, cells: dict[Coord, int], key: frozenset) -> "Assembly":
-        """Wrap `cells` and its already computed key without copying either."""
-        asm = cls.__new__(cls)
-        asm._cells = cells
-        asm._key = key
-        return asm
+        self._cells, self._key = dict(cells), None
 
     @property
     def key(self) -> frozenset:
         """Canonical value identity: the set of (position, tile index) pairs."""
+        if self._key is None:
+            self._key = frozenset(self._cells.items())
         return self._key
 
     def get(self, pos: Coord) -> int | None:
@@ -259,10 +249,10 @@ class Assembly:
         return len(self._cells)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Assembly) and self._key == other._key
+        return isinstance(other, Assembly) and self.key == other.key
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self.key)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({len(self._cells)} cells)"
@@ -276,9 +266,7 @@ class Assembly:
     def with_tile(self, pos: Coord, tile: int) -> "Assembly":
         if pos in self._cells:
             raise OccupiedPositionError(f"position {pos} already holds a tile")
-        cells = dict(self._cells)
-        cells[pos] = tile
-        return Assembly._trusted(cells, self._key | {(pos, tile)})
+        return Assembly({**self._cells, pos: tile})
 
     def bounds(self) -> tuple[int, int, int, int]:
         xs = [p[0] for p in self._cells]
@@ -406,7 +394,7 @@ class AssemblySequence:
         seq = cls.__new__(cls)
         object.__setattr__(seq, "system", system)
         object.__setattr__(seq, "steps", steps)
-        object.__setattr__(seq, "_result", Assembly._trusted(cells, frozenset(cells.items())))
+        object.__setattr__(seq, "_result", Assembly(cells))
         return seq
 
     def __len__(self) -> int:

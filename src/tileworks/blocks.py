@@ -8,14 +8,13 @@ which point its output pads become visible to the neighbouring blocks.  A
 `detect_kind` of its input pads, and a probe's random bits stay with the run.
 The engines carry block states as the small ids of the compiled system's
 `macro.BlockAutomaton`, which also keeps what each state enables and offers.
-`MacroAssembly`, the form both engines hand out and the decoder reads, is an
-`Assembly` of block states, the same immutable cell map, keyed by its
-(coordinate, block state) pairs; it builds that key only when first read.
+`MacroAssembly`, the form both engines hand out and the decoder reads, only
+names an `Assembly` whose cells are block states: the same immutable cell
+map, keyed by its (coordinate, block state) pairs on first read.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -78,29 +77,9 @@ def seed_block(tas: TileSystem) -> BlockState:
 
 
 class MacroAssembly(Assembly):
-    """An `Assembly` whose cells hold block states instead of tile indices.
-
-    Its key, which hashes every block state in Python, is built when first
-    read: the states the engines hand out are often only decoded."""
+    """An `Assembly` whose cells hold block states instead of tile indices."""
 
     __slots__ = ()
-
-    def __init__(self, blocks: Mapping[Coord, BlockState]):
-        if not blocks:
-            raise ValueError("an assembly must be nonempty")
-        self._cells, self._key = dict(blocks), None
-
-    @property
-    def key(self) -> frozenset:
-        if self._key is None:
-            self._key = frozenset(self._cells.items())
-        return self._key
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Assembly) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
 
     @property
     def blocks(self) -> dict[Coord, BlockState]:

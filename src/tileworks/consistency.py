@@ -26,7 +26,6 @@ from .atam import (
     Direction,
     TileSystem,
     binding_strength,
-    direction_order,
     explore,
 )
 
@@ -63,7 +62,7 @@ class Verdict:
 def _pair_mismatch(tas: TileSystem, asm: Assembly, pos: Coord, d: Direction) -> Witness | None:
     q = d.step(pos)
     other = asm.get(q)
-    if other not in tas.glue_tables.clash[direction_order(d)][asm[pos]]:
+    if other not in tas.glue_tables.clash[d][asm[pos]]:
         return None
     a = tas.tiles[asm[pos]].side(d)
     b = tas.tiles[other].side(d.opposite)

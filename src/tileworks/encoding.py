@@ -1,10 +1,12 @@
 """Binary encoding of a tile system into a glue lookup table.
 
 Positive-strength glues are ordered with the null glue first; each oriented
-pad becomes a fixed-width bit field (glue index, two direction bits, one
-strength bit), side combinations that sum to strength 2 become numeric
-addresses, and the system becomes a single entries string: one '#'-marked
-entry per address value, holding one sub-entry per tile attachable there.
+pad becomes a fixed-width bit field (glue index, the side's index in two
+bits, one strength bit), side combinations that sum to strength 2 become
+numeric addresses, and the system becomes a single entries string: one
+'#'-marked entry per address value, holding one sub-entry per tile
+attachable there, written as the realized entries with runs of bare markers
+between them.
 The shipped table is the entries string framed by '>' and '<', glued to its
 own mirror image around a '<%%>' middle marker, with one blank spliced
 between every two symbols.
@@ -49,14 +51,6 @@ class ClassError(WorkbenchError):
         super().__init__(f"system is not locally consistent: {detail}")
         self.verdict = verdict
 
-
-DIRECTION_BITS = {
-    Direction.N: "00",
-    Direction.E: "01",
-    Direction.S: "10",
-    Direction.W: "11",
-}
-_BITS_DIRECTION = {bits: d for d, bits in DIRECTION_BITS.items()}
 
 # canonical ordering of two-pad address direction pairs
 ADDRESS_PAIR_ORDER: tuple[tuple[Direction, Direction], ...] = (
@@ -114,7 +108,7 @@ def encode_pad(pad: Pad, ordering: GlueOrdering) -> str:
     idx = ordering.index(pad.glue)
     glue_bits = format(idx, f"0{ordering.width}b")
     strength_bit = "0" if pad.strength == 1 else "1"
-    return glue_bits + DIRECTION_BITS[pad.direction] + strength_bit
+    return glue_bits + format(pad.direction, "02b") + strength_bit
 
 
 def decode_pad(bits: str, ordering: GlueOrdering) -> Pad:
@@ -127,7 +121,7 @@ def decode_pad(bits: str, ordering: GlueOrdering) -> Pad:
         raise DecodeError("all-zero glue index denotes the null glue, not a pad")
     if idx >= len(ordering.labels):
         raise DecodeError(f"glue index {idx} out of range")
-    direction = _BITS_DIRECTION[bits[ordering.width : ordering.width + 2]]
+    direction = DIRECTIONS[int(bits[ordering.width : ordering.width + 2], 2)]
     strength = 1 if bits[-1] == "0" else 2
     return Pad(ordering.labels[idx], direction, strength)
 
@@ -220,16 +214,15 @@ def _sub_entry(tile, address: Address, ordering: GlueOrdering) -> str:
 def build_entries(
     tas: TileSystem, ordering: GlueOrdering, amap: dict[int, AddressEntry]
 ) -> str:
-    """The entries string: one '#'-marked entry for every address value 0..max of `amap`."""
-    parts = []
-    top = max(amap, default=-1)
-    for value in range(top + 1):
-        entry = amap.get(value)
-        if entry is None:
-            parts.append("#")
-        else:
-            subs = [_sub_entry(tas.tiles[t], entry.address, ordering) for t in entry.tiles]
-            parts.append("#" + ";".join(subs))
+    """The entries string: one '#'-marked entry for every address value 0..max of
+    `amap`, built as the realized entries in address order, each after the run
+    of bare markers below it."""
+    parts, last = [], -1
+    for value in sorted(amap):
+        entry = amap[value]
+        subs = [_sub_entry(tas.tiles[t], entry.address, ordering) for t in entry.tiles]
+        parts.append("#" * (value - last) + ";".join(subs))
+        last = value
     return "".join(parts)
 
 

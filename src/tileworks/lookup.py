@@ -20,10 +20,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .atam import DIRECTIONS, Pad, WorkbenchError
-from .encoding import CompiledSystem, DecodeError, GlueOrdering, decode_pad
-
-
-BLANK_CHAR = " "
+from .encoding import BLANK, CompiledSystem, DecodeError, GlueOrdering, decode_pad
 
 
 class LookupError_(WorkbenchError):
@@ -184,7 +181,7 @@ def render_trace(
     total = len(symbols) if limit is None else min(limit, len(symbols))
     for col in range(total):
         sym = symbols[col]
-        if sym == BLANK_CHAR:
+        if sym == BLANK:
             continue
         if sym == "#":
             if col <= match:

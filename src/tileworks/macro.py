@@ -8,8 +8,9 @@ that sub-entry's pads.  The blocks read only the table; `decode_block` alone
 maps a block to a tile.  Every block runs `_next_state`, through one
 `BlockAutomaton` per compiled system, whose small ids name block states and
 codes name events; `_events_at`, the one event rule, yields codes.
-`run_macro` and `macro_explore` run it in the source level's engines,
-`atam.walk` and `atam.explore_packed`, and build events only when read.
+`run_macro` and `macro_explore` run it on ids and codes in the source
+level's engines, `atam.walk` and `atam.explore_packed`, and build events
+only when read.  A side is indexed by its `atam.Direction` itself.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from typing import NamedTuple
 from . import kernels
 from .atam import (
     DIRECTIONS,
+    OFFSETS,
     Assembly,
     Coord,
     ExplorationResult,
     KeyedStates,
     Pad,
     WorkbenchError,
-    direction_order,
     enabled,
     explore_packed,
     walk,
@@ -63,7 +64,7 @@ class EventKind(IntEnum):
 # own events' codes as plain ints: an `EventKind.X` read costs 0.2 us
 _PROBE, _COMMIT, _COMPLETION = 1, 2, 3
 # each side's index and vector
-_SIDES = tuple((k, d.vector) for k, d in enumerate(DIRECTIONS))
+_SIDES = tuple(enumerate(OFFSETS))
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,6 +117,11 @@ class BlockAutomaton:
             cs.automaton = cls(cs)
         return cs.automaton
 
+    @cached_property
+    def tile_pads(self) -> list[tuple[Pad, ...]]:
+        """Each tile's pads, built once for `decode_block`, their one reader."""
+        return [tile.pads() for tile in self.cs.source.tiles]
+
     def address(self, pads: tuple[Pad, ...]) -> int:
         """Input pads `pads`' address, computed once per automaton."""
         if pads not in self.addresses:
@@ -145,7 +151,7 @@ class BlockAutomaton:
         elif phase is BlockPhase.COMPLETE:
             offers = [0] * len(DIRECTIONS)
             for p in state.output_pads:
-                k = direction_order(p.direction) ^ 2
+                k = p.direction ^ 2
                 pad = Pad(p.glue, DIRECTIONS[k], p.strength)
                 offers[k] = self.codes.setdefault(pad, len(self.events))
                 if offers[k] == len(self.events):
@@ -154,7 +160,7 @@ class BlockAutomaton:
         found = self.ids[state] = len(self.states)
         self.states.append(state)
         self.tiles.append(tile)
-        self.open.append(tuple(s for s, d in zip(_SIDES, DIRECTIONS) if d not in closed))
+        self.open.append(tuple(s for s in _SIDES if s[0] not in closed))
         self.own.append(own)
         self.subs.append(subs)
         self.offers.append(offers)
@@ -383,25 +389,26 @@ def macro_explore(cs: CompiledSystem, bound: int) -> ExplorationResult:
     """Closure of macro states reachable within `bound` blocks, by `atam.explore_packed`.
 
     A commit branches over the sub-entries p < min(n, 2**width) that bit
-    values 0, 1, ... select, in that order; a payload is a `MacroEdge`'s tail."""
+    values 0, 1, ... select, in that order.  The exploration carries
+    (coordinate, event code) payloads, as `run_macro` does; once it ends,
+    each outcome code's `MacroEvent` is built once."""
     width, spec = cs.random_width, f"0{cs.random_width}b"
     auto = BlockAutomaton.of(cs)
 
-    def events_at(cells: Mapping[Coord, int], coord: Coord) -> list[tuple]:
-        return [(k, (auto.event(*payload),)) for k, payload in _events_at(auto, cells, coord)]
-
-    def successors(here: int | None, payload: tuple[MacroEvent]) -> tuple:
-        (event,) = payload
-        here, code = here or 0, auto.codes.get(event.pad, int(event.kind))
+    def successors(here: int | None, payload: tuple[Coord, int]) -> tuple:
+        coord, code = payload
+        here = here or 0
         if code != _COMMIT:
-            return (auto.step(here, code, event.coord),)
+            return (auto.step(here, code, coord),)
         picks = range(min(auto.subs[here], 2**width))
-        return tuple(auto.step(here, code, event.coord, format(p, spec)) for p in picks)
+        return tuple(auto.step(here, code, coord, format(p, spec)) for p in picks)
 
     states, edges, cut = explore_packed(
-        auto.ids_of(seed_macro(cs)), bound, events_at, successors, auto.touched, MacroEdge,
+        auto.ids_of(seed_macro(cs)), bound, partial(_events_at, auto), successors, auto.touched,
+        MacroEdge,
     )
     states.alphabet[1:] = [auto.states[i] for i in states.alphabet[1:]]
+    edges.table[:] = [(auto.event(*payload),) for payload in edges.table]
     return ExplorationResult(KeyedStates(states), edges, 0, tuple(cut), bound)
 
 
@@ -413,15 +420,15 @@ def decode_block(state: BlockState, cs: CompiledSystem) -> int | None:
     else is a representation-integrity error."""
     if state.phase < BlockPhase.COMMITTED:
         return None
-    tile_index = cs.source.seed
+    auto, tile_index = BlockAutomaton.of(cs), cs.source.seed
     if state.input_pads:
-        entry = cs.addresses.get(BlockAutomaton.of(cs).address(state.input_pads))
+        entry = cs.addresses.get(auto.address(state.input_pads))
         if entry is None or state.sub_entry not in range(len(entry.tiles)):
             raise RepresentationError(f"no sub-entry {state.sub_entry} for {state.input_pads}")
         tile_index = entry.tiles[state.sub_entry]
     tile = cs.source.tiles[tile_index]
     inputs = state.input_directions
-    expected = tuple(pad for pad in tile.pads() if pad.direction not in inputs)
+    expected = tuple(pad for pad in auto.tile_pads[tile_index] if pad.direction not in inputs)
     if expected != state.output_pads:
         raise RepresentationError(
             f"block output pads {state.output_pads} disagree with tile "

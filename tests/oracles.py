@@ -6,8 +6,10 @@ from-scratch neighbour scan for strengths, binomials via math.comb, a
 character-level reference for the pad and splice encoders, and the table
 sweep walked one column at a time, and `ref_replay`, which replays a
 seeded macro run's commits as source attachments in one linear pass.
-Five are exceptions, each the slow path a fast one replaced, kept as the
-oracle it must match: `ref_explore`, the breadth-first exploration keyed by
+Six are exceptions, each the slow path a fast one replaced, kept as the
+oracle it must match: `ref_build_entries`, the walk over every address value
+up to the largest that `encoding.build_entries`' runs of bare markers
+replaced, `ref_explore`, the breadth-first exploration keyed by
 frozensets that `atam.explore`'s packed skeleton replaced,
 `ref_terminal_keys`, the frontier test of every leaf that the cut states
 recorded by that skeleton replaced, `ref_sample_sequence`, the random
@@ -36,6 +38,7 @@ from tileworks.atam import (
     seed_assembly,
 )
 from tileworks.consistency import Verdict, Witness, _note, _pair_mismatch
+from tileworks.encoding import _sub_entry
 from tileworks.kernels import E_ADDR_RANGE, E_EMPTY_ENTRY, E_MALFORMED, OK, SweepRecord
 from tileworks.macro import EventKind
 from tileworks.verifier import ConditionReport
@@ -228,6 +231,20 @@ def ref_encode_pad(glue: str, direction: str, strength: int, labels: tuple) -> s
     glue_bits = bin(idx)[2:].rjust(width, "0")
     dir_bits = {"N": "00", "E": "01", "S": "10", "W": "11"}[direction]
     return glue_bits + dir_bits + ("0" if strength == 1 else "1")
+
+
+def ref_build_entries(tas: TileSystem, ordering, amap: dict) -> str:
+    """The entries string, one address value at a time from 0 to the largest
+    in `amap`: a bare '#' where no tile attaches."""
+    parts = []
+    for value in range(max(amap, default=-1) + 1):
+        entry = amap.get(value)
+        if entry is None:
+            parts.append("#")
+        else:
+            subs = [_sub_entry(tas.tiles[t], entry.address, ordering) for t in entry.tiles]
+            parts.append("#" + ";".join(subs))
+    return "".join(parts)
 
 
 def ref_splice(text: str) -> str:

@@ -12,12 +12,15 @@ from tileworks import corpus
 from tileworks.atam import (
     Assembly,
     AssemblySequence,
+    DIRECTIONS,
+    OFFSETS,
     AttachmentEdge,
     Direction,
     Edges,
     GlueTables,
     IllegalAttachmentError,
     OccupiedPositionError,
+    Pad,
     SidePad,
     TileSystem,
     TileType,
@@ -30,8 +33,9 @@ from tileworks.atam import (
     sample_sequence,
     seed_assembly,
 )
-from tileworks.blocks import MacroAssembly
+from tileworks.blocks import BlockPhase, BlockState, MacroAssembly, seed_block
 from tileworks.consistency import verify_locally_consistent
+from tileworks.encoding import GlueOrdering, decode_pad, encode_pad
 from tileworks.tasio import format_tas, parse_tas
 
 from .oracles import (
@@ -80,6 +84,56 @@ def test_assembly_value_identity():
         MacroAssembly({})
     with pytest.raises(OccupiedPositionError):
         a.with_tile((0, 0), 1)
+
+
+def test_assemblies_build_their_key_on_first_read(systems):
+    pad = Pad("a", Direction.W, 2)
+    blocks = (seed_block(systems["elbow"]), BlockState(BlockPhase.INPUTS_PARTIAL, (pad,)),
+              BlockState(BlockPhase.TYPE_DETECTED, (pad,)))
+    for view, values in ((Assembly, (0, 1, 2)), (MacroAssembly, blocks)):
+        cells = {(0, 0): values[0], (1, 0): values[1]}
+        one = view({(0, 0): values[0]})
+        grow = one.with_tile if view is Assembly else one.with_block
+        a, b, c = view(cells), view(dict(reversed(cells.items()))), grow((1, 0), values[1])
+        other = view({(0, 0): values[0], (1, 0): values[2]})
+        assert len(a) == 2 and a[(1, 0)] == values[1] and (0, 0) in a and type(c) is view
+        # nothing so far needed a key
+        assert all(m._key is None for m in (a, b, c, one, other))
+        eager = frozenset(cells.items())
+        assert a == b == c and a != one and a != other
+        assert hash(a) == hash(b) == hash(c) == hash(eager)
+        assert a.key == b.key == c.key == eager and one.key == frozenset({((0, 0), values[0])})
+        assert a._key is a.key  # built once, then kept
+        assert {a: 1}[view(cells)] == 1
+    # an assembly and a macro assembly with equal cells are equal, as before
+    assert Assembly({(0, 0): 0}) == MacroAssembly({(0, 0): 0})
+    assert Assembly({(0, 0): 0}) != {(0, 0): 0}
+
+
+def test_direction_is_its_side_index(systems):
+    assert DIRECTIONS == tuple(range(4)) == tuple(Direction)
+    assert [d.name for d in DIRECTIONS] == ["N", "E", "S", "W"]
+    for d in DIRECTIONS:
+        assert d.opposite is DIRECTIONS[d ^ 2] and d.opposite.opposite is d
+        assert d.vector == OFFSETS[d] and d.step((3, 5)) == (3 + d.vector[0], 5 + d.vector[1])
+    seen = set()
+    for tas in systems.values():
+        ordering = GlueOrdering.from_system(tas)
+        for tile in tas.tiles:
+            pads = tile.pads()
+            assert list(pads) == sorted(pads, key=Pad.sort_key)
+            assert [p.direction for p in pads] == sorted(p.direction for p in pads)
+            for pad in pads:
+                bits = encode_pad(pad, ordering)
+                assert bits[ordering.width : ordering.width + 2] == format(pad.direction, "02b")
+                assert decode_pad(bits, ordering).direction is pad.direction
+                assert tile.side(pad.direction).glue == pad.glue
+                seen.add(pad.direction)
+    assert seen == set(DIRECTIONS)
+    # `Pad.sort_key` orders by side N, E, S, W before glue
+    shuffled = [Pad("a", Direction.W, 1), Pad("z", Direction.N, 2), Pad("b", Direction.S, 1),
+                Pad("a", Direction.E, 1)]
+    assert [p.direction.name for p in sorted(shuffled, key=Pad.sort_key)] == ["N", "E", "S", "W"]
 
 
 def test_elbow_binding_strengths(systems):

@@ -31,6 +31,34 @@ def test_readme_example_output_is_exact(command, capsys):
     assert capsys.readouterr().out == _readme_outputs()[command]
 
 
+# the sha256 of each command's stdout on the compilable corpus, pinned so
+# that a change to how sides, pads or cell maps are held changes no output
+STDOUT_DIGESTS = {
+    "verify elbow --bound 6": "c71e7abf14faab0caecffd7acf592c190bee1228e6e20f83b8de11ff04679e6e",
+    "explore elbow --bound 8": "ba22d4c10efa0364326a7cd757b68bee2f933a3aaab0b294a41dd137c1d35450",
+    "compile elbow": "46324a2e62c3b399d37746a840a5be35e466e7f8c159c0ead5c8089f19550da7",
+    "verify nondet_elbow --bound 6": "13d3fb89fa8efea7b7b504b791971e64124920c438d2e67a751ca2c813211e63",
+    "explore nondet_elbow --bound 8": "1b01322cad6ab1c5f2b052467c8862007a72da107290b176dbc232fa6bc32a4c",
+    "compile nondet_elbow": "b235d7f69cf0a6ea2785eaa557278b89713fecc5d84372ceab3d29c09c0418ed",
+    "verify counter3 --bound 6": "454bd85d4835d62434a3e5cc4f9a29c89243d0f23aaddfba9eb26d806e96b06f",
+    "explore counter3 --bound 8": "bbca3d27e8caa9b9e46b28b5e9317deb5a6bcb49395757484c8e2b76b962a9ed",
+    "compile counter3": "9d240eade65640591202859b8074c25888b08940b46149b69876b9a9a286a01e",
+    "verify counter4 --bound 6": "388c80d0cd2664d7f52cec9713694cd5f4ae9576e9895b188634fb10d50caed5",
+    "explore counter4 --bound 8": "bbca3d27e8caa9b9e46b28b5e9317deb5a6bcb49395757484c8e2b76b962a9ed",
+    "compile counter4": "6a429dbb0edb83bb7c85e053f705697341aa22a4aa604d84bd879372d148f05c",
+    "verify sierpinski --bound 6": "0568824e99a30515466ff2f7e082225049f1a2c6b3d90572a96350bc5b4b776c",
+    "explore sierpinski --bound 8": "c77477f6aa8ea912c791bdaf52ac82e72225255b05daa0c78772375833eda172",
+    "compile sierpinski": "ddb8f317f9dd75a47b6508e5cfd6e48f8ab738ed4ba35f2c6203828c3dbe53fb",
+}
+
+
+@pytest.mark.parametrize("command", STDOUT_DIGESTS)
+def test_stdout_matches_its_pinned_digest(command, capsys):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[command]
+
+
 HASH_SEED_COMMANDS = (
     "simulate counter4 --seed 3 --max-events 3000",
     "run sierpinski --seed 2 --max-steps 300",

@@ -18,6 +18,7 @@ from tileworks.encoding import (
     GlueOrdering,
     address_map,
     address_of,
+    build_entries,
     build_table,
     compile_system,
     decode_pad,
@@ -27,9 +28,21 @@ from tileworks.encoding import (
     serialize_compiled,
     splice_blanks,
 )
-from .oracles import ref_encode_pad, ref_splice, strip_blanks
+from .oracles import ref_build_entries, ref_encode_pad, ref_splice, strip_blanks
 
 DIRS = (Direction.N, Direction.E, Direction.S, Direction.W)
+
+
+def check_entries(tas: TileSystem) -> None:
+    """`build_entries` equals the value-by-value walk over every address."""
+    ordering = GlueOrdering.from_system(tas)
+    amap = address_map(tas, ordering)
+    assert build_entries(tas, ordering, amap) == ref_build_entries(tas, ordering, amap)
+
+
+def test_entries_match_the_value_by_value_walk(systems, lone_seed):
+    for tas in (*systems.values(), lone_seed):
+        check_entries(tas)
 
 
 def test_ordering_from_system(systems):

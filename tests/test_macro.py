@@ -1051,16 +1051,25 @@ def test_counter4_run_automaton_size(systems):
     assert (len(cs.automaton.ids), len(cs.automaton.steps)) == (70, 70)
 
 
-# the sha256 of a run's event reprs, one a line, pinned so that building
-# events only when read changes no event
-EVENT_REPRS = (
-    ("counter3", 0, 3000, "09d31ab6156889d61986b81cc74053a320755f32924d353f9c623a62f5f7aaa7"),
-    ("nondet_elbow", 1, None, "045564cd22671bebe060de160bfe8b814209e51038f43f5d518ae6a8ed6b40be"),
-    ("sierpinski", 2, 2000, "8026366ffc2159f91cce33aaf31f4d6d935e873fda29d67f0480685b582a4f50"),
+# the sha256 of a run's events as `_event_fields` tuples, one repr a line,
+# pinned so that building events only when read changes no event
+EVENT_DIGESTS = (
+    ("counter3", 0, 3000, "94c1bff24555187bacfd2e5a07d5bbaec3814e14de330a6b976bc14e62922d3b"),
+    ("nondet_elbow", 1, None, "47096bd3308a273f0c10fc8c1e2b05dcac80d35b04f9139bfb42cb25f75a31cc"),
+    ("sierpinski", 2, 2000, "0b3a6c77edf116253d9c9fe3fceda77a4f953277c64e522c9c8e65fb12a722ad"),
 )
 
 
-@pytest.mark.parametrize("name, seed, max_events, digest", EVENT_REPRS, ids=lambda v: str(v)[:12])
+def _event_fields(event) -> tuple:
+    """An event as plain values, free of any enum's repr: kind name,
+    coordinate, pad glue, direction name and strength, source."""
+    pad = event.pad
+    if pad is None:
+        return (event.kind.name, event.coord, None, None, None, event.source)
+    return (event.kind.name, event.coord, pad.glue, pad.direction.name, pad.strength, event.source)
+
+
+@pytest.mark.parametrize("name, seed, max_events, digest", EVENT_DIGESTS, ids=lambda v: str(v)[:12])
 def test_run_builds_events_only_when_read(systems, monkeypatch, name, seed, max_events, digest):
     cs = compile_system(systems[name])
     built = Counter()
@@ -1072,11 +1081,22 @@ def test_run_builds_events_only_when_read(systems, monkeypatch, name, seed, max_
     built.clear()
     run = run_macro(cs, seed, **kwargs)
     assert len(run.events) == (max_events or 14) and not built
-    text = "\n".join(map(repr, run.events))
+    text = "\n".join(repr(_event_fields(event)) for event in run.events)
     assert built["event"] == len(run.events)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert run.events[1:3] == type(run.events)(run.events.auto, run.events.chosen[1:3])
     assert list(run.events[1:3]) == list(run.events)[1:3]
+
+
+def test_a_cold_run_builds_each_tiles_pads_at_most_once(systems, monkeypatch):
+    cs = compile_system(systems["counter4"])
+    built = Counter()
+    monkeypatch.setattr(TileType, "pads", _counted(TileType.pads, built, "pads"))
+    run = run_macro(cs, 0, max_events=1500)
+    decoded = decode_assembly(run.final, cs)
+    # every new block state is decoded as it is interned, each against its tile's pads
+    assert len(cs.automaton.states) > len(cs.source.tiles) and len(decoded) > 1
+    assert 0 < built["pads"] <= len(cs.source.tiles)
 
 
 def test_commit_branches_do_not_grow_with_the_bit_width(systems):

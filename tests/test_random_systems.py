@@ -50,6 +50,7 @@ from .test_atam import (
     check_terminals_match_reference,
     keyed_outcome,
 )
+from .test_encoding import check_entries
 from .test_macro import (
     _explore_outcome,
     _reference_explore,
@@ -129,6 +130,7 @@ def test_random_systems_match_oracles(tas):
     check_sample_sequence_matches_reference(tas, range(3), (0, 1, 50))
 
     check_edge_clashes(tas, result)
+    check_entries(tas)
     verdict = verify_locally_consistent(tas, bound)
     assert verdict == ref_locally_consistent(tas, bound)
     assert verdict.passed == naive_locally_consistent(tas, bound)
