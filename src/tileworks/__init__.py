@@ -35,17 +35,10 @@ from .encoding import (
     build_table,
     compile_system,
     decode_pad,
-    edge_string,
     encode_pad,
     serialize_compiled,
 )
-from .lookup import (
-    LookupOutcome,
-    direct_lookup,
-    render_trace,
-    selection_counts,
-    trace_lookup,
-)
+from .lookup import LookupOutcome, render_trace, trace_lookup
 from .macro import (
     MacroRun,
     ThreeProbeError,
@@ -105,8 +98,6 @@ __all__ = [
     "decode_assembly",
     "decode_block",
     "decode_pad",
-    "direct_lookup",
-    "edge_string",
     "elbow",
     "encode_pad",
     "explore",
@@ -123,7 +114,6 @@ __all__ = [
     "sample_sequence",
     "seed_assembly",
     "seed_macro",
-    "selection_counts",
     "serialize_compiled",
     "sierpinski",
     "simulation_report",

@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import consistency, corpus, lookup, macro, svg, tasio, verifier
+from . import consistency, corpus, lookup, macro, verifier
 from .atam import TileSystem, WorkbenchError, explore, is_terminal, sample_sequence
 from .encoding import ClassError, CompiledSystem, compile_system, serialize_compiled
 from .kernels import active_kernel_name
@@ -34,6 +34,8 @@ def _load_system(path_text: str) -> TileSystem:
         text = path.read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}", USAGE_ERROR) from exc
+    from . import tasio  # only a file needs the reader
+
     try:
         doc = tasio.parse_tas(text, name=path.stem)
     except tasio.TasParseError as exc:
@@ -201,6 +203,8 @@ def _cmd_simulate(args) -> int:
     decoded = macro.decode_assembly(run.final, cs)
     print(f"decoded assembly: {len(decoded)} tiles")
     if args.svg is not None:
+        from . import svg
+
         _write_file(args.svg, svg.render_svg(tas, decoded, scale=args.scale))
         print(f"wrote {args.svg}")
     return 0
@@ -220,6 +224,8 @@ def _cmd_verify(args) -> int:
 def _cmd_render(args) -> int:
     tas = _load_system(args.system)
     seq = sample_sequence(tas, args.seed, args.max_steps)
+    from . import svg
+
     _write_file(args.svg, svg.render_svg(tas, seq.result(), scale=args.scale))
     print(f"wrote {args.svg} ({len(seq.result())} tiles)")
     return 0

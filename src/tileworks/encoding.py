@@ -9,7 +9,9 @@ attachable there, written as the realized entries with runs of bare markers
 between them.
 The shipped table is the entries string framed by '>' and '<', glued to its
 own mirror image around a '<%%>' middle marker, with one blank spliced
-between every two symbols.
+between every two symbols.  The resolution is the length of one block edge:
+a table copy, a pad field, the spacer zeros, the pad field again and a second
+table copy (`tests/oracles.py` builds them).
 """
 
 from __future__ import annotations
@@ -250,44 +252,6 @@ def build_table(entries: str) -> LookupTable:
     return LookupTable(splice_blanks(framed))
 
 
-def edge_string(
-    table: LookupTable, ordering: GlueOrdering, tile, direction: Direction, spacer: int
-) -> str:
-    """One supertile edge: table copy, pad field, spacer zeros, pad field, table copy.
-
-    Every side gets a pad field, with the all-zero field standing in for the
-    null glue.  North/south edges read west to east, east/west edges south to
-    north; the string is the same both ways since the two table copies are
-    identical.
-    """
-    side = tile.side(direction)
-    if side.glue is None:
-        pad_field = "0" * ordering.pad_bits
-    else:
-        pad_field = encode_pad(Pad(side.glue, direction, side.strength), ordering)
-    return table.symbols + pad_field + "0" * spacer + pad_field + table.symbols
-
-
-def _check_edges(
-    table: LookupTable, ordering: GlueOrdering, tile, spacer: int, resolution: int
-) -> None:
-    """Each edge string of `tile` has the resolution and repeats its pad field."""
-    tlen, width = len(table.symbols), ordering.pad_bits
-    for d in DIRECTIONS:
-        edge = edge_string(table, ordering, tile, d, spacer)
-        if len(edge) != resolution:
-            raise EncodingError(
-                f"edge string of {tile.name}/{d.name} has length {len(edge)}, "
-                f"expected resolution {resolution}"
-            )
-        first = edge[tlen : tlen + width]
-        second = edge[tlen + width + spacer : tlen + 2 * width + spacer]
-        if first != second:
-            raise EncodingError(
-                f"edge string of {tile.name}/{d.name} repeats its pad field inconsistently"
-            )
-
-
 @dataclass(eq=False)
 class CompiledSystem:
     """Everything the lookup engine and the macro simulation need.
@@ -307,20 +271,11 @@ class CompiledSystem:
     resolution: int
     seed_block: BlockState
     lc_note: str = ""
-    _payloads: tuple[str, ...] | None = dc_field(
-        default=None, repr=False, compare=False
-    )
     # the block program's interned states and steps, made on first use
     automaton: object = dc_field(default=None, init=False, repr=False, compare=False)
     # selected mirrored span -> the pad tuple it decodes to, filled by
     # `lookup.trace_lookup`
     sub_entries: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def entry_payloads(self) -> tuple[str, ...]:
-        """Raw entry bodies (text after each '#'), indexed by address value."""
-        if self._payloads is None:
-            self._payloads = tuple(self.entries.split("#")[1:])
-        return self._payloads
 
 
 def default_random_width(amap: dict[int, AddressEntry]) -> int:
@@ -360,8 +315,6 @@ def compile_system(
     if random_width < 1:
         raise EncodingError("random_width must be at least 1")
     resolution = 2 * len(table.symbols) + 2 * ordering.pad_bits + spacer
-    for tile in tas.tiles:
-        _check_edges(table, ordering, tile, spacer, resolution)
     entry_count = 1 + max(amap, default=-1)
     assert entries.count("#") == entry_count
     return CompiledSystem(

@@ -1,17 +1,15 @@
-"""Table lookup: a traced kernel sweep and an independent direct parser.
+"""Table lookup: the traced kernel sweep and its trace rendering.
 
 `trace_lookup` answers an (address, random bits) query by sweeping the
 spliced table exactly the way the construction's internal machinery would:
 match the entry by counting markers, count sub-entries, count the remaining
 entries, then count back down through the mirrored half and read the selected
 mirrored sub-entry, whose fields come out in W,S,E,N order with forward bit
-fields (the mirror un-reverses them).  It hands out the sweep's own
-`kernels.SweepRecord`, which `render_trace` labels column by column.
-
-`direct_lookup` never touches the table: it indexes the raw entries string
-and parses the requested sub-entry in place.  The two routes exist to check
-each other and are kept deliberately independent.  Both give a sub-entry as
-its tuple of output pads in N,E,S,W side order; neither reads the address map.
+fields (the mirror un-reverses them).  It gives the sub-entry as its tuple of
+output pads in N,E,S,W side order, without reading the address map, and hands
+out the sweep's own `kernels.SweepRecord`, which `render_trace` labels column
+by column.  The tests check it against `tests/oracles.py`'s direct parse
+of the entries string, which never reads the table.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .atam import DIRECTIONS, Pad, WorkbenchError
-from .encoding import BLANK, CompiledSystem, DecodeError, GlueOrdering, decode_pad
+from .encoding import BLANK, CompiledSystem, DecodeError, decode_pad
 
 
 class LookupError_(WorkbenchError):
@@ -41,10 +39,6 @@ class SelectionError(LookupError_):
     pass
 
 
-class EntryFormatError(LookupError_):
-    pass
-
-
 class TableFormatError(LookupError_):
     pass
 
@@ -55,54 +49,6 @@ class LookupOutcome:
 
     pads: tuple[Pad, ...]
     selected_index: int
-
-
-def parse_entry(entry: str, ordering: GlueOrdering) -> tuple[tuple[Pad, ...], ...]:
-    """Parse one raw entry ('#' plus payload) into its sub-entries' pad tuples."""
-    if not entry.startswith("#"):
-        raise EntryFormatError(f"an entry starts with '#', got {entry[:8]!r}")
-    payload = entry[1:]
-    if any(c == "#" for c in payload):
-        raise EntryFormatError("an entry holds no '#' past its marker")
-    if payload == "":
-        return ()
-    subs = []
-    for chunk in payload.split(";"):
-        fields = chunk.split(",")
-        if len(fields) != 4:
-            raise EntryFormatError(
-                f"a sub-entry has four comma-separated fields, got {chunk!r}"
-            )
-        pads = []
-        for field_text, direction in zip(fields, DIRECTIONS):
-            if field_text == "":
-                continue
-            try:
-                pad = decode_pad(field_text[::-1], ordering)  # fields are reversed
-            except DecodeError as exc:
-                raise EntryFormatError(f"bad pad field {field_text!r}: {exc}") from exc
-            if pad.direction is not direction:
-                raise EntryFormatError(
-                    f"field for side {direction.name} decodes to side {pad.direction.name}"
-                )
-            pads.append(pad)
-        subs.append(tuple(pads))
-    return tuple(subs)
-
-
-def direct_lookup(cs: CompiledSystem, addr: int, p: int) -> tuple[Pad, ...]:
-    """Oracle route: parse sub-entry `p` of entry `addr` straight from the entries string."""
-    payloads = cs.entry_payloads()
-    if addr < 0 or addr >= len(payloads):
-        raise AddressRangeError(
-            f"address {addr} out of range; table has {len(payloads)} entries"
-        )
-    subs = parse_entry("#" + payloads[addr], cs.glues)
-    if not subs:
-        raise EmptyEntryError(f"entry {addr} is bare; no tile attaches there")
-    if not 0 <= p < len(subs):
-        raise SelectionError(f"sub-entry index {p} out of range for {len(subs)} sub-entries")
-    return subs[p]
 
 
 def _mirror_field_pads(cs: CompiledSystem, sel_lo: int, sel_hi: int) -> tuple[Pad, ...]:
@@ -152,16 +98,6 @@ def trace_lookup(
     if pads is None:
         pads = cs.sub_entries[span] = _mirror_field_pads(cs, *span)
     return LookupOutcome(pads, rec.n - 1 - rec.p), rec
-
-
-def selection_counts(cs: CompiledSystem, addr: int, width: int | None = None) -> dict[int, int]:
-    """How often each original sub-entry index gets picked over all bit strings."""
-    width = cs.random_width if width is None else width
-    counts: dict[int, int] = {}
-    for b in range(2**width):
-        outcome, _ = trace_lookup(cs, addr, format(b, f"0{width}b"))
-        counts[outcome.selected_index] = counts.get(outcome.selected_index, 0) + 1
-    return counts
 
 
 def render_trace(

@@ -7,7 +7,7 @@ status, its stdout and stderr, and the text of every file it wrote.
 Regenerate the files from the repository root, after a change that alters
 default output on purpose:
 
-    PYTHONPATH=src python tests/golden/regen.py
+    PYTHONPATH=src python -m tests.golden.regen
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from pathlib import Path
 
 from tileworks.cli import main
 
+from ..conftest import COMPILABLE
+
 HERE = Path(__file__).resolve().parent
-COMPILABLE = ("elbow", "nondet_elbow", "counter3", "counter4", "sierpinski")
 
 COMMANDS = (
     *(

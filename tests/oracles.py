@@ -3,10 +3,13 @@
 Everything here is written from the model definition alone, avoiding the
 library's data structures and shortcuts: plain dicts for assemblies, a
 from-scratch neighbour scan for strengths, binomials via math.comb, a
-character-level reference for the pad and splice encoders, and the table
-sweep walked one column at a time, and `ref_replay`, which replays a
-seeded macro run's commits as source attachments in one linear pass.
-Six are exceptions, each the slow path a fast one replaced, kept as the
+character-level reference for the pad and splice encoders, the table
+sweep walked one column at a time, the direct lookup route, which parses
+the entries string and never reads the table, the fairness counts of the
+sweep's selections, the block edge strings whose length is the resolution,
+and `ref_replay`, which replays a seeded macro run's commits as source
+attachments in one linear pass.
+Nine are exceptions, each the slow path a fast one replaced, kept as the
 oracle it must match: `ref_build_entries`, the walk over every address value
 up to the largest that `encoding.build_entries`' runs of bare markers
 replaced, `ref_explore`, the breadth-first exploration keyed by
@@ -15,21 +18,28 @@ frozensets that `atam.explore`'s packed skeleton replaced,
 recorded by that skeleton replaced, `ref_sample_sequence`, the random
 attachment loop that sorts its whole front on every step, which `atam.walk`
 replaced, `ref_locally_consistent`, the per-edge neighbour scan that the
-clash side recorded on each `AttachmentEdge` replaced, and `ref_dynamics`,
+clash side recorded on each `AttachmentEdge` replaced, `ref_dynamics`,
 the breadth-first closure per source assembly that the verifier's single
-reverse pass replaced.
+reverse pass replaced, and the block level's `ref_scan_frontier`,
+`ref_rescan_run` and `ref_macro_explore`, which `macro_frontier`,
+`run_macro` and `macro_explore` replaced.
+`ref_check_automaton` re-derives every entry of a filled block automaton
+from the block program it interns.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import deque
+from typing import NamedTuple
 
 from tileworks.atam import (
     DIRECTIONS,
     OFFSETS,
     AssemblySequence,
+    Pad,
     TileSystem,
     binding_strength,
     explore,
@@ -37,10 +47,25 @@ from tileworks.atam import (
     is_terminal,
     seed_assembly,
 )
+from tileworks.blocks import BlockPhase, MacroAssembly, detect_kind
 from tileworks.consistency import Verdict, Witness, _note, _pair_mismatch
-from tileworks.encoding import _sub_entry
+from tileworks.encoding import DecodeError, _sub_entry, address_of, decode_pad
 from tileworks.kernels import E_ADDR_RANGE, E_EMPTY_ENTRY, E_MALFORMED, OK, SweepRecord
-from tileworks.macro import EventKind
+from tileworks.lookup import (
+    AddressRangeError,
+    EmptyEntryError,
+    LookupError_,
+    SelectionError,
+    trace_lookup,
+)
+from tileworks.macro import (
+    EventKind,
+    MacroEdge,
+    MacroEvent,
+    _next_state,
+    decode_block,
+    seed_macro,
+)
 from tileworks.verifier import ConditionReport
 
 _DIRS = (("N", (0, 1)), ("E", (1, 0)), ("S", (0, -1)), ("W", (-1, 0)))
@@ -543,3 +568,327 @@ def ref_dynamics(source_result, macro_result, decoded: list) -> ConditionReport:
         f"{len(macro_result.edges)} macro steps sound; "
         f"{mimicked} reachable source pairs mimicked",
     )
+
+
+# --- the direct lookup route -------------------------------------------------
+
+
+class EntryFormatError(LookupError_):
+    pass
+
+
+def ref_parse_entry(entry: str, ordering) -> tuple[tuple[Pad, ...], ...]:
+    """One raw entry ('#' plus payload) parsed into its sub-entries' pad
+    tuples, in N,E,S,W side order, without the table."""
+    if not entry.startswith("#"):
+        raise EntryFormatError(f"an entry starts with '#', got {entry[:8]!r}")
+    payload = entry[1:]
+    if "#" in payload:
+        raise EntryFormatError("an entry holds no '#' past its marker")
+    if payload == "":
+        return ()
+    subs = []
+    for chunk in payload.split(";"):
+        fields = chunk.split(",")
+        if len(fields) != 4:
+            raise EntryFormatError(
+                f"a sub-entry has four comma-separated fields, got {chunk!r}"
+            )
+        pads = []
+        for field_text, direction in zip(fields, DIRECTIONS):
+            if field_text == "":
+                continue
+            try:
+                pad = decode_pad(field_text[::-1], ordering)  # fields are reversed
+            except DecodeError as exc:
+                raise EntryFormatError(f"bad pad field {field_text!r}: {exc}") from exc
+            if pad.direction is not direction:
+                raise EntryFormatError(
+                    f"field for side {direction.name} decodes to side {pad.direction.name}"
+                )
+            pads.append(pad)
+        subs.append(tuple(pads))
+    return tuple(subs)
+
+
+@functools.lru_cache(maxsize=8)
+def ref_entry_bodies(entries: str) -> tuple[str, ...]:
+    """The raw entry bodies (the text after each '#'), indexed by address value."""
+    return tuple(entries.split("#")[1:])
+
+
+def ref_direct_lookup(cs, addr: int, p: int) -> tuple[Pad, ...]:
+    """Sub-entry `p` of entry `addr`, parsed straight from `cs.entries`: the
+    answer `lookup.trace_lookup` must give for any bits that select `p`,
+    found without the table, the sweep or the address map."""
+    bodies = ref_entry_bodies(cs.entries)
+    if addr < 0 or addr >= len(bodies):
+        raise AddressRangeError(
+            f"address {addr} out of range; table has {len(bodies)} entries"
+        )
+    subs = ref_parse_entry("#" + bodies[addr], cs.glues)
+    if not subs:
+        raise EmptyEntryError(f"entry {addr} is bare; no tile attaches there")
+    if not 0 <= p < len(subs):
+        raise SelectionError(f"sub-entry index {p} out of range for {len(subs)} sub-entries")
+    return subs[p]
+
+
+def ref_selection_counts(cs, addr: int, width: int | None = None) -> dict[int, int]:
+    """How often the sweep picks each original sub-entry index of entry
+    `addr`, over all bit strings of `width` bits."""
+    width = cs.random_width if width is None else width
+    counts: dict[int, int] = {}
+    for b in range(2**width):
+        outcome, _ = trace_lookup(cs, addr, format(b, f"0{width}b"))
+        counts[outcome.selected_index] = counts.get(outcome.selected_index, 0) + 1
+    return counts
+
+
+def ref_edge_string(table, ordering, tile, direction, spacer: int) -> str:
+    """One block edge: table copy, pad field, spacer zeros, pad field, table copy.
+
+    Every side gets a pad field, built by `ref_encode_pad`, with the all-zero
+    field standing in for the null glue.  North/south edges read west to
+    east, east/west edges south to north; the string is the same both ways
+    since the two table copies are identical.  Its length is the resolution.
+    """
+    side = tile.side(direction)
+    if side.glue is None:
+        pad_field = "0" * ordering.pad_bits
+    else:
+        pad_field = ref_encode_pad(side.glue, direction.name, side.strength, ordering.labels)
+    return table.symbols + pad_field + "0" * spacer + pad_field + table.symbols
+
+
+# --- the block level's replaced loops ----------------------------------------
+# `ref_scan_frontier` and `ref_rescan_run` are the frontier scan and the run
+# loop that `macro_frontier` and `run_macro` replaced: every step rescans
+# every block and rebuilds the whole assembly, so a run is quadratic in its
+# length.  `ref_macro_explore` is the exploration loop that `macro_explore`
+# replaced: a full frontier scan per state and one `apply_event` per event
+# and, for a commit, per random-bit value, with states keyed by their
+# frozenset keys.  All three call `_next_state` on block states, not the
+# automaton, and ask the address map where the engines ask the table.
+
+
+def apply_event(cs, macro, event, **kwargs):
+    """`macro` with `event` applied; `kwargs` go to `_next_state`."""
+    state = _next_state(cs, macro.get(event.coord), event, **kwargs)
+    return macro.with_block(event.coord, state)
+
+
+def _event_order(event):
+    """The order `macro_frontier` lists events in: kind, y, x, then the
+    receiving side in N, E, S, W order (-1 for a block's own event)."""
+    side = -1 if event.pad is None else DIRECTIONS.index(event.pad.direction)
+    return (int(event.kind), event.coord[1], event.coord[0], side)
+
+
+def ref_scan_frontier(cs, macro) -> tuple:
+    """Every enabled event of `macro`, re-derived from each block's phase and
+    pads by a scan of every block: the answer `macro_frontier` must give."""
+    events = []
+    for coord, state in macro.blocks.items():
+        if state.phase is BlockPhase.COMPLETE:
+            for pad in state.output_pads:
+                target = pad.direction.step(coord)
+                received = Pad(pad.glue, pad.direction.opposite, pad.strength)
+                neighbour = macro.get(target)
+                if neighbour is None:
+                    events.append(
+                        MacroEvent(EventKind.PAD_ARRIVAL, target, received, coord)
+                    )
+                elif (
+                    neighbour.phase is BlockPhase.INPUTS_PARTIAL
+                    and received.direction not in neighbour.input_directions
+                ):
+                    events.append(
+                        MacroEvent(EventKind.PAD_ARRIVAL, target, received, coord)
+                    )
+        elif state.phase is BlockPhase.INPUTS_PARTIAL:
+            if state.received_strength == 2:
+                events.append(MacroEvent(EventKind.PROBE, coord))
+        elif state.phase is BlockPhase.TYPE_DETECTED:
+            if address_of(state.input_pads, cs.glues).value in cs.addresses:
+                events.append(MacroEvent(EventKind.COMMIT, coord))
+        elif state.phase is BlockPhase.COMMITTED:
+            events.append(MacroEvent(EventKind.COMPLETION, coord))
+    events.sort(key=_event_order)
+    return tuple(events)
+
+
+class RescanRun(NamedTuple):
+    """What `ref_rescan_run` returns: the fields of a `MacroRun`, its log built eagerly."""
+
+    events: tuple
+    log: tuple
+    final: MacroAssembly
+    truncated: bool
+
+
+def ref_rescan_run(cs, rng_seed, *, max_events=100_000, bound=None) -> RescanRun:
+    """A seeded block run, re-derived by rescanning the whole frontier before
+    every step: the events, log, final blocks and truncation `run_macro` must
+    give for the same seed."""
+    rng = random.Random(rng_seed)
+    macro = seed_macro(cs)
+    applied = []
+    log = []
+    truncated = False
+    bits_at = {}  # the bits each probe drew, kept for its block's commit
+    while len(applied) < max_events:
+        events = list(ref_scan_frontier(cs, macro))
+        if bound is not None:
+            kept = []
+            for ev in events:
+                if (
+                    ev.kind is EventKind.PAD_ARRIVAL
+                    and ev.coord not in macro.blocks
+                    and len(macro) >= bound
+                ):
+                    truncated = True
+                    continue
+                kept.append(ev)
+            events = kept
+        if not events:
+            break
+        event = events[rng.randrange(len(events))]
+        if event.kind is EventKind.PROBE:
+            bits_at[event.coord] = format(
+                rng.getrandbits(cs.random_width), f"0{cs.random_width}b"
+            )
+        bits = bits_at.get(event.coord) if event.kind is EventKind.COMMIT else None
+        macro = apply_event(cs, macro, event, bits=bits)
+        applied.append(event)
+        note = event.describe()
+        if event.kind is EventKind.PROBE:
+            state = macro.get(event.coord)
+            note += f" [{detect_kind(state.input_pads).value}, bits={bits_at[event.coord]}]"
+        elif event.kind is EventKind.COMMIT:
+            state = macro.get(event.coord)
+            note += f" -> {cs.source.tiles[decode_block(state, cs)].name}"
+        log.append(note)
+    return RescanRun(tuple(applied), tuple(log), macro, truncated)
+
+
+class ReferenceExploration(NamedTuple):
+    """What `ref_macro_explore` returns: states and edges keyed by each
+    state's frozenset key, and the fields of an `ExplorationResult` that the
+    tests compare."""
+
+    states: dict
+    edges: tuple
+    seed_key: frozenset
+    truncated: bool
+
+
+def ref_macro_explore(cs, bound) -> ReferenceExploration:
+    """The breadth-first macro exploration up to `bound` blocks, re-derived
+    with a full frontier scan per state and every random-bit value per
+    commit: the states, edges and cut `macro_explore` must give."""
+    start = seed_macro(cs)
+    states = {start.key: start}
+    edges = []
+    queue = deque([start.key])
+    truncated = False
+    bit_values = [format(b, f"0{cs.random_width}b") for b in range(2**cs.random_width)]
+    while queue:
+        key = queue.popleft()
+        macro = states[key]
+        for event in ref_scan_frontier(cs, macro):
+            if (
+                event.kind is EventKind.PAD_ARRIVAL
+                and event.coord not in macro.blocks
+                and len(macro) >= bound
+            ):
+                truncated = True
+                continue
+            if event.kind is EventKind.COMMIT:
+                seen_children = set()
+                for bits in bit_values:
+                    child = apply_event(cs, macro, event, bits=bits)
+                    ckey = child.key
+                    if ckey in seen_children:
+                        continue
+                    seen_children.add(ckey)
+                    if ckey not in states:
+                        states[ckey] = child
+                        queue.append(ckey)
+                    edges.append(MacroEdge(key, ckey, event))
+            else:
+                child = apply_event(cs, macro, event)
+                ckey = child.key
+                if ckey not in states:
+                    states[ckey] = child
+                    queue.append(ckey)
+                edges.append(MacroEdge(key, ckey, event))
+    return ReferenceExploration(states, tuple(edges), start.key, truncated)
+
+
+def ref_check_automaton(cs) -> None:
+    """Every entry `cs.automaton` holds, re-derived from its definition: each
+    step (id, code) -> id, or (id, code, p) -> id for a commit, against
+    `_next_state` on the stored state with every bit string that selects
+    sub-entry p; each event code against its kind and pad; and each id's
+    facts against its block state's fields, `decode_block` and the address
+    map.  Then every bit string, given to `_next_state` at each committing
+    id, must land on the state its keyed step gives."""
+    auto = cs.automaton
+    assert auto.states[0] is None and len(auto.ids) == len(auto.states) - 1
+    assert [auto.ids.get(state, 0) for state in auto.states] == list(range(len(auto.states)))
+    lengths = {len(facts) for facts in (auto.tiles, auto.open, auto.own, auto.subs, auto.offers)}
+    assert lengths == {len(auto.states)}
+    assert (auto.tiles[0], auto.own[0], auto.subs[0], auto.offers[0]) == (None, None, 0, None)
+    assert auto.open[0] == tuple((k, d.vector) for k, d in enumerate(DIRECTIONS))
+    # own events are coded by their kind, arrivals by their pad as received
+    assert auto.events[:4] == [(kind, None) for kind in EventKind]
+    assert sorted(auto.codes.values()) == list(range(4, len(auto.events)))
+    for pad, code in auto.codes.items():
+        assert auto.events[code] == (EventKind.PAD_ARRIVAL, pad)
+    every_bits = [format(b, f"0{cs.random_width}b") for b in range(2**cs.random_width)]
+    for (here, code, *pick), after in auto.steps.items():
+        # the outcome of a step depends on neither the coordinate nor the source
+        event = auto.event((0, 0), code)
+        draws = [None]
+        if pick:
+            assert event.kind is EventKind.COMMIT
+            draws = [bits for bits in every_bits if int(bits, 2) % auto.subs[here] == pick[0]]
+            assert draws, (here, pick)
+        for bits in draws:
+            state = _next_state(cs, auto.states[here], event, bits=bits)
+            assert auto.ids[state] == after, (here, code, pick, bits)
+    for i, state in enumerate(auto.states[1:], 1):
+        phase, taken = state.phase, {p.direction for p in state.input_pads}
+        assert auto.tiles[i] == decode_block(state, cs)
+        collecting = phase is BlockPhase.INPUTS_PARTIAL
+        assert auto.open[i] == tuple(
+            (k, d.vector) for k, d in enumerate(DIRECTIONS) if collecting and d not in taken
+        )
+        strength = sum(p.strength for p in state.input_pads)
+        own = {
+            BlockPhase.INPUTS_PARTIAL: EventKind.PROBE if strength == 2 else None,
+            BlockPhase.COMMITTED: EventKind.COMPLETION,
+            BlockPhase.COMPLETE: None,
+        }
+        subs = 0
+        if phase is BlockPhase.TYPE_DETECTED:
+            entry = cs.addresses.get(address_of(state.input_pads, cs.glues).value)
+            own[phase] = EventKind.COMMIT if entry else None
+            subs = len(entry.tiles) if entry else 0
+        assert auto.own[i] == own[phase] and type(auto.own[i]) is not EventKind, state
+        assert auto.subs[i] == subs, state
+        if phase is not BlockPhase.COMPLETE:
+            assert auto.offers[i] is None
+            continue
+        # a pad pointing at a neighbour arrives on that neighbour's facing side
+        offers = [0] * len(DIRECTIONS)
+        for p in state.output_pads:
+            side = p.direction.opposite
+            offers[DIRECTIONS.index(side)] = auto.codes[Pad(p.glue, side, p.strength)]
+        assert auto.offers[i] == tuple(offers), state
+    for i in [i for i, own in enumerate(auto.own) if own == EventKind.COMMIT]:
+        commit = MacroEvent(EventKind.COMMIT, (0, 0))
+        for bits in every_bits:
+            want = _next_state(cs, auto.states[i], commit, bits=bits)
+            assert auto.states[auto.step(i, int(EventKind.COMMIT), (0, 0), bits)] == want, (i, bits)

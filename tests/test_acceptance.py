@@ -23,12 +23,12 @@ from tileworks.encoding import (
     encode_pad,
     serialize_compiled,
 )
-from tileworks.lookup import direct_lookup, selection_counts, trace_lookup
+from tileworks.lookup import trace_lookup
 from tileworks.macro import decode_assembly, macro_explore, run_macro
 from tileworks.svg import render_svg
 from tileworks.verifier import simulation_report
 
-from .oracles import strip_blanks
+from .oracles import ref_direct_lookup, ref_selection_counts, strip_blanks
 from .test_corpus import _grow_counter, counter_value
 from .test_macro import terminal_macro_keys
 
@@ -124,7 +124,7 @@ def test_criterion_04_lookup_oracle_equivalence(compiled):
                             n = rec.n
                             assert rec.p == b % n
                             assert outcome.selected_index == n - 1 - (b % n)
-                            assert outcome.pads == direct_lookup(
+                            assert outcome.pads == ref_direct_lookup(
                                 cs, addr, outcome.selected_index
                             )
                             if warm:
@@ -138,14 +138,14 @@ def test_criterion_05_selection_fairness(compiled):
         total = 2**width
         for cs in compiled.values():
             for addr, entry in cs.addresses.items():
-                counts = selection_counts(cs, addr, width)
+                counts = ref_selection_counts(cs, addr, width)
                 n = len(entry.tiles)
                 assert set(counts) == set(range(n))
                 assert sum(counts.values()) == total
                 for c in counts.values():
                     assert total // n <= c <= -(-total // n)
         nondet = compiled["nondet_elbow"]
-        assert selection_counts(nondet, 1948, 4) == {0: 8, 1: 8}
+        assert ref_selection_counts(nondet, 1948, 4) == {0: 8, 1: 8}
 
 
 def test_criterion_06_local_consistency_classifier(systems):

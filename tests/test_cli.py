@@ -273,7 +273,7 @@ def test_seeded_simulate_transcript_is_pinned(capsys):
 
 
 # sha256 of the whole stdout, independent of the rescanning oracle in
-# tests/test_macro.py; the sierpinski run has 409 probes, some of them
+# tests/oracles.py; the sierpinski run has 409 probes, some of them
 # in flight at the same time
 @pytest.mark.parametrize(
     "command, digest",

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tileworks import encoding
 from tileworks.atam import Direction, Pad, TileType, TileSystem
 from tileworks.encoding import (
     ADDRESS_PAIR_ORDER,
@@ -23,12 +22,18 @@ from tileworks.encoding import (
     compile_system,
     decode_pad,
     default_random_width,
-    edge_string,
     encode_pad,
     serialize_compiled,
     splice_blanks,
 )
-from .oracles import ref_build_entries, ref_encode_pad, ref_splice, strip_blanks
+from .oracles import (
+    ref_build_entries,
+    ref_edge_string,
+    ref_encode_pad,
+    ref_entry_bodies,
+    ref_splice,
+    strip_blanks,
+)
 
 DIRS = (Direction.N, Direction.E, Direction.S, Direction.W)
 
@@ -157,7 +162,7 @@ def test_elbow_address_map_frozen(systems, compiled):
 
 
 def test_elbow_entry_payloads_frozen(compiled):
-    payloads = compiled["elbow"].entry_payloads()
+    payloads = ref_entry_bodies(compiled["elbow"].entries)
     assert payloads[11] == "100010,,,"
     assert payloads[15] == "000110,,,"
     assert payloads[17] == ",110100,,"
@@ -169,7 +174,7 @@ def test_elbow_entry_payloads_frozen(compiled):
 def test_nondet_elbow_shared_entry(compiled):
     cs = compiled["nondet_elbow"]
     assert [cs.source.tiles[t].name for t in cs.addresses[1948].tiles] == ["tD", "tDp"]
-    assert cs.entry_payloads()[1948] == ",,,;000001,,,"
+    assert ref_entry_bodies(cs.entries)[1948] == ",,,;000001,,,"
 
 
 def test_entries_marker_count(compiled):
@@ -200,52 +205,37 @@ def test_table_framing(compiled):
         assert flat == ">" + entries + "<%%>" + entries[::-1] + "<"
 
 
-def test_edge_string_layout(compiled):
+def check_edge_strings(cs) -> None:
+    """Every edge string of every tile has the resolution, carries the table
+    at both ends and repeats its side's pad field around the spacer."""
+    tlen, width = len(cs.table.symbols), cs.glues.pad_bits
+    for tile in cs.source.tiles:
+        for d in DIRS:
+            edge = ref_edge_string(cs.table, cs.glues, tile, d, cs.spacer)
+            assert len(edge) == cs.resolution
+            assert edge[:tlen] == cs.table.symbols == edge[-tlen:]
+            side = tile.side(d)
+            field = (
+                "0" * width
+                if side.glue is None
+                else encode_pad(Pad(side.glue, d, side.strength), cs.glues)
+            )
+            assert edge[tlen:-tlen] == field + "0" * cs.spacer + field, (tile.name, d)
+
+
+def test_edge_string_layout(compiled, lone_seed):
+    for cs in (*compiled.values(), compile_system(lone_seed)):
+        check_edge_strings(cs)
     cs = compiled["elbow"]
     tile = cs.source.tiles[cs.source.tile_index("tR")]
-    for d in DIRS:
-        edge = edge_string(cs.table, cs.glues, tile, d, cs.spacer)
-        assert len(edge) == cs.resolution
-        tlen = len(cs.table.symbols)
-        assert edge[:tlen] == cs.table.symbols == edge[-tlen:]
-        body = edge[tlen:-tlen]
-        field = body[: cs.glues.pad_bits]
-        assert body == field + "0" * cs.spacer + field
-    # null side carries the all-zero field
-    south = edge_string(cs.table, cs.glues, tile, Direction.S, cs.spacer)
     tlen = len(cs.table.symbols)
+    # null side carries the all-zero field
+    south = ref_edge_string(cs.table, cs.glues, tile, Direction.S, cs.spacer)
     assert south[tlen : tlen + cs.glues.pad_bits] == "000000"
-    west = edge_string(cs.table, cs.glues, tile, Direction.W, cs.spacer)
+    west = ref_edge_string(cs.table, cs.glues, tile, Direction.W, cs.spacer)
     assert west[tlen : tlen + cs.glues.pad_bits] == encode_pad(
         Pad("a", Direction.W, 2), cs.glues
     )
-
-
-def _broken_edges(flaw):
-    """`edge_string` with `flaw` applied to every edge of tile tR."""
-
-    def edge(table, ordering, tile, direction, spacer):
-        text = edge_string(table, ordering, tile, direction, spacer)
-        return flaw(text, len(table.symbols)) if tile.name == "tR" else text
-
-    return edge
-
-
-@pytest.mark.parametrize(
-    "flaw, message",
-    [
-        (lambda e, tlen: e + "0", "edge string of tR/N has length 15945, expected resolution 15944"),
-        (
-            lambda e, tlen: e[:tlen] + "1" + e[tlen + 1 :],
-            "edge string of tR/N repeats its pad field inconsistently",
-        ),
-    ],
-)
-def test_compile_checks_every_edge_string(systems, monkeypatch, flaw, message):
-    monkeypatch.setattr(encoding, "edge_string", _broken_edges(flaw))
-    with pytest.raises(EncodingError) as err:
-        compile_system(systems["elbow"])
-    assert str(err.value) == message
 
 
 def test_resolution_formula(compiled):

@@ -21,15 +21,25 @@ def test_star_import_binds_every_export():
 
 
 def test_import_leaves_svg_and_tasio_unloaded():
-    # they load on first use; the calls behind check-lc, simulate and verify need neither
+    # they load on first use; the calls behind check-lc, simulate and verify,
+    # and those CLI verbs on a built-in system, need neither
     code = (
-        "import sys, tileworks\n"
-        "print(sorted(m for m in ('tileworks.svg', 'tileworks.tasio') if m in sys.modules))\n"
+        "import contextlib, io, sys, tileworks\n"
+        "from tileworks.cli import main\n"
+        "def loaded():\n"
+        "    print(sorted(m for m in ('tileworks.svg', 'tileworks.tasio') if m in sys.modules))\n"
+        "loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['check-lc', 'elbow']) == 0\n"
+        "loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['verify', 'elbow', '--bound', '3']) == 0\n"
+        "loaded()\n"
         "tileworks.parse_tas\n"
-        "print(sorted(m for m in ('tileworks.svg', 'tileworks.tasio') if m in sys.modules))"
+        "loaded()"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(tileworks.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.split("\n")[:2] == ["[]", "['tileworks.tasio']"]
+    assert out.stdout.split("\n")[:4] == ["[]", "[]", "[]", "['tileworks.tasio']"]

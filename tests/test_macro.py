@@ -5,8 +5,7 @@ import hashlib
 import pickle
 import random
 import tracemalloc
-from collections import Counter, deque
-from typing import NamedTuple
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -15,7 +14,6 @@ from tileworks import atam as atam_module
 from tileworks import corpus, kernels
 from tileworks import macro as macro_module
 from tileworks.atam import (
-    DIRECTIONS,
     Direction,
     Edges,
     ExplorationResult,
@@ -31,12 +29,10 @@ from tileworks.consistency import verify_locally_consistent
 from tileworks.encoding import address_of, compile_system
 from tileworks.macro import (
     EventKind,
-    MacroEdge,
     MacroEvent,
     MacroEventError,
     RepresentationError,
     ThreeProbeError,
-    _next_state,
     decode_assembly,
     decode_block,
     macro_explore,
@@ -48,17 +44,19 @@ from tileworks.tasio import format_tas
 from tileworks.verifier import _decode_all, simulation_report
 
 from .conftest import COMPILABLE
-from .oracles import naive_frontier, ref_replay
+from .oracles import (
+    apply_event,
+    naive_frontier,
+    ref_check_automaton,
+    ref_macro_explore,
+    ref_replay,
+    ref_rescan_run,
+    ref_scan_frontier,
+)
 
 
 # --- test helpers --------------------------------------------------------
 # Single steps and terminal states, which the package itself never needs.
-
-
-def _apply_event(cs, macro, event, **kwargs):
-    """`macro` with `event` applied; `kwargs` go to `_next_state`."""
-    state = _next_state(cs, macro.get(event.coord), event, **kwargs)
-    return macro.with_block(event.coord, state)
 
 
 def macro_step(cs, macro, event, rng_seed=None):
@@ -67,7 +65,7 @@ def macro_step(cs, macro, event, rng_seed=None):
     if event.kind is EventKind.COMMIT and rng_seed is not None:
         rng = random.Random(rng_seed)
         bits = format(rng.getrandbits(cs.random_width), f"0{cs.random_width}b")
-    return _apply_event(cs, macro, event, bits=bits)
+    return apply_event(cs, macro, event, bits=bits)
 
 
 def terminal_macro_keys(cs, result):
@@ -256,7 +254,7 @@ def test_twin_tiles_stay_distinct(systems, tmp_path, capsys):
     corners = {decode_block(m.get((1, 1)), cs) for m in result.states.values() if (1, 1) in m}
     assert {tas.tiles[t].name for t in corners - {None}} == {"tD", "tD2"}
     # every bit string lands where the commit keyed by its sub-entry does
-    check_automaton(cs)
+    ref_check_automaton(cs)
     assert simulation_report(cs, 6).passed
     path = tmp_path / "twin_elbow.tas"
     path.write_text(format_tas(tas))
@@ -420,156 +418,6 @@ def test_run_replays_as_source_attachments(name, max_events, seed, compiled):
         assert naive_frontier(cs.source, decoded) == set()
 
 
-# --- reference oracle ----------------------------------------------------
-# `_scan_frontier` and `_rescan_run` are the frontier scan and the run loop
-# that `macro_frontier` and `run_macro` replaced: every step rescans every
-# block and rebuilds the whole assembly, so a run is quadratic in its length.
-# `_reference_explore` is the exploration loop that `macro_explore` replaced:
-# a full frontier scan per state and one `_apply_event` per event and, for a
-# commit, per random-bit value, with states keyed by their frozenset keys.
-# They are kept here only as the oracle the fast versions are checked against.
-
-
-def _sort_key(event):
-    """The order `macro_frontier` lists events in: kind, y, x, then the
-    receiving side in N, E, S, W order (-1 for a block's own event)."""
-    side = -1 if event.pad is None else DIRECTIONS.index(event.pad.direction)
-    return (int(event.kind), event.coord[1], event.coord[0], side)
-
-
-def _scan_frontier(cs, macro):
-    events = []
-    for coord, state in macro.blocks.items():
-        if state.phase is BlockPhase.COMPLETE:
-            for pad in state.output_pads:
-                target = pad.direction.step(coord)
-                received = Pad(pad.glue, pad.direction.opposite, pad.strength)
-                neighbour = macro.get(target)
-                if neighbour is None:
-                    events.append(
-                        MacroEvent(EventKind.PAD_ARRIVAL, target, received, coord)
-                    )
-                elif (
-                    neighbour.phase is BlockPhase.INPUTS_PARTIAL
-                    and received.direction not in neighbour.input_directions
-                ):
-                    events.append(
-                        MacroEvent(EventKind.PAD_ARRIVAL, target, received, coord)
-                    )
-        elif state.phase is BlockPhase.INPUTS_PARTIAL:
-            if state.received_strength == 2:
-                events.append(MacroEvent(EventKind.PROBE, coord))
-        elif state.phase is BlockPhase.TYPE_DETECTED:
-            if address_of(state.input_pads, cs.glues).value in cs.addresses:
-                events.append(MacroEvent(EventKind.COMMIT, coord))
-        elif state.phase is BlockPhase.COMMITTED:
-            events.append(MacroEvent(EventKind.COMPLETION, coord))
-    events.sort(key=_sort_key)
-    return tuple(events)
-
-
-class RescanRun(NamedTuple):
-    """What `_rescan_run` returns: the fields of a `MacroRun`, its log built eagerly."""
-
-    events: tuple
-    log: tuple
-    final: MacroAssembly
-    truncated: bool
-
-
-def _rescan_run(cs, rng_seed, *, max_events=100_000, bound=None):
-    rng = random.Random(rng_seed)
-    macro = seed_macro(cs)
-    applied = []
-    log = []
-    truncated = False
-    bits_at = {}  # the bits each probe drew, kept for its block's commit
-    while len(applied) < max_events:
-        events = list(_scan_frontier(cs, macro))
-        if bound is not None:
-            kept = []
-            for ev in events:
-                if (
-                    ev.kind is EventKind.PAD_ARRIVAL
-                    and ev.coord not in macro.blocks
-                    and len(macro) >= bound
-                ):
-                    truncated = True
-                    continue
-                kept.append(ev)
-            events = kept
-        if not events:
-            break
-        event = events[rng.randrange(len(events))]
-        if event.kind is EventKind.PROBE:
-            bits_at[event.coord] = format(
-                rng.getrandbits(cs.random_width), f"0{cs.random_width}b"
-            )
-        bits = bits_at.get(event.coord) if event.kind is EventKind.COMMIT else None
-        macro = _apply_event(cs, macro, event, bits=bits)
-        applied.append(event)
-        note = event.describe()
-        if event.kind is EventKind.PROBE:
-            state = macro.get(event.coord)
-            note += f" [{detect_kind(state.input_pads).value}, bits={bits_at[event.coord]}]"
-        elif event.kind is EventKind.COMMIT:
-            state = macro.get(event.coord)
-            note += f" -> {cs.source.tiles[decode_block(state, cs)].name}"
-        log.append(note)
-    return RescanRun(tuple(applied), tuple(log), macro, truncated)
-
-
-class ReferenceExploration(NamedTuple):
-    """What `_reference_explore` returns: states and edges keyed by each
-    state's frozenset key, and the fields of an `ExplorationResult` that
-    `_explore_outcome` compares."""
-
-    states: dict
-    edges: tuple
-    seed_key: frozenset
-    truncated: bool
-
-
-def _reference_explore(cs, bound):
-    start = seed_macro(cs)
-    states = {start.key: start}
-    edges = []
-    queue = deque([start.key])
-    truncated = False
-    bit_values = [format(b, f"0{cs.random_width}b") for b in range(2**cs.random_width)]
-    while queue:
-        key = queue.popleft()
-        macro = states[key]
-        for event in _scan_frontier(cs, macro):
-            if (
-                event.kind is EventKind.PAD_ARRIVAL
-                and event.coord not in macro.blocks
-                and len(macro) >= bound
-            ):
-                truncated = True
-                continue
-            if event.kind is EventKind.COMMIT:
-                seen_children = set()
-                for bits in bit_values:
-                    child = _apply_event(cs, macro, event, bits=bits)
-                    ckey = child.key
-                    if ckey in seen_children:
-                        continue
-                    seen_children.add(ckey)
-                    if ckey not in states:
-                        states[ckey] = child
-                        queue.append(ckey)
-                    edges.append(MacroEdge(key, ckey, event))
-            else:
-                child = _apply_event(cs, macro, event)
-                ckey = child.key
-                if ckey not in states:
-                    states[ckey] = child
-                    queue.append(ckey)
-                edges.append(MacroEdge(key, ckey, event))
-    return ReferenceExploration(states, tuple(edges), start.key, truncated)
-
-
 def _five_tile_system() -> TileSystem:
     # passes check-lc, yet (1, 1) is offered three pads: a run that delivers
     # two and then probes is fine, one that delivers all three raises
@@ -625,7 +473,7 @@ def test_run_macro_matches_rescanning_oracle(name, systems, lone_seed, monkeypat
     for bound in (None, 1, 6, 12):  # at bound 1 the seed alone fills it
         for seed in range(40):
             got = _run_outcome(lean_run, cs, seed, bound)
-            assert got == _run_outcome(_rescan_run, cs, seed, bound), (name, seed, bound)
+            assert got == _run_outcome(ref_rescan_run, cs, seed, bound), (name, seed, bound)
             outcomes.append(got)
     if name == "five_tile":  # some seeds deliver the third pad, others probe first
         raised = [o[0] for o in outcomes if isinstance(o[0], type)]
@@ -641,7 +489,7 @@ def test_run_macro_truncation_at_every_event_cap(compiled, name):
     for seed in range(4):
         for cap in range(40):
             got = run_macro(cs, seed, max_events=cap, bound=4)
-            want = _rescan_run(cs, seed, max_events=cap, bound=4)
+            want = ref_rescan_run(cs, seed, max_events=cap, bound=4)
             assert (tuple(got.events), got.truncated) == (want.events, want.truncated), (seed, cap)
 
 
@@ -650,14 +498,14 @@ def test_macro_frontier_matches_scan_on_every_state(compiled, name):
     cs = compiled[name]
     states = macro_explore(cs, 6).states.values()
     for macro in states:
-        assert macro_frontier(cs, macro) == _scan_frontier(cs, macro)
+        assert macro_frontier(cs, macro) == ref_scan_frontier(cs, macro)
         # blocks cut off from the complete blocks that fed them keep their own
         # events; a state whose blocks are all complete leaves an empty map,
         # which has no events and is no macro state
         cut = {c: s for c, s in macro.blocks.items() if s.phase is not BlockPhase.COMPLETE}
         if cut:
             cut = MacroAssembly(cut)
-            assert macro_frontier(cs, cut) == _scan_frontier(cs, cut)
+            assert macro_frontier(cs, cut) == ref_scan_frontier(cs, cut)
 
 
 def check_breadth_first_edges(nodes, edges, grade):
@@ -752,7 +600,7 @@ def test_macro_explore_matches_reference_loop(name, bound, systems, lone_seed):
     tas = {**systems, "lone_seed": lone_seed, "five_tile": _five_tile_system()}[name]
     cs = compile_system(tas, force=True)
     got = _explore_outcome(macro_explore, cs, bound)
-    assert got == _explore_outcome(_reference_explore, cs, bound)
+    assert got == _explore_outcome(ref_macro_explore, cs, bound)
     if name == "five_tile":
         assert got[0] is ThreeProbeError
         return
@@ -955,74 +803,6 @@ def test_type_detected_id_commits_iff_its_address_has_an_entry(compiled):
         assert (auto.own[i] == EventKind.COMMIT) == has_entry == non_bare
 
 
-def check_automaton(cs):
-    """Every entry `cs.automaton` holds, against its definition: each step
-    (id, code) -> id, or (id, code, p) -> id for a commit, against
-    `_next_state` on the stored state with every bit string that selects
-    sub-entry p; each event code against its kind and pad; and each id's
-    facts against its block state's fields, `decode_block` and the address
-    map.  Then every bit string, given to `_next_state` at each committing
-    id, must land on the state its keyed step gives."""
-    auto = cs.automaton
-    assert auto.states[0] is None and len(auto.ids) == len(auto.states) - 1
-    assert [auto.ids.get(state, 0) for state in auto.states] == list(range(len(auto.states)))
-    lengths = {len(facts) for facts in (auto.tiles, auto.open, auto.own, auto.subs, auto.offers)}
-    assert lengths == {len(auto.states)}
-    assert (auto.tiles[0], auto.own[0], auto.subs[0], auto.offers[0]) == (None, None, 0, None)
-    assert auto.open[0] == tuple((k, d.vector) for k, d in enumerate(DIRECTIONS))
-    # own events are coded by their kind, arrivals by their pad as received
-    assert auto.events[:4] == [(kind, None) for kind in EventKind]
-    assert sorted(auto.codes.values()) == list(range(4, len(auto.events)))
-    for pad, code in auto.codes.items():
-        assert auto.events[code] == (EventKind.PAD_ARRIVAL, pad)
-    every_bits = [format(b, f"0{cs.random_width}b") for b in range(2**cs.random_width)]
-    for (here, code, *pick), after in auto.steps.items():
-        # the outcome of a step depends on neither the coordinate nor the source
-        event = auto.event((0, 0), code)
-        draws = [None]
-        if pick:
-            assert event.kind is EventKind.COMMIT
-            draws = [bits for bits in every_bits if int(bits, 2) % auto.subs[here] == pick[0]]
-            assert draws, (here, pick)
-        for bits in draws:
-            state = _next_state(cs, auto.states[here], event, bits=bits)
-            assert auto.ids[state] == after, (here, code, pick, bits)
-    for i, state in enumerate(auto.states[1:], 1):
-        phase, taken = state.phase, {p.direction for p in state.input_pads}
-        assert auto.tiles[i] == decode_block(state, cs)
-        collecting = phase is BlockPhase.INPUTS_PARTIAL
-        assert auto.open[i] == tuple(
-            (k, d.vector) for k, d in enumerate(DIRECTIONS) if collecting and d not in taken
-        )
-        strength = sum(p.strength for p in state.input_pads)
-        own = {
-            BlockPhase.INPUTS_PARTIAL: EventKind.PROBE if strength == 2 else None,
-            BlockPhase.COMMITTED: EventKind.COMPLETION,
-            BlockPhase.COMPLETE: None,
-        }
-        subs = 0
-        if phase is BlockPhase.TYPE_DETECTED:
-            entry = cs.addresses.get(address_of(state.input_pads, cs.glues).value)
-            own[phase] = EventKind.COMMIT if entry else None
-            subs = len(entry.tiles) if entry else 0
-        assert auto.own[i] == own[phase] and type(auto.own[i]) is not EventKind, state
-        assert auto.subs[i] == subs, state
-        if phase is not BlockPhase.COMPLETE:
-            assert auto.offers[i] is None
-            continue
-        # a pad pointing at a neighbour arrives on that neighbour's facing side
-        offers = [0] * len(DIRECTIONS)
-        for p in state.output_pads:
-            side = p.direction.opposite
-            offers[DIRECTIONS.index(side)] = auto.codes[Pad(p.glue, side, p.strength)]
-        assert auto.offers[i] == tuple(offers), state
-    for i in [i for i, own in enumerate(auto.own) if own == EventKind.COMMIT]:
-        commit = MacroEvent(EventKind.COMMIT, (0, 0))
-        for bits in every_bits:
-            want = _next_state(cs, auto.states[i], commit, bits=bits)
-            assert auto.states[auto.step(i, int(EventKind.COMMIT), (0, 0), bits)] == want, (i, bits)
-
-
 @pytest.mark.parametrize("name", ("elbow", "nondet_elbow", "counter3", "counter4", "sierpinski"))
 def test_filled_automaton_matches_its_definition(name, systems):
     cs = compile_system(systems[name])
@@ -1032,7 +812,7 @@ def test_filled_automaton_matches_its_definition(name, systems):
     # every id but the empty block and the seed's is some step's outcome
     auto = cs.automaton
     assert set(auto.steps.values()) == set(range(2, len(auto.states))) and len(auto.states) > 5
-    check_automaton(cs)
+    ref_check_automaton(cs)
 
 
 def test_sierpinski_macro_counts_at_bound_12(systems):

@@ -9,13 +9,14 @@ with `ref_terminal_keys`, the clash side on each of its edges with
 `ref_sample_sequence`, and every verdict with the per-edge reference check
 `ref_locally_consistent`.  Every system
 that passes the check is compiled: every lookup through the table sweep is
-compared with the direct parse of the entries string and with the
-column-by-column reference sweep, seeded runs are replayed by `ref_replay`,
-`macro_explore` is compared with the per-edge reference loop of
-`tests/test_macro.py`, every entry of the block automaton those runs filled
-with its definition, the engines with themselves on a copy that hides the
-source and its address map, and condition 3 of the verifier with the closure
-oracle `ref_dynamics`.
+compared with the direct parse of the entries string `ref_direct_lookup`
+and with the column-by-column reference sweep, every edge string
+`ref_edge_string` builds with the resolution, seeded runs are replayed by
+`ref_replay`, `macro_explore` is compared with the per-edge reference loop
+`ref_macro_explore`, every entry of the block automaton those runs filled
+with its definition by `ref_check_automaton`, the engines with themselves
+on a copy that hides the source and its address map, and condition 3 of the
+verifier with the closure oracle `ref_dynamics`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from tileworks.atam import DIRECTIONS, TileSystem, TileType, WorkbenchError, exp
 from tileworks.consistency import replay_witness, verify_locally_consistent
 from tileworks.encoding import CompiledSystem, compile_system
 from tileworks.kernels import E_ADDR_RANGE, sweep
-from tileworks.lookup import AddressRangeError, direct_lookup, parse_entry, trace_lookup
+from tileworks.lookup import AddressRangeError, trace_lookup
 from tileworks.macro import ThreeProbeError, decode_assembly, macro_explore, run_macro
 from tileworks.verifier import _decode_all, _dynamics
 
@@ -38,8 +39,13 @@ from .oracles import (
     naive_clash,
     naive_frontier,
     naive_locally_consistent,
+    ref_check_automaton,
+    ref_direct_lookup,
     ref_dynamics,
+    ref_entry_bodies,
     ref_locally_consistent,
+    ref_macro_explore,
+    ref_parse_entry,
     ref_replay,
     ref_sweep,
 )
@@ -50,14 +56,8 @@ from .test_atam import (
     check_terminals_match_reference,
     keyed_outcome,
 )
-from .test_encoding import check_entries
-from .test_macro import (
-    _explore_outcome,
-    _reference_explore,
-    check_automaton,
-    check_cells_walk,
-    check_table_only,
-)
+from .test_encoding import check_edge_strings, check_entries
+from .test_macro import _explore_outcome, check_cells_walk, check_table_only
 
 # Systems whose every tile binds everywhere have millions of assemblies at
 # bound 6; the bound is lowered until the oracles stay cheap.
@@ -145,11 +145,12 @@ def test_random_systems_match_oracles(tas):
 
     cs = compile_system(tas, lc_bound=bound)
     _check_lookups(cs)
+    check_edge_strings(cs)
     _check_replays(cs, bound)
     macro_bound = min(bound, MACRO_BOUND)
     got = _explore_outcome(macro_explore, cs, macro_bound)
-    assert got == _explore_outcome(_reference_explore, cs, macro_bound)
-    check_automaton(cs)
+    assert got == _explore_outcome(ref_macro_explore, cs, macro_bound)
+    ref_check_automaton(cs)
     check_table_only(cs, macro_bound, REPLAY_EVENTS)
     if isinstance(got[0], type):
         return
@@ -181,10 +182,10 @@ def _check_lookups(cs: CompiledSystem) -> None:
     """Every (address, bits) query: the sweep against the reference sweep, and
     the selected sub-entry against the direct parse."""
     idx = cs.table.index
-    payloads = cs.entry_payloads()
+    bodies = ref_entry_bodies(cs.entries)
     width = cs.random_width
     for addr in cs.addresses:
-        n = len(parse_entry("#" + payloads[addr], cs.glues))
+        n = len(ref_parse_entry("#" + bodies[addr], cs.glues))
         # the reference sweep reads the bits only through p = b mod n
         want = [ref_sweep(cs.table.symbols, addr, p) for p in range(min(n, 2**width))]
         for b in range(2**width):
@@ -192,11 +193,11 @@ def _check_lookups(cs: CompiledSystem) -> None:
             outcome, rec = trace_lookup(cs, addr, format(b, f"0{width}b"))
             assert rec == want[b % n]
             assert outcome.selected_index == n - 1 - b % n
-            assert outcome.pads == direct_lookup(cs, addr, outcome.selected_index)
+            assert outcome.pads == ref_direct_lookup(cs, addr, outcome.selected_index)
     out_of_range = cs.entry_count
     assert sweep(idx, out_of_range, 0) == ref_sweep(cs.table.symbols, out_of_range, 0)
     assert sweep(idx, out_of_range, 0).status == E_ADDR_RANGE
     with pytest.raises(AddressRangeError):
         trace_lookup(cs, out_of_range, "0" * width)
     with pytest.raises(AddressRangeError):
-        direct_lookup(cs, out_of_range, 0)
+        ref_direct_lookup(cs, out_of_range, 0)

@@ -94,7 +94,6 @@ def _suppress_tdp(systems):
     cs.entries = build_entries(cs.source, cs.glues, cs.addresses)
     cs.table = build_table(cs.entries)
     cs.resolution = 2 * len(cs.table.symbols) + 2 * cs.glues.pad_bits + cs.spacer
-    cs._payloads = None
     return cs
 
 
