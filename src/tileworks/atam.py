@@ -152,44 +152,38 @@ class TileType:
         )
 
 
-class GlueTables(NamedTuple):
-    """Glue lookups of one tile system, indexed by side k (as in DIRECTIONS).
-
-    `match[k][other]` maps each tile whose side k bonds with the facing side of
-    a neighbour `other` to the bond's strength (equal label and strength, not
-    null).  `clash[k][tile]` holds the neighbours that disagree with `tile`
-    across side k: either glue has positive strength and the two differ.
-    """
-
-    match: list[list[dict[int, int]]]
-    clash: list[list[set[int]]]
+def clashes(a: SidePad, b: SidePad | None) -> bool:
+    """Whether facing sides `a` and `b` disagree: either has positive strength and
+    the two differ.  `b` is None where the neighbour is empty, which never clashes."""
+    return b is not None and (a.strength > 0 or b.strength > 0) and a != b
 
 
-def _glue_tables(tiles: tuple[TileType, ...]) -> GlueTables:
-    sides = [[(p.glue, p.strength) for p in (t.north, t.east, t.south, t.west)] for t in tiles]
-    match = [[{} for _ in tiles] for _ in DIRECTIONS]
-    clash = [[set() for _ in tiles] for _ in DIRECTIONS]
+def _match(tiles: tuple[TileType, ...]) -> list[list[dict[int, int]]]:
+    """`match[k][other]` maps each tile whose side k bonds with the facing side of
+    a neighbour `other` (equal label and strength, not null) to the bond's
+    strength: one bucket per positive side k, shared by every `other` facing it."""
+    match = []
     for k in range(4):
-        for i, mine in enumerate(sides):
-            for j, theirs in enumerate(sides):
-                a, b = mine[k], theirs[k ^ 2]
-                if a[1] and a == b:
-                    match[k][j][i] = a[1]
-                elif a[1] or b[1]:
-                    clash[k][i].add(j)
-    return GlueTables(match, clash)
+        buckets: dict[SidePad, dict[int, int]] = {}
+        for i, t in enumerate(tiles):
+            side = t.side(k)
+            if side.strength:
+                buckets.setdefault(side, {})[i] = side.strength
+        match.append([buckets.get(t.side(k ^ 2), {}) for t in tiles])
+    return match
 
 
 @dataclass(frozen=True)
 class TileSystem:
-    """A singly seeded tile set at temperature 2."""
+    """A singly seeded tile set at temperature 2.  It keeps only `_match`'s table,
+    linear in the tiles; a clash is read off the sides when asked (`clashes`)."""
 
     tiles: tuple[TileType, ...]
     seed: int
     temperature: int = TEMPERATURE
     name: str = ""
     # derived from `tiles`, so it takes no part in equality, hashing or repr
-    glue_tables: GlueTables = field(init=False, repr=False, compare=False)
+    match: list[list[dict[int, int]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.temperature != TEMPERATURE:
@@ -201,7 +195,7 @@ class TileSystem:
         names = [t.name for t in self.tiles]
         if len(set(names)) != len(names):
             raise ValueError("tile type names must be unique")
-        object.__setattr__(self, "glue_tables", _glue_tables(self.tiles))
+        object.__setattr__(self, "match", _match(self.tiles))
 
     def tile_index(self, name: str) -> int:
         for i, t in enumerate(self.tiles):
@@ -300,13 +294,13 @@ def binding_strength(tas: TileSystem, asm: Assembly, pos: Coord, tile: int) -> i
     """Total matching glue strength `tile` would bind with at `pos`."""
     if pos in asm:
         raise OccupiedPositionError(f"position {pos} already holds a tile")
-    return _bonds_at(tas.glue_tables.match, asm._cells, pos).get(tile, 0)
+    return _bonds_at(tas.match, asm._cells, pos).get(tile, 0)
 
 
 def _attachments(tas: TileSystem):
     """The source event rule, as `events_at(cells, pos)`: each tile that may attach
     at `pos` as ((y, x, tile), (pos, tile, strength))."""
-    match = tas.glue_tables.match
+    match = tas.match
 
     def events_at(cells: Mapping[Coord, int], pos: Coord) -> list[tuple]:
         x, y = pos
@@ -319,13 +313,15 @@ def _attachments(tas: TileSystem):
 def _recorded_attachments(tas: TileSystem):
     """`_attachments`, each payload extended to an `AttachmentEdge`'s tail by its
     clash: the first side k where the tile disagrees with a neighbour (see
-    `GlueTables`), or None."""
-    events_at, clash = _attachments(tas), tas.glue_tables.clash
+    `clashes`), or None."""
+    events_at = _attachments(tas)
+    sides = [(t.north, t.east, t.south, t.west) for t in tas.tiles]
 
     def first_clash(cells: Mapping[Coord, int], pos: Coord, tile: int) -> int | None:
         x, y = pos
         for k, (dx, dy) in enumerate(OFFSETS):
-            if cells.get((x + dx, y + dy)) in clash[k][tile]:
+            other = cells.get((x + dx, y + dy))
+            if other is not None and clashes(sides[tile][k], sides[other][k ^ 2]):
                 return k
         return None
 
@@ -377,7 +373,7 @@ class AssemblySequence:
     _result: Assembly = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        match = self.system.glue_tables.match
+        match = self.system.match
         cells = {(0, 0): self.system.seed}
         for pos, tile in self.steps:
             if pos in cells:
@@ -416,7 +412,7 @@ class AttachmentEdge(NamedTuple):
 
     `strength` is the total strength the tile binds with, and `clash` the
     first side k (as in DIRECTIONS, N, E, S, W) where it disagrees with its
-    neighbour in the child (see `GlueTables`), or None.  Both are computed
+    neighbour in the child (see `clashes`), or None.  Both are computed
     when the attachment is, once per distinct neighbourhood.  An exploration
     stores its edges as `Edges` columns and builds one only when it is read.
     """

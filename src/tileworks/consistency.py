@@ -26,6 +26,7 @@ from .atam import (
     Direction,
     TileSystem,
     binding_strength,
+    clashes,
     explore,
 )
 
@@ -62,10 +63,10 @@ class Verdict:
 def _pair_mismatch(tas: TileSystem, asm: Assembly, pos: Coord, d: Direction) -> Witness | None:
     q = d.step(pos)
     other = asm.get(q)
-    if other not in tas.glue_tables.clash[d][asm[pos]]:
-        return None
     a = tas.tiles[asm[pos]].side(d)
-    b = tas.tiles[other].side(d.opposite)
+    b = None if other is None else tas.tiles[other].side(d.opposite)
+    if not clashes(a, b):
+        return None
     return Witness(
         kind="label-mismatch",
         assembly=asm,

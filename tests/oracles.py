@@ -466,11 +466,11 @@ def ref_sample_sequence(tas: TileSystem, rng_seed: int, max_steps: int) -> Assem
 def ref_locally_consistent(tas: TileSystem, bound: int) -> Verdict:
     """`consistency.verify_locally_consistent` as it was before the clash side
     was recorded on each edge: condition 1 on each edge's strength, condition 2
-    by reading the child's four neighbours of the new tile off the store.
+    by reading the child's four neighbours of the new tile off the store and
+    deciding each clash from the tiles with `naive_clash`.
     """
     result = explore(tas, bound)
     states = result.states
-    clash = tas.glue_tables.clash
     note = _note(bound, result.truncated)
     for edge in result.edges:
         if edge.strength != 2:
@@ -486,10 +486,12 @@ def ref_locally_consistent(tas: TileSystem, bound: int) -> Verdict:
             )
             return Verdict(False, witness, result.truncated, note)
         x, y = edge.pos
-        for k, (dx, dy) in enumerate(OFFSETS):
-            if states.cell(edge.child, (x + dx, y + dy)) in clash[k][edge.tile]:
-                witness = _pair_mismatch(tas, states[edge.child], edge.pos, DIRECTIONS[k])
-                return Verdict(False, witness, result.truncated, note)
+        near = [(x + dx, y + dy) for dx, dy in OFFSETS]
+        cells = {q: states.cell(edge.child, q) for q in near} | {edge.pos: edge.tile}
+        k = first_clash_side(tas, cells, edge.pos)
+        if k is not None:
+            witness = _pair_mismatch(tas, states[edge.child], edge.pos, DIRECTIONS[k])
+            return Verdict(False, witness, result.truncated, note)
     return Verdict(True, None, result.truncated, note)
 
 

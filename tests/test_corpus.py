@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from tileworks.atam import Assembly, TileSystem, attach, frontier, seed_assembly
+from tileworks.consistency import verify_locally_consistent
 from tileworks.corpus import GENERATORS
+from tileworks.encoding import compile_system
 from tileworks.tasio import format_tas
+from tileworks.verifier import simulation_report
 
+from .conftest import line, pascal
 from .oracles import pascal_parity
 
 
@@ -177,3 +182,27 @@ def test_tile_counts_quoted_in_the_readme(systems):
         "counter4": 17,
         "sierpinski": 7,
     }
+
+
+def test_line_4000_checks_and_compiles_in_linear_memory():
+    # a table of every clashing tile pair once made this about 1.9 GB;
+    # the whole build, check and compile now peak near 13 MiB
+    tracemalloc.start()
+    try:
+        tas = line(4000)
+        verdict = verify_locally_consistent(tas, 25)
+        cs = compile_system(tas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.passed and verdict.truncated
+    assert (len(tas.tiles), cs.resolution, cs.entry_count) == (4000, 1407539, 32000)
+    assert peak < 64 * 2**20
+
+
+def test_pascal_families_pass_check_and_verify():
+    for k in (3, 5):
+        tas = pascal(k)
+        assert len(tas.tiles) == k * k + 3
+        assert verify_locally_consistent(tas, 25).passed
+        assert simulation_report(compile_system(tas), 6).passed

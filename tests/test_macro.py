@@ -321,8 +321,11 @@ def _three_input_system() -> TileSystem:
 
 
 def test_three_pad_arrival_is_diagnosed():
+    # the system passes check-lc and compiles unforced, yet a third pad
+    # arrives at (1, 1): this pins the open three-pad defect of ROADMAP item 5
     tas = _three_input_system()
-    cs = compile_system(tas, force=True)  # outside the class on purpose
+    assert verify_locally_consistent(tas, 25).passed
+    cs = compile_system(tas)
     with pytest.raises(ThreeProbeError):
         macro_explore(cs, 8)
 
