@@ -147,9 +147,8 @@ class TileType:
 
     def pads(self) -> tuple[Pad, ...]:
         """The positive-strength sides as pads, in N, E, S, W (`Pad.sort_key`) order."""
-        return tuple(
-            Pad(side.glue, d, side.strength) for d, side in self.sides() if side.glue is not None
-        )
+        sides = zip(DIRECTIONS, (self.north, self.east, self.south, self.west))
+        return tuple(Pad(side.glue, d, side.strength) for d, side in sides if side.glue is not None)
 
 
 def clashes(a: SidePad, b: SidePad | None) -> bool:

@@ -256,8 +256,8 @@ def build_table(entries: str) -> LookupTable:
 class CompiledSystem:
     """Everything the lookup engine and the macro simulation need.
 
-    Two fields fill as the compiled system is used: `automaton`, the
-    `macro.BlockAutomaton`, and `sub_entries`, the lookup's decoded spans.
+    One field fills as the compiled system is used: `automaton`, the
+    `macro.BlockAutomaton`.
     """
 
     source: TileSystem
@@ -273,9 +273,6 @@ class CompiledSystem:
     lc_note: str = ""
     # the block program's interned states and steps, made on first use
     automaton: object = dc_field(default=None, init=False, repr=False, compare=False)
-    # selected mirrored span -> the pad tuple it decodes to, filled by
-    # `lookup.trace_lookup`
-    sub_entries: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def default_random_width(amap: dict[int, AddressEntry]) -> int:

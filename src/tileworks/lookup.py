@@ -79,8 +79,8 @@ def trace_lookup(
 ) -> tuple[LookupOutcome, kernels.SweepRecord]:
     """Kernel route: sweep the spliced table and decode the selected mirror span.
 
-    A span's decoded pads are kept in `cs.sub_entries`, so each selected
-    sub-entry is decoded once per compiled system, whatever bits select it.
+    Nothing is kept between calls: `macro.BlockAutomaton` asks once per
+    (address, sub-entry) and keeps the answer in its `steps`.
     """
     if bits == "" or bits.strip("01"):
         raise SelectionError(f"not a bit string: {bits!r}")
@@ -93,10 +93,7 @@ def trace_lookup(
         raise TableFormatError("table failed the sweep's structural checks")
     if rec.status == kernels.E_EMPTY_ENTRY:
         raise EmptyEntryError(f"entry {addr} is bare; no tile attaches there", trace=rec)
-    span = (rec.sel_lo, rec.sel_hi)
-    pads = cs.sub_entries.get(span)
-    if pads is None:
-        pads = cs.sub_entries[span] = _mirror_field_pads(cs, *span)
+    pads = _mirror_field_pads(cs, rec.sel_lo, rec.sel_hi)
     return LookupOutcome(pads, rec.n - 1 - rec.p), rec
 
 

@@ -6,7 +6,6 @@ budget; conftest echoes the lines after the run, past pytest's capture.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from contextlib import contextmanager
 
@@ -110,12 +109,9 @@ def test_criterion_03_table_structure(compiled):
 
 def test_criterion_04_lookup_oracle_equivalence(compiled):
     with _criterion(4, "lookup oracle equivalence", 10):
-        for shared in compiled.values():
-            # a copy with empty memos: the first pass decodes each selected
-            # sub-entry, the second reads it back from `cs.sub_entries`
-            cs = dataclasses.replace(shared)
-            assert not cs.sub_entries
-            for warm in (False, True):
+        for cs in compiled.values():
+            # two passes: a lookup keeps nothing, so the second answers as the first
+            for _ in range(2):
                 for addr in cs.addresses:
                     for width in range(1, 7):
                         for b in range(2**width):
@@ -127,9 +123,6 @@ def test_criterion_04_lookup_oracle_equivalence(compiled):
                             assert outcome.pads == ref_direct_lookup(
                                 cs, addr, outcome.selected_index
                             )
-                            if warm:
-                                assert outcome.pads is cs.sub_entries[rec.sel_lo, rec.sel_hi]
-            assert len(cs.sub_entries) == sum(len(e.tiles) for e in cs.addresses.values())
 
 
 def test_criterion_05_selection_fairness(compiled):

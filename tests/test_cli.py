@@ -10,10 +10,9 @@ from pathlib import Path
 import pytest
 
 import tileworks
+from tileworks import corpus
 from tileworks.cli import main
 from tileworks.tasio import format_tas
-
-from .test_corpus import fixture_path
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -36,19 +35,14 @@ def test_readme_example_output_is_exact(command, capsys):
 STDOUT_DIGESTS = {
     "verify elbow --bound 6": "c71e7abf14faab0caecffd7acf592c190bee1228e6e20f83b8de11ff04679e6e",
     "explore elbow --bound 8": "ba22d4c10efa0364326a7cd757b68bee2f933a3aaab0b294a41dd137c1d35450",
-    "compile elbow": "46324a2e62c3b399d37746a840a5be35e466e7f8c159c0ead5c8089f19550da7",
     "verify nondet_elbow --bound 6": "13d3fb89fa8efea7b7b504b791971e64124920c438d2e67a751ca2c813211e63",
     "explore nondet_elbow --bound 8": "1b01322cad6ab1c5f2b052467c8862007a72da107290b176dbc232fa6bc32a4c",
-    "compile nondet_elbow": "b235d7f69cf0a6ea2785eaa557278b89713fecc5d84372ceab3d29c09c0418ed",
     "verify counter3 --bound 6": "454bd85d4835d62434a3e5cc4f9a29c89243d0f23aaddfba9eb26d806e96b06f",
     "explore counter3 --bound 8": "bbca3d27e8caa9b9e46b28b5e9317deb5a6bcb49395757484c8e2b76b962a9ed",
-    "compile counter3": "9d240eade65640591202859b8074c25888b08940b46149b69876b9a9a286a01e",
     "verify counter4 --bound 6": "388c80d0cd2664d7f52cec9713694cd5f4ae9576e9895b188634fb10d50caed5",
     "explore counter4 --bound 8": "bbca3d27e8caa9b9e46b28b5e9317deb5a6bcb49395757484c8e2b76b962a9ed",
-    "compile counter4": "6a429dbb0edb83bb7c85e053f705697341aa22a4aa604d84bd879372d148f05c",
     "verify sierpinski --bound 6": "0568824e99a30515466ff2f7e082225049f1a2c6b3d90572a96350bc5b4b776c",
     "explore sierpinski --bound 8": "c77477f6aa8ea912c791bdaf52ac82e72225255b05daa0c78772375833eda172",
-    "compile sierpinski": "ddb8f317f9dd75a47b6508e5cfd6e48f8ab738ed4ba35f2c6203828c3dbe53fb",
 }
 
 
@@ -136,8 +130,10 @@ def test_explore_builtin_name(capsys):
     assert "tD@(1, 1)" in out
 
 
-def test_explore_file_path(capsys):
-    assert main(["explore", str(fixture_path("elbow")), "--bound", "6"]) == 0
+def test_explore_file_path(tmp_path, capsys):
+    path = tmp_path / "elbow.tas"
+    path.write_text(format_tas(corpus.elbow()))
+    assert main(["explore", str(path), "--bound", "6"]) == 0
     assert "assemblies: 5" in capsys.readouterr().out
 
 
@@ -291,17 +287,8 @@ def test_three_input_growth_fails_cleanly(tmp_path, capsys):
     # and compiles unforced, yet verify dies in the macro engine, with a
     # domain error rather than a traceback.  This pins the open three-pad
     # defect of ROADMAP item 5: a fix turns the expected outcome into a PASS
-    text = (
-        "temperature 2\n"
-        "tile seed N=a:2 E=b:2 S=-:0 W=-:0\n"
-        "tile t1 N=x1:1 E=-:0 S=-:0 W=b:2\n"
-        "tile t2 N=c:2 E=x2:1 S=a:2 W=-:0\n"
-        "tile t3 N=-:0 E=d:2 S=c:2 W=-:0\n"
-        "tile t4 N=-:0 E=-:0 S=x3:1 W=d:2\n"
-        "seed seed\n"
-    )
     path = tmp_path / "three.tas"
-    path.write_text(text)
+    path.write_text(format_tas(corpus.three_probe_north()))
     code = main(["verify", str(path), "--bound", "8"])
     assert code == 1
     assert "third input pad" in capsys.readouterr().err

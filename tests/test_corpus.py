@@ -1,24 +1,20 @@
 from __future__ import annotations
 
 import tracemalloc
-from importlib import resources
-from pathlib import Path
 
 import pytest
 
-from tileworks.atam import Assembly, TileSystem, attach, frontier, seed_assembly
+from tileworks.atam import Assembly, TileSystem, attach, explore, frontier, seed_assembly
 from tileworks.consistency import verify_locally_consistent
-from tileworks.corpus import GENERATORS
+from tileworks.corpus import GENERATORS, NAMED, line, pascal
 from tileworks.encoding import compile_system
-from tileworks.tasio import format_tas
 from tileworks.verifier import simulation_report
 
-from .conftest import line, pascal
 from .oracles import pascal_parity
 
 
 # --- test helpers --------------------------------------------------------
-# Readers of the corpus systems' tiles and of the shipped .tas files.
+# Readers of the corpus systems' tiles.
 
 
 def counter_width(tas: TileSystem) -> int:
@@ -71,13 +67,6 @@ def sierpinski_bit(tas: TileSystem, tile_index: int) -> int:
     if name.startswith("x"):
         return int(name[1]) ^ int(name[2])
     raise ValueError(f"not a sierpinski tile: {name}")
-
-
-def fixture_path(name: str) -> Path:
-    """Path of the shipped .tas file for a corpus system."""
-    if name not in GENERATORS:
-        raise KeyError(f"unknown corpus system {name!r}")
-    return Path(resources.files("tileworks").joinpath("corpus_data", f"{name}.tas"))
 
 
 def _grow_counter(tas, steps):
@@ -148,18 +137,6 @@ def test_sierpinski_bit_rejects_foreign_tile(systems):
         sierpinski_bit(tas, tas.tile_index("tR"))
 
 
-def test_fixture_files_match_generators(systems):
-    for name, tas in systems.items():
-        expected = format_tas(tas)
-        shipped = fixture_path(name).read_text()
-        assert shipped == expected, f"packaged fixture {name} drifted"
-
-
-def test_fixture_path_rejects_unknown_name():
-    with pytest.raises(KeyError):
-        fixture_path("no_such_system")
-
-
 def test_generator_registry_is_complete():
     assert set(GENERATORS) == {
         "elbow",
@@ -170,6 +147,17 @@ def test_generator_registry_is_complete():
         "counter4",
         "sierpinski",
     }
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_named_system_has_its_known_answers(name):
+    build, lc, terminals = NAMED[name]
+    tas = build()
+    assert tas.name == name
+    verdict = verify_locally_consistent(tas, 25)
+    assert ("pass" if verdict.passed else verdict.witness.kind) == lc
+    result = explore(tas, 25)
+    assert (None if result.truncated else len(result.terminal_keys())) == terminals
 
 
 def test_tile_counts_quoted_in_the_readme(systems):

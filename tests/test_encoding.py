@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tileworks.atam import Direction, Pad, TileType, TileSystem
+from tileworks.atam import Direction, Pad, TileSystem
+from tileworks.corpus import line
 from tileworks.encoding import (
     ADDRESS_PAIR_ORDER,
     Address,
@@ -64,11 +65,8 @@ def test_ordering_width_examples(systems):
     # width is the bit length of the label count, null included:
     # elbow 4 labels -> 3, nondet elbow 5 labels -> 3, one glue 2 labels -> 2
     assert GlueOrdering.from_system(systems["nondet_elbow"]).width == 3
-    one_glue = TileSystem(
-        (TileType.make("s", e=("g", 2)), TileType.make("t", w=("g", 2))), seed=0
-    )
-    assert GlueOrdering.from_system(one_glue).labels == (None, "g")
-    assert GlueOrdering.from_system(one_glue).width == 2
+    one_glue = GlueOrdering.from_system(line(2))
+    assert (one_glue.labels, one_glue.width) == ((None, "g1"), 2)
 
 
 def test_pad_encoding_frozen_examples():

@@ -307,23 +307,10 @@ def test_illegal_events_raise(compiled):
         macro_step(cs, detected, MacroEvent(EventKind.COMMIT, arrival.coord))  # no seed given
 
 
-def _three_input_system() -> TileSystem:
-    # three pads converge on (1, 1): x from t1 below, x from t2 at the west,
-    # and x from t4 arriving from the east arm above
-    tiles = (
-        TileType.make("seed", e=("a", 2), n=("b", 2)),
-        TileType.make("t1", w=("a", 2), n=("x", 1), e=("c", 2)),
-        TileType.make("t2", s=("b", 2), e=("x", 1)),
-        TileType.make("t3", w=("c", 2), n=("d", 2)),
-        TileType.make("t4", s=("d", 2), w=("x", 1)),
-    )
-    return TileSystem(tiles, seed=0, name="three_probe")
-
-
 def test_three_pad_arrival_is_diagnosed():
     # the system passes check-lc and compiles unforced, yet a third pad
     # arrives at (1, 1): this pins the open three-pad defect of ROADMAP item 5
-    tas = _three_input_system()
+    tas = corpus.three_probe()
     assert verify_locally_consistent(tas, 25).passed
     cs = compile_system(tas)
     with pytest.raises(ThreeProbeError):
@@ -421,19 +408,6 @@ def test_run_replays_as_source_attachments(name, max_events, seed, compiled):
         assert naive_frontier(cs.source, decoded) == set()
 
 
-def _five_tile_system() -> TileSystem:
-    # passes check-lc, yet (1, 1) is offered three pads: a run that delivers
-    # two and then probes is fine, one that delivers all three raises
-    tiles = (
-        TileType.make("seed", e=("a", 2), n=("b", 2)),
-        TileType.make("r1", w=("a", 2), e=("a2", 2), n=("c", 1)),
-        TileType.make("r2", w=("a2", 2), n=("g", 2)),
-        TileType.make("u1", s=("b", 2), e=("d", 1)),
-        TileType.make("q", s=("g", 2), w=("e", 1)),
-    )
-    return TileSystem(tiles, seed=0, name="five_tile")
-
-
 DIFFERENTIAL = (*corpus.GENERATORS, "lone_seed", "five_tile")
 
 
@@ -457,8 +431,8 @@ def _run_outcome(run, cs, seed, bound):
 
 
 @pytest.mark.parametrize("name", DIFFERENTIAL)
-def test_run_macro_matches_rescanning_oracle(name, systems, lone_seed, monkeypatch):
-    tas = {**systems, "lone_seed": lone_seed, "five_tile": _five_tile_system()}[name]
+def test_run_macro_matches_rescanning_oracle(name, monkeypatch):
+    tas = corpus.NAMED[name][0]()
     # the two faulty elbows fail check-lc but still compile and run
     cs = compile_system(tas, force=True)
     # a run formats no note: its log is rendered when `_run_outcome` reads it
@@ -599,8 +573,8 @@ EXPLORED = (
 
 
 @pytest.mark.parametrize("name, bound", EXPLORED)
-def test_macro_explore_matches_reference_loop(name, bound, systems, lone_seed):
-    tas = {**systems, "lone_seed": lone_seed, "five_tile": _five_tile_system()}[name]
+def test_macro_explore_matches_reference_loop(name, bound):
+    tas = corpus.NAMED[name][0]()
     cs = compile_system(tas, force=True)
     got = _explore_outcome(macro_explore, cs, bound)
     assert got == _explore_outcome(ref_macro_explore, cs, bound)
@@ -648,7 +622,7 @@ def test_decode_all_reports_the_first_bad_block(compiled):
 
 
 def test_failed_transition_is_not_kept():
-    cs = compile_system(_five_tile_system())
+    cs = compile_system(corpus.five_tile())
     raised = []
     for _ in range(2):
         with pytest.raises(ThreeProbeError) as err:
