@@ -141,10 +141,6 @@ class TileType:
     def side(self, d: Direction) -> SidePad:
         return (self.north, self.east, self.south, self.west)[d]
 
-    def sides(self) -> Iterator[tuple[Direction, SidePad]]:
-        for d in DIRECTIONS:
-            yield d, self.side(d)
-
     def pads(self) -> tuple[Pad, ...]:
         """The positive-strength sides as pads, in N, E, S, W (`Pad.sort_key`) order."""
         sides = zip(DIRECTIONS, (self.north, self.east, self.south, self.west))

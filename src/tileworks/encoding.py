@@ -78,7 +78,7 @@ class GlueOrdering:
             {
                 side.glue
                 for tile in tas.tiles
-                for _, side in tile.sides()
+                for side in (tile.north, tile.east, tile.south, tile.west)
                 if side.glue is not None
             }
         )
@@ -205,7 +205,7 @@ def _sub_entry(tile, address: Address, ordering: GlueOrdering) -> str:
     mirrored half of the table carries it forward again.
     """
     fields = []
-    for d, side in tile.sides():
+    for d, side in zip(DIRECTIONS, (tile.north, tile.east, tile.south, tile.west)):
         if side.glue is None or d in address.directions:
             fields.append("")
         else:

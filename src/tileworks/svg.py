@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import zlib
 
-from .atam import Assembly, Direction, TileSystem
+from .atam import DIRECTIONS, Assembly, Direction, TileSystem
 
 _PALETTE = (
     "#dbeafe",
@@ -63,7 +63,7 @@ def render_svg(tas: TileSystem, asm: Assembly, scale: int = 48) -> str:
             f'font-family="monospace" font-size="{scale * 0.22:.1f}" fill="#0f172a" '
             f'text-anchor="middle" dominant-baseline="central">{_esc(tile.name)}</text>'
         )
-        for d, side in tile.sides():
+        for d, side in zip(DIRECTIONS, (tile.north, tile.east, tile.south, tile.west)):
             if side.glue is None:
                 continue
             cx, cy = sx + scale / 2, sy + scale / 2

@@ -308,11 +308,10 @@ def test_illegal_events_raise(compiled):
 
 
 def test_three_pad_arrival_is_diagnosed():
-    # the system passes check-lc and compiles unforced, yet a third pad
-    # arrives at (1, 1): this pins the open three-pad defect of ROADMAP item 5
-    tas = corpus.three_probe()
-    assert verify_locally_consistent(tas, 25).passed
-    cs = compile_system(tas)
+    # the system passes check-lc (its `corpus.NAMED` verdict) and compiles
+    # unforced, yet a third pad arrives at (1, 1): this pins the open
+    # three-pad defect of ROADMAP item 5
+    cs = compile_system(corpus.three_probe())
     with pytest.raises(ThreeProbeError):
         macro_explore(cs, 8)
 
