@@ -13,6 +13,8 @@ from tileworks import corpus
 from tileworks.cli import main
 from tileworks.tasio import format_tas
 
+from .golden.regen import golden_file
+
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,6 +29,23 @@ def _readme_outputs() -> dict[str, str]:
 def test_readme_example_output_is_exact(command, capsys):
     assert main(command.split()) == 0
     assert capsys.readouterr().out == _readme_outputs()[command]
+
+
+# each command's stdout on the compilable corpus, pinned by its golden file so
+# that a change to how sides, pads or cell maps are held changes no output
+PINNED_STDOUT_COMMANDS = tuple(
+    f"{verb} {name} --bound {bound}"
+    for name in ("elbow", "nondet_elbow", "counter3", "counter4", "sierpinski")
+    for verb, bound in (("verify", 6), ("explore", 8))
+)
+
+
+@pytest.mark.parametrize("command", PINNED_STDOUT_COMMANDS)
+def test_stdout_matches_its_pinned_digest(command, capsys):
+    assert main(command.split()) == 0
+    golden = golden_file(command).read_text()
+    want = golden.partition("--- stdout\n")[2].partition("--- stderr\n")[0]
+    assert capsys.readouterr().out == want
 
 
 HASH_SEED_COMMANDS = (
@@ -97,11 +116,43 @@ def test_bad_bounds_are_usage_errors(command, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_explore_builtin_name(capsys):
+    assert main(["explore", "elbow", "--bound", "6"]) == 0
+    out = capsys.readouterr().out
+    assert "assemblies: 5" in out
+    assert "terminal assemblies: 1" in out
+    assert "truncated at bound 6: no" in out
+    assert "tD@(1, 1)" in out
+
+
 def test_explore_file_path(tmp_path, capsys):
     path = tmp_path / "elbow.tas"
     path.write_text(format_tas(corpus.elbow()))
     assert main(["explore", str(path), "--bound", "6"]) == 0
     assert "assemblies: 5" in capsys.readouterr().out
+
+
+def test_run_reports_terminal(capsys):
+    assert main(["run", "elbow", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "step 1:" in out
+    assert "final assembly: 4 tiles (terminal)" in out
+
+
+def test_compile_artifact_is_reproducible(tmp_path, capsys):
+    one, two = tmp_path / "a.txt", tmp_path / "b.txt"
+    assert main(["compile", "elbow", "--out", str(one)]) == 0
+    assert main(["compile", "elbow", "--out", str(two)]) == 0
+    assert one.read_bytes() == two.read_bytes()
+    assert "entries" in capsys.readouterr().out
+    text = one.read_text()
+    assert text.startswith("tileworks compiled system v1\n")
+    assert "resolution 15944" in text
+
+
+def test_compile_to_stdout(capsys):
+    assert main(["compile", "elbow"]) == 0
+    assert "GLUES" in capsys.readouterr().out
 
 
 def test_undecodable_file_is_usage_error(tmp_path, capsys):
@@ -118,6 +169,20 @@ def test_parse_error_is_usage_error(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_lookup_trace_render(capsys):
+    assert main(["lookup", "elbow", "--addr", "15", "--bits", "0", "--trace"]) == 0
+    out = capsys.readouterr().out
+    assert "addr=15 bits=0 n=1 m=1933 p=0 selected_index=0" in out
+
+
+def test_simulate_decodes_growth(capsys):
+    assert main(["simulate", "elbow", "--seed", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("kernel: ")
+    assert "decoded assembly: 4 tiles" in out
+    assert "final: 4 blocks" in out
+
+
 def test_verify_pass_writes_report(tmp_path, lone_seed, capsys):
     # a system read from a file; the golden files pin a built-in's report
     lone = tmp_path / "lone.tas"
@@ -127,6 +192,11 @@ def test_verify_pass_writes_report(tmp_path, lone_seed, capsys):
     out = capsys.readouterr().out
     assert out.endswith("overall: PASS\n")
     assert report.read_text() == out
+
+
+def test_verify_nondet_passes(capsys):
+    assert main(["verify", "nondet_elbow", "--bound", "6"]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
 
 
 def test_three_input_growth_fails_cleanly(tmp_path, capsys):

@@ -56,6 +56,14 @@ def check_no_mismatch(tas: TileSystem, asm: Assembly) -> Verdict:
     return Verdict(True)
 
 
+@pytest.mark.parametrize("name", ["elbow", "nondet_elbow", "counter4", "sierpinski"])
+def test_corpus_members_pass(systems, name):
+    verdict = verify_locally_consistent(systems[name], 25)
+    assert verdict.passed
+    assert verdict.witness is None
+    assert "25" in verdict.note
+
+
 @pytest.mark.parametrize("name", sorted(corpus.GENERATORS))
 def test_verdict_matches_reference_check(systems, name):
     # the corpus includes elbow_bad_sum and elbow_mismatch, so both witness

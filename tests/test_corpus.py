@@ -156,9 +156,6 @@ def test_named_system_has_its_known_answers(name):
     assert tas.name == name
     verdict = verify_locally_consistent(tas, 25)
     assert ("pass" if verdict.passed else verdict.witness.kind) == lc
-    if verdict.passed:
-        assert verdict.witness is None
-        assert "25" in verdict.note
     result = explore(tas, 25)
     assert (None if result.truncated else len(result.terminal_keys())) == terminals
 
